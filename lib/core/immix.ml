@@ -712,8 +712,7 @@ let full_gc (t : t) : unit =
   t.defrag_requested <- false;
   let pause = Cost.end_gc t.cost in
   t.metrics.Metrics.full_gcs <- t.metrics.Metrics.full_gcs + 1;
-  t.metrics.Metrics.pauses_ns <- pause :: t.metrics.Metrics.pauses_ns;
-  Stats.observe t.metrics.Metrics.pause_hist pause;
+  Metrics.record_pause t.metrics pause;
   if armed then
     Trace.end_span t.tracer ~tid:Trace.tid_gc "full_gc" ~args:[ ("pause_ns", pause) ];
   let live = Object_table.live_bytes t.objects in
@@ -773,8 +772,7 @@ let nursery_gc (t : t) : unit =
   if float_of_int freed < 0.12 *. float_of_int heap_bytes then t.want_full <- true;
   let pause = Cost.end_gc t.cost in
   t.metrics.Metrics.nursery_gcs <- t.metrics.Metrics.nursery_gcs + 1;
-  t.metrics.Metrics.nursery_pauses_ns <- pause :: t.metrics.Metrics.nursery_pauses_ns;
-  Stats.observe t.metrics.Metrics.nursery_pause_hist pause;
+  Metrics.record_nursery_pause t.metrics pause;
   if armed then
     Trace.end_span t.tracer ~tid:Trace.tid_gc "nursery_gc" ~args:[ ("pause_ns", pause) ];
   let live = Object_table.live_bytes t.objects in
@@ -1081,8 +1079,7 @@ let gc_increment (t : t) : unit =
     | _ -> ());
     let pause = Cost.end_gc t.cost in
     t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
-    t.metrics.Metrics.pauses_ns <- pause :: t.metrics.Metrics.pauses_ns;
-    Stats.observe t.metrics.Metrics.pause_hist pause;
+    Metrics.record_pause t.metrics pause;
     if armed then
       Trace.end_span t.tracer ~tid:Trace.tid_gc "gc_increment"
         ~args:[ ("pause_ns", pause) ];
@@ -1117,8 +1114,7 @@ let start_cycle (t : t) : unit =
   t.inc_phase <- inc_mark;
   let pause = Cost.end_gc t.cost in
   t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
-  t.metrics.Metrics.pauses_ns <- pause :: t.metrics.Metrics.pauses_ns;
-  Stats.observe t.metrics.Metrics.pause_hist pause;
+  Metrics.record_pause t.metrics pause;
   if armed then
     Trace.end_span t.tracer ~tid:Trace.tid_gc "gc_snapshot" ~args:[ ("pause_ns", pause) ];
   t.post_gc_check ()

@@ -222,7 +222,7 @@ let full_gc (t : t) : unit =
   t.want_full <- false;
   let pause = Cost.end_gc t.cost in
   t.metrics.Metrics.full_gcs <- t.metrics.Metrics.full_gcs + 1;
-  t.metrics.Metrics.pauses_ns <- pause :: t.metrics.Metrics.pauses_ns;
+  Metrics.record_pause t.metrics pause;
   let live = Object_table.live_bytes t.objects in
   if live > t.metrics.Metrics.peak_live_bytes then t.metrics.Metrics.peak_live_bytes <- live
 
@@ -235,7 +235,7 @@ let full_gc_sliced (t : t) : unit =
   let w = weights t in
   let record pause =
     t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
-    t.metrics.Metrics.pauses_ns <- pause :: t.metrics.Metrics.pauses_ns
+    Metrics.record_pause t.metrics pause
   in
   let budget = max 1 t.gc_slice in
   (* mark, in budgeted chunks over a scratch of the slot ids (the scratch
@@ -361,7 +361,7 @@ let nursery_gc (t : t) : unit =
   if float_of_int !freed < 0.12 *. float_of_int heap_bytes then t.want_full <- true;
   let pause = Cost.end_gc t.cost in
   t.metrics.Metrics.nursery_gcs <- t.metrics.Metrics.nursery_gcs + 1;
-  t.metrics.Metrics.nursery_pauses_ns <- pause :: t.metrics.Metrics.nursery_pauses_ns
+  Metrics.record_nursery_pause t.metrics pause
 
 (** Allocate with the collection-retry ladder; raises [Out_of_memory]. *)
 let alloc (t : t) ~(size : int) : int * int * int =

@@ -142,6 +142,18 @@ let create () : t =
 
 let gcs (t : t) : int = t.full_gcs + t.nursery_gcs
 
+(** Record one full-heap pause (a whole stop-the-world collection, or one
+    slice of a budgeted one) in the pause list and its histogram — the
+    single recording path every collector uses. *)
+let record_pause (t : t) (ns : float) : unit =
+  t.pauses_ns <- ns :: t.pauses_ns;
+  Holes_obs.Stats.observe t.pause_hist ns
+
+(** Record one nursery-collection pause, likewise. *)
+let record_nursery_pause (t : t) (ns : float) : unit =
+  t.nursery_pauses_ns <- ns :: t.nursery_pauses_ns;
+  Holes_obs.Stats.observe t.nursery_pause_hist ns
+
 let mean_full_pause_ms (t : t) : float option =
   match t.pauses_ns with
   | [] -> None

@@ -69,6 +69,38 @@ let test_pause_recording () =
   | Some p -> Alcotest.(check bool) "max >= mean" true (p >= Option.get (Metrics.mean_full_pause_ms m))
   | None -> Alcotest.fail "expected max pause"
 
+(* Every collector records its pauses in both the pause list and the
+   histogram the JSONL records summarize: a record's pause_ns_count is
+   the number of recorded pauses, and nursery_pause_ns_count the number
+   of nursery collections. *)
+let test_pause_histograms_all_collectors () =
+  List.iter
+    (fun (collector, gc_slice) ->
+      let cfg = { Cfg.default with Cfg.collector; heap_factor = 1.25; gc_slice } in
+      let profile = Holes_workload.Dacapo.pmd in
+      let res = Holes_workload.Generator.run_config ~cfg ~profile ~scale:0.1 () in
+      let m = res.Holes_workload.Generator.metrics in
+      let field k = List.assoc k (Metrics.to_fields m) in
+      let where = Cfg.name cfg in
+      Alcotest.(check bool) (where ^ ": ran a full collection") true (m.Metrics.full_gcs > 0);
+      if Cfg.is_generational collector then
+        Alcotest.(check bool) (where ^ ": ran a nursery collection") true
+          (m.Metrics.nursery_gcs > 0);
+      check (Alcotest.float 0.0) (where ^ ": pause_ns_count")
+        (float_of_int (List.length m.Metrics.pauses_ns))
+        (field "pause_ns_count");
+      check (Alcotest.float 0.0) (where ^ ": nursery_pause_ns_count")
+        (float_of_int m.Metrics.nursery_gcs)
+        (field "nursery_pause_ns_count"))
+    [
+      (Cfg.Mark_sweep, 0);
+      (Cfg.Sticky_ms, 0);
+      (Cfg.Immix, 0);
+      (Cfg.Sticky_immix, 0);
+      (Cfg.Mark_sweep, 256);
+      (Cfg.Sticky_immix, 256);
+    ]
+
 let test_deterministic_runs () =
   let run () =
     let profile = Holes_workload.Profile.scaled Holes_workload.Dacapo.bloat 0.05 in
@@ -92,6 +124,7 @@ let suite =
     ("cost model accumulates", `Quick, test_cost_model_accumulates);
     ("metrics wiring", `Quick, test_metrics_wiring);
     ("pause recording", `Quick, test_pause_recording);
+    ("pause histograms, all collectors", `Quick, test_pause_histograms_all_collectors);
     ("deterministic runs", `Quick, test_deterministic_runs);
     ("pp_summary renders", `Quick, test_pp_summary_renders);
   ]
