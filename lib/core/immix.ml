@@ -13,7 +13,8 @@
     nursery, collected from the remembered set without touching old
     objects.  Dynamic failures reuse the defragmentation machinery:
     affected blocks are flagged and their live objects evacuated by a
-    full collection. *)
+    full collection — one snapshot/mark/sweep/defrag cycle, drained in
+    one pause or cut into budgeted slices. *)
 
 open Holes_stdx
 open Holes_heap
@@ -52,9 +53,9 @@ type t = {
           instead of popping list cells) *)
   mutable recyclable_pos : int;
   mark_queue : Intvec.t;
-      (** the flat mark deque: slot ids are enqueued in ascending-id
-          order and drained in fixed-size batches, so the trace loop
-          runs over a dense int array (see [full_gc]) *)
+      (** the snapshot work-list: one entry per occupied slot, in
+          ascending-id order, liveness sign-encoded (see [snapshot]) —
+          the mark phase runs over a dense int array *)
   (* bump-pointer state: main cursor *)
   mutable cur_block : int;  (** -1 = none *)
   mutable cursor : int;
@@ -74,12 +75,12 @@ type t = {
       (** paranoid-verifier hook, run at the end of every collection
           (installed by [Vm] when [Config.verify] is set; [ignore]
           otherwise, so the disabled cost is one closure call) *)
-  (* incremental (snapshot-at-the-beginning) collection state.  A cycle
-     is the same full collection as [full_gc] — same mark charges, same
-     sweep passes, same evacuation — cut into budgeted slices driven
-     from the allocation path.  [mark_queue] doubles as the persistent
-     snapshot work-list: entries are slot ids, sign-encoded with
-     liveness at snapshot time (id = live, lnot id = dead). *)
+  (* full-collection cycle state.  Every full collection is one
+     snapshot-at-the-beginning cycle: stop-the-world drains it inside
+     one pause, a [gc_slice] budget cuts it into slices driven from the
+     allocation path.  [mark_queue] is the persistent snapshot
+     work-list: entries are slot ids, sign-encoded with liveness at
+     snapshot time (id = live, lnot id = dead). *)
   mutable gc_slice : int;
       (** work budget per slice in mark-queue entries; 0 = stop-the-world
           (mutable so the torture driver can toggle mid-run) *)
@@ -100,6 +101,7 @@ type t = {
   mutable inc_nursery_len : int;  (** nursery length at snapshot *)
   mutable inc_marked : int;  (** cycle work counter: snapshot-live processed *)
   mutable inc_released : int;  (** cycle work counter: snapshot-dead released *)
+  mutable inc_left_behind : int;  (** cycle counter: live objects evacuation could not move *)
   mutable pending_retire : (int * int * int) list;
       (** deferred dynamic-failure line retirements, newest first:
           (heap addr, stock page id or -1, 64 B line within the page) —
@@ -154,6 +156,7 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
       inc_nursery_len = 0;
       inc_marked = 0;
       inc_released = 0;
+      inc_left_behind = 0;
       pending_retire = [];
       inc_trigger = 0;
       tracer;
@@ -517,10 +520,9 @@ let reset_cursors (t : t) : unit =
 (* The fused sweep: one ascending pass over the blocks that (per block,
    via [Block.sweep]) recomputes the exact hole bound from the packed
    free map, clears the recyclable flag, and reads the free-line count
-   — then rebuilds the recyclable vector in address order (excluding
-   [except]).  The sweep charge is per line-mark word scanned, exactly
-   as before the fusion. *)
-let rebuild_recyclable (t : t) ~(except : Block.t -> bool) : unit =
+   — then rebuilds the recyclable vector in address order.  The sweep
+   charge is per line-mark word scanned, exactly as before the fusion. *)
+let rebuild_recyclable (t : t) : unit =
   let w = weights t in
   Intvec.clear t.recyclable;
   t.recyclable_pos <- 0;
@@ -528,22 +530,37 @@ let rebuild_recyclable (t : t) ~(except : Block.t -> bool) : unit =
   iter_blocks t (fun b ->
       Cost.charge t.cost (w.Cost.sweep_line *. float_of_int b.Block.nlines);
       let free = Block.sweep b in
-      if free > 0 && (not (except b)) && b.Block.index <> t.cur_block
-         && b.Block.index <> t.ovf_block
-      then begin
+      if free > 0 && b.Block.index <> t.cur_block && b.Block.index <> t.ovf_block then begin
         Block.set_recyclable b true;
         Intvec.push t.recyclable b.Block.index
       end)
 
+(* Dissolve every empty block no bump cursor points into: a single
+   ascending pass (dissolving only blanks the slot, so iterating while
+   dissolving is safe). *)
+let dissolve_empty_blocks (t : t) : unit =
+  iter_blocks t (fun b ->
+      if Block.is_empty b && b.Block.index <> t.cur_block && b.Block.index <> t.ovf_block then
+        dissolve_block t b)
+
+(* Copy object [id] ([size] bytes at [addr], inside block [b]) to
+   [new_addr]: move its line accounting and charge the copy. *)
+let move_object (t : t) (b : Block.t) (id : int) ~(addr : int) ~(size : int) ~(new_addr : int) :
+    unit =
+  Block.remove_object_lines b ~addr ~size;
+  Object_table.relocate t.objects id ~new_addr;
+  Intvec.push (block_of_addr t new_addr).Block.objs id;
+  Cost.charge t.cost ((weights t).Cost.copy_byte *. float_of_int size);
+  t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size
+
 (* Evacuate the live, unpinned objects of [b] using the normal allocator
-   (no collection recursion).  Evacuation is opportunistic, as in Immix:
-   an object that cannot be placed right now (e.g. a medium object with
-   no overflow space) simply stays where it is.  Returns the number of
-   objects left behind. *)
+   (no collection recursion), in ascending slot order without duplicates
+   ([objs] holds allocation order and may repeat an id).  Evacuation is
+   opportunistic, as in Immix: an object that cannot be placed right now
+   (e.g. a medium object with no overflow space) simply stays where it
+   is.  Returns the number of objects left behind. *)
 let evacuate_block (t : t) (b : Block.t) : int =
-  let w = weights t in
   let left = ref 0 in
-  let ids = Intvec.to_list b.Block.objs in
   List.iter
     (fun id ->
       if Object_table.is_alive t.objects id && (not (Object_table.is_pinned t.objects id))
@@ -555,169 +572,15 @@ let evacuate_block (t : t) (b : Block.t) : int =
           let new_addr = alloc_nogc t ~size in
           if new_addr < 0 then incr left
           else begin
-            Block.remove_object_lines b ~addr ~size;
-            Object_table.relocate t.objects id ~new_addr;
-            Intvec.push (block_of_addr t new_addr).Block.objs id;
-            Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
-            t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size;
+            move_object t b id ~addr ~size ~new_addr;
             t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
           end
         end
       end)
-    ids;
+    (List.sort_uniq compare (Intvec.to_list b.Block.objs));
   Block.set_evacuate b false;
+  Block.set_candidate b false;
   !left
-
-(* Select the blocks a full collection will evacuate: blocks flagged by
-   a dynamic failure always; when defragmentation was requested, also
-   the sparsest half of the blocks under the occupancy threshold.
-   Returns the candidates with their count — sizes are tallied during
-   the single selection pass, never by re-measuring the lists. *)
-let prepare_defrag (t : t) : Block.t list * int =
-  let flagged = ref [] and sparse = ref [] in
-  let n_flagged = ref 0 and n_sparse = ref 0 in
-  (* On-demand defragmentation consolidates much more aggressively than
-     the steady-state threshold: it exists to turn scattered free lines
-     back into whole free pages (for the LOS and overflow fallback). *)
-  let threshold =
-    if t.defrag_requested then Float.max t.cfg.Config.defrag_occupancy 0.90
-    else t.cfg.Config.defrag_occupancy
-  in
-  iter_blocks t (fun b ->
-      let usable = b.Block.nlines - Block.failed_lines b in
-      if usable > 0 then begin
-        let live_lines = usable - Block.free_lines b in
-        let ratio = float_of_int live_lines /. float_of_int usable in
-        if Block.evacuate b then begin
-          flagged := b :: !flagged;
-          incr n_flagged
-        end
-        else if t.cfg.Config.defrag && t.defrag_requested && ratio > 0.0 && ratio < threshold
-        then begin
-          sparse := (ratio, b) :: !sparse;
-          incr n_sparse
-        end
-      end);
-  let flagged = List.rev !flagged and sparse = List.rev !sparse in
-  let n_flagged = !n_flagged and n_sparse = !n_sparse in
-  if Sys.getenv_opt "HOLES_DEBUG_DEFRAG" <> None then
-    Printf.eprintf "[defrag] requested=%b flagged=%d sparse=%d blocks=%d\n%!" t.defrag_requested
-      n_flagged n_sparse t.nblocks;
-  (* When most blocks are sparse (common under heavy failures), all of
-     them would be candidates and evacuation would have no destination.
-     Evacuate the sparsest half into the denser half: consolidation
-     still converges, and destinations always exist. *)
-  let sparse_sorted = List.sort (fun (a, _) (b, _) -> compare a b) sparse in
-  let evacuated = List.filteri (fun i _ -> i <= n_sparse / 2) sparse_sorted |> List.map snd in
-  let n_evacuated = if n_sparse = 0 then 0 else (n_sparse / 2) + 1 in
-  (flagged @ evacuated, n_flagged + n_evacuated)
-
-(* Trace or reclaim one slot — the body of the mark loop.  Liveness is
-   oracle-driven ([Object_table.is_alive]); live objects charge their
-   mark costs and rebuild line accounting, dead ones are released (LOS
-   entries free their pages).  The two interleave in ascending-id
-   order: that single order is what makes the figures bit-identical
-   across runs, so batching below preserves it exactly. *)
-let mark_slot (t : t) (w : Cost.weights) (id : int) : unit =
-  if Object_table.is_alive t.objects id then begin
-    let nrefs = Object_table.nrefs t.objects id in
-    Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
-    let addr = Object_table.addr t.objects id in
-    if not (Object_table.is_los t.objects id) then begin
-      let b = block_of_addr t addr in
-      Block.add_object_lines b ~addr ~size:(Object_table.size t.objects id);
-      Intvec.push b.Block.objs id
-    end;
-    Object_table.clear_nursery_flag t.objects id
-  end
-  else begin
-    if Object_table.is_los t.objects id then
-      Los.free t.los ~addr:(Object_table.addr t.objects id);
-    Object_table.release t.objects id
-  end
-
-(* Drain the mark deque: a dense loop over the queued slot ids. *)
-let drain_mark_queue (t : t) (w : Cost.weights) : unit =
-  let q = t.mark_queue in
-  let n = Intvec.length q in
-  for i = 0 to n - 1 do
-    mark_slot t w (Intvec.unsafe_get q i)
-  done;
-  Intvec.clear q
-
-let mark_batch_size = 256
-
-(** A full-heap collection: trace all live objects, rebuild line marks,
-    reclaim dead objects (Immix + LOS), dissolve empty blocks, then
-    optionally defragment sparse or failure-hit blocks by evacuation. *)
-let full_gc (t : t) : unit =
-  let w = weights t in
-  let armed = Trace.armed t.tracer in
-  Cost.begin_gc t.cost;
-  if armed then Trace.begin_span t.tracer ~tid:Trace.tid_gc "full_gc";
-  Cost.charge t.cost w.Cost.gc_fixed;
-  reset_cursors t;
-  iter_blocks t Block.clear_marks;
-  (* trace live objects; reclaim dead ones.  Slot ids stream through
-     the flat mark deque and are popped in batches: the scan that
-     filters occupied slots runs ahead of the processing loop, which
-     then works over a dense, prefetch-friendly id array.  Batches
-     drain in enqueue order, so the charge sequence is exactly the
-     per-slot loop's. *)
-  if armed then Trace.begin_span t.tracer ~tid:Trace.tid_gc "mark";
-  Object_table.iter_slots t.objects (fun id ->
-      Intvec.push t.mark_queue id;
-      if Intvec.length t.mark_queue >= mark_batch_size then drain_mark_queue t w);
-  drain_mark_queue t w;
-  if armed then Trace.end_span t.tracer ~tid:Trace.tid_gc "mark";
-  (* sweep: dissolve empty blocks — a single ascending pass over the
-     block table (dissolving only blanks the slot, so iterating while
-     dissolving is safe) *)
-  if armed then Trace.begin_span t.tracer ~tid:Trace.tid_gc "sweep";
-  iter_blocks t (fun b -> if Block.is_empty b then dissolve_block t b);
-  if armed then Trace.end_span t.tracer ~tid:Trace.tid_gc "sweep";
-  (* defragmentation / dynamic-failure evacuation: blocks flagged by a
-     dynamic failure are always evacuated; sparse blocks additionally
-     when defragmentation is enabled *)
-  let candidates, n_candidates = prepare_defrag t in
-  if candidates <> [] then begin
-    if armed then
-      Trace.begin_span t.tracer ~tid:Trace.tid_gc "defrag"
-        ~args:[ ("candidates", float_of_int n_candidates) ];
-    let is_candidate =
-      let set = Hashtbl.create 16 in
-      List.iter (fun b -> Hashtbl.replace set b.Block.index ()) candidates;
-      fun (b : Block.t) -> Hashtbl.mem set b.Block.index
-    in
-    rebuild_recyclable t ~except:is_candidate;
-    let left_behind = ref 0 in
-    List.iter (fun b -> left_behind := !left_behind + evacuate_block t b) candidates;
-    (* dissolve blocks the evacuation emptied: single ascending pass *)
-    let dissolved = ref 0 in
-    iter_blocks t (fun b ->
-        if Block.is_empty b && b.Block.index <> t.cur_block && b.Block.index <> t.ovf_block
-        then begin
-          dissolve_block t b;
-          incr dissolved
-        end);
-    (if Sys.getenv_opt "HOLES_DEBUG_DEFRAG" <> None then
-       Printf.eprintf "[defrag] evac done left=%d dissolved=%d evacuated=%d\n%!" !left_behind
-         !dissolved t.metrics.Metrics.objects_evacuated);
-    if armed then Trace.end_span t.tracer ~tid:Trace.tid_gc "defrag"
-  end;
-  rebuild_recyclable t ~except:(fun _ -> false);
-  Intvec.clear t.nursery;
-  Remset.clear t.remset;
-  t.want_full <- false;
-  t.defrag_requested <- false;
-  let pause = Cost.end_gc t.cost in
-  t.metrics.Metrics.full_gcs <- t.metrics.Metrics.full_gcs + 1;
-  Metrics.record_pause t.metrics pause;
-  if armed then
-    Trace.end_span t.tracer ~tid:Trace.tid_gc "full_gc" ~args:[ ("pause_ns", pause) ];
-  let live = Object_table.live_bytes t.objects in
-  if live > t.metrics.Metrics.peak_live_bytes then t.metrics.Metrics.peak_live_bytes <- live;
-  t.post_gc_check ()
 
 (** A nursery (sticky mark bits) collection: only objects allocated since
     the last collection are examined; survivors are opportunistically
@@ -751,22 +614,12 @@ let nursery_gc (t : t) : unit =
          then
            let addr = Object_table.addr t.objects id in
            let new_addr = alloc_nogc t ~size in
-           if new_addr >= 0 then begin
-             Block.remove_object_lines (block_of_addr t addr) ~addr ~size;
-             Object_table.relocate t.objects id ~new_addr;
-             Intvec.push (block_of_addr t new_addr).Block.objs id;
-             Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
-             t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size
-           end);
+           if new_addr >= 0 then move_object t (block_of_addr t addr) id ~addr ~size ~new_addr);
         Object_table.clear_nursery_flag t.objects id
       end);
   Intvec.clear t.nursery;
-  (* dissolve empty blocks (single ascending pass) and refresh the
-     recycled list *)
-  iter_blocks t (fun b ->
-      if Block.is_empty b && b.Block.index <> t.cur_block && b.Block.index <> t.ovf_block then
-        dissolve_block t b);
-  rebuild_recyclable t ~except:(fun _ -> false);
+  dissolve_empty_blocks t;
+  rebuild_recyclable t;
   let freed = total_free_bytes t - free_before in
   let heap_bytes = Page_stock.npages t.stock * Holes_pcm.Geometry.page_bytes in
   if float_of_int freed < 0.12 *. float_of_int heap_bytes then t.want_full <- true;
@@ -780,20 +633,21 @@ let nursery_gc (t : t) : unit =
   t.post_gc_check ()
 
 (* ------------------------------------------------------------------ *)
-(* Incremental (snapshot-at-the-beginning) collection                  *)
+(* The full-collection cycle                                           *)
 (*                                                                     *)
-(* The cycle performs exactly [full_gc]'s work — the same mark charge  *)
-(* per snapshot object, the same sweep passes, the same evacuation —   *)
-(* but cut into budgeted slices driven from the allocation path, each  *)
-(* bracketed by [Cost.begin_gc]/[end_gc] so the recorded pause is the  *)
-(* slice, not the cycle.  Instead of clearing line marks and           *)
-(* re-adding live objects (which the mutator, running between slices,  *)
-(* could not tolerate), the snapshot encodes liveness in the sign of   *)
-(* each queue entry: live entries are charged and blackened in place,  *)
-(* dead entries have their lines removed and their slots released.     *)
-(* Per-line live counts therefore equal the coverage of all            *)
-(* uncollected objects at every instant — the exact invariant the      *)
-(* verifier checks — and the end state matches stop-the-world's.       *)
+(* Every full collection is one snapshot-at-the-beginning cycle —      *)
+(* snapshot, mark, sweep, defrag — made of budgeted steps.  A          *)
+(* stop-the-world collection ([full_gc]) closes the bump cursors and   *)
+(* drains every step with no budget inside one [Cost.begin_gc]/[end_gc] *)
+(* bracket.  Under a [gc_slice] budget the same steps run as slices    *)
+(* driven from the allocation path, each its own bracket, so the       *)
+(* recorded pause is the slice, not the cycle; the charges, and their  *)
+(* order, are the same either way.  Nothing clears line marks: the     *)
+(* snapshot encodes liveness in the sign of each queue entry; live     *)
+(* entries are charged and blackened in place, dead entries have their *)
+(* lines removed and their slots released.  Per-line live counts       *)
+(* therefore equal the coverage of all uncollected objects at every    *)
+(* instant — the exact invariant the verifier checks after each slice. *)
 (*                                                                     *)
 (* SATB details: an object killed after the snapshot is still charged  *)
 (* and blackened (floating garbage, reclaimed next cycle); objects     *)
@@ -809,113 +663,171 @@ let inc_defrag = 3
 
 let incremental_active (t : t) : bool = t.inc_phase <> inc_idle
 
-(* Complete the retirement of the 64 B line behind [addr]: close bump
-   cursors over the line, relocate every object still overlapping it
-   (alive ones move — through the perfect-block fallback if imperfect
-   memory cannot hold them; dead-uncollected ones are simply released,
-   exactly as the collection that precedes this in the stop-the-world
-   path would have done), fail the logical line, and persist the hole
-   on the backing stock page.  Idempotent: re-retiring an already
-   failed line is a no-op.  [stock_page]/[line64] were captured when
-   the failure arrived, so a block dissolved in the interim still gets
-   its hole recorded in the stock. *)
+let oom (t : t) ~(size : int) : 'a =
+  t.metrics.Metrics.out_of_memory <- true;
+  t.metrics.Metrics.oom_request <- size;
+  raise Out_of_memory
+
+let pinned_alive (t : t) (id : int) : bool =
+  Object_table.is_alive t.objects id && Object_table.is_pinned t.objects id
+
+(* The objects still holding logical line [line] of [b] — alive or
+   dead-but-uncollected — in descending slot order without duplicates:
+   the order line retirement relocates them in. *)
+let line_occupants (t : t) (b : Block.t) ~(line : int) : int list =
+  let lo = b.Block.base + (line * b.Block.line_size) in
+  let hi = lo + b.Block.line_size in
+  let acc = ref [] in
+  Intvec.iter b.Block.objs (fun id ->
+      let oa = Object_table.addr t.objects id in
+      if oa >= 0 && oa / block_bytes = b.Block.index && (not (Object_table.is_los t.objects id))
+         && oa < hi && lo < oa + Object_table.size t.objects id
+      then acc := id :: !acc);
+  List.sort_uniq (fun x y -> compare y x) !acc
+
+(* Close the bump cursors whose run overlaps logical line [line] of [b]. *)
+let close_cursors_over (t : t) (b : Block.t) ~(line : int) : unit =
+  let lo = b.Block.base + (line * b.Block.line_size) in
+  let hi = lo + b.Block.line_size in
+  if t.cur_block = b.Block.index && t.cursor < hi && lo < t.limit then begin
+    t.cur_block <- -1;
+    t.cursor <- 0;
+    t.limit <- 0
+  end;
+  if t.ovf_block = b.Block.index && t.ovf_cursor < hi && lo < t.ovf_limit then begin
+    t.ovf_block <- -1;
+    t.ovf_cursor <- 0;
+    t.ovf_limit <- 0
+  end
+
+(* Retire the 64 B line behind [addr] — the one line-retirement path.
+   Close the bump cursors over its logical line and relocate every
+   object still on it: alive ones move (through the perfect-block
+   fallback if imperfect memory cannot hold them), dead-but-uncollected
+   ones — possible only between the slices of a budgeted cycle — are
+   released.  Then fail the logical line and persist the hole on the
+   backing stock page.  A pinned survivor cannot move: the OS masks the
+   failure instead (page copy to a perfect page + remap, Sec. 3.3.3
+   "Pinning support"), so the logical line never fails.  Idempotent:
+   re-retiring an already failed line is a no-op.  [stock_page]/[line64]
+   were captured when the failure arrived, so a block dissolved in the
+   interim still gets its hole recorded in the stock. *)
 let complete_line_retirement (t : t) ~(addr : int) ~(stock_page : int) ~(line64 : int) : unit =
   let w = weights t in
-  (* set when a pinned object turns up on the line: the OS masks the
-     failure by page remap instead, so the logical line never fails *)
-  let masked = ref false in
-  (match block_opt t (addr / block_bytes) with
-  | None -> ()
-  | Some b ->
-      let bi = b.Block.index in
-      let line = Block.line_of_offset b (addr - b.Block.base) in
-      let line_lo = b.Block.base + (line * b.Block.line_size) in
-      let line_hi = line_lo + b.Block.line_size in
-      if t.cur_block = bi && t.cursor < line_hi && line_lo < t.limit then begin
-        t.cur_block <- -1;
-        t.cursor <- 0;
-        t.limit <- 0
-      end;
-      if t.ovf_block = bi && t.ovf_cursor < line_hi && line_lo < t.ovf_limit then begin
-        t.ovf_block <- -1;
-        t.ovf_cursor <- 0;
-        t.ovf_limit <- 0
-      end;
-      let overlapping = ref [] in
-      Intvec.iter b.Block.objs (fun id ->
-          let oa = Object_table.addr t.objects id in
-          if oa >= 0 && not (Object_table.is_los t.objects id) then begin
-            let oe = oa + Object_table.size t.objects id in
-            if oa / block_bytes = bi && oa < line_hi && line_lo < oe then
-              overlapping := id :: !overlapping
-          end);
-      (* an object pinned since the failure was deferred cannot move:
-         the OS masks the failure exactly as the synchronous path would
-         (page copy to a perfect page + remap) and the heap line stays *)
-      if
-        List.exists
-          (fun id ->
-            Object_table.is_alive t.objects id && Object_table.is_pinned t.objects id)
-          !overlapping
-      then begin
-        masked := true;
-        Cost.charge t.cost
-          (w.Cost.perfect_request +. w.Cost.dram_borrow
-          +. (w.Cost.copy_byte *. float_of_int Holes_pcm.Geometry.page_bytes));
-        t.metrics.Metrics.bytes_copied <-
-          t.metrics.Metrics.bytes_copied + Holes_pcm.Geometry.page_bytes
-      end
-      else begin
-      List.iter
-        (fun id ->
-          (* re-resolve: an earlier relocation in this loop may have
-             moved it already, and ids can repeat in [objs] *)
-          let oa = Object_table.addr t.objects id in
-          if oa >= 0 && oa / block_bytes = bi && oa < line_hi
-             && line_lo < oa + Object_table.size t.objects id
-          then
-            if Object_table.is_alive t.objects id then begin
+  let masked =
+    match block_opt t (addr / block_bytes) with
+    | None -> false
+    | Some b ->
+        let line = Block.line_of_offset b (addr - b.Block.base) in
+        close_cursors_over t b ~line;
+        let occupants = line_occupants t b ~line in
+        if List.exists (pinned_alive t) occupants then begin
+          Cost.charge t.cost
+            (w.Cost.perfect_request +. w.Cost.dram_borrow
+            +. (w.Cost.copy_byte *. float_of_int Holes_pcm.Geometry.page_bytes));
+          t.metrics.Metrics.bytes_copied <-
+            t.metrics.Metrics.bytes_copied + Holes_pcm.Geometry.page_bytes;
+          true
+        end
+        else begin
+          List.iter
+            (fun id ->
+              let oa = Object_table.addr t.objects id in
               let size = Object_table.size t.objects id in
-              let new_addr =
-                let a = alloc_nogc t ~size in
-                if a >= 0 then a else alloc_medium_perfect t ~size
-              in
-              if new_addr < 0 then begin
-                t.metrics.Metrics.out_of_memory <- true;
-                t.metrics.Metrics.oom_request <- size;
-                raise Out_of_memory
+              if Object_table.is_alive t.objects id then begin
+                let new_addr =
+                  let a = alloc_nogc t ~size in
+                  if a >= 0 then a else alloc_medium_perfect t ~size
+                in
+                if new_addr < 0 then oom t ~size;
+                move_object t b id ~addr:oa ~size ~new_addr;
+                t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
               end
               else begin
                 Block.remove_object_lines b ~addr:oa ~size;
-                Object_table.relocate t.objects id ~new_addr;
-                Intvec.push (block_of_addr t new_addr).Block.objs id;
-                Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
-                t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size;
-                t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
-              end
-            end
-            else begin
-              (* dead-but-uncollected: reclaim it now, as the collection
-                 preceding a stop-the-world retirement would have *)
-              Block.remove_object_lines b ~addr:oa
-                ~size:(Object_table.size t.objects id);
-              Object_table.release t.objects id
-            end)
-        (List.rev !overlapping);
-      match Block.fail_line b ~line with
-      | `Already_failed | `Was_free -> ()
-      | `Was_live -> assert false
-      end);
-  if (not !masked) && stock_page >= 0 then
+                Object_table.release t.objects id
+              end)
+            occupants;
+          (match Block.fail_line b ~line with
+          | `Already_failed | `Was_free -> ()
+          | `Was_live -> assert false);
+          false
+        end
+  in
+  if (not masked) && stock_page >= 0 then
     Page_stock.mark_line_failed t.stock ~id:stock_page ~line:line64
 
-(* One increment of the mark phase: process up to [gc_slice] snapshot
-   entries from the persistent work-list.  Charges are per entry,
-   identical to [mark_slot]'s for the same object. *)
-let mark_slice (t : t) (w : Cost.weights) : unit =
+(* Select the blocks this cycle evacuates, at mark end: blocks flagged
+   by a dynamic failure always; when defragmentation was requested, also
+   the sparsest half of the blocks under the occupancy threshold.  A
+   flagged block the mark left empty is no candidate — the sweep
+   dissolves it.  Every candidate carries the [candidate] flag until it
+   is evacuated: the sweep's O(1) candidate test.  Returns the
+   candidates' block indices in evacuation order. *)
+let prepare_defrag (t : t) : int list =
+  let flagged = ref [] and sparse = ref [] in
+  let n_sparse = ref 0 in
+  (* On-demand defragmentation consolidates much more aggressively than
+     the steady-state threshold: it exists to turn scattered free lines
+     back into whole free pages (for the LOS and overflow fallback). *)
+  let threshold =
+    if t.defrag_requested then Float.max t.cfg.Config.defrag_occupancy 0.90
+    else t.cfg.Config.defrag_occupancy
+  in
+  iter_blocks t (fun b ->
+      let usable = b.Block.nlines - Block.failed_lines b in
+      if Block.evacuate b && Block.is_empty b then Block.set_evacuate b false
+      else if usable > 0 then begin
+        let live_lines = usable - Block.free_lines b in
+        let ratio = float_of_int live_lines /. float_of_int usable in
+        if Block.evacuate b then flagged := b :: !flagged
+        else if t.cfg.Config.defrag && t.defrag_requested && ratio > 0.0 && ratio < threshold
+        then begin
+          sparse := (ratio, b) :: !sparse;
+          incr n_sparse
+        end
+      end);
+  (* When most blocks are sparse (common under heavy failures), all of
+     them would be candidates and evacuation would have no destination.
+     Evacuate the sparsest half into the denser half: consolidation
+     still converges, and destinations always exist. *)
+  let sparse_sorted = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !sparse) in
+  let evacuated = List.filteri (fun i _ -> i <= !n_sparse / 2) sparse_sorted |> List.map snd in
+  let candidates = List.rev_append !flagged evacuated in
+  List.iter (fun b -> Block.set_candidate b true) candidates;
+  List.map (fun (b : Block.t) -> b.Block.index) candidates
+
+(* Open a cycle: charge the fixed collection cost and take the snapshot
+   — every occupied slot, liveness sign-encoded (the enqueue pass itself
+   is uncharged). *)
+let snapshot (t : t) : unit =
+  Cost.charge t.cost (weights t).Cost.gc_fixed;
+  t.inc_epoch <- t.inc_epoch + 1;
+  Intvec.clear t.mark_queue;
+  Object_table.iter_slots t.objects (fun id ->
+      Intvec.push t.mark_queue (if Object_table.is_alive t.objects id then id else lnot id));
+  t.inc_pos <- 0;
+  t.inc_snapshot_len <- Intvec.length t.mark_queue;
+  t.inc_nursery_len <- Intvec.length t.nursery;
+  t.inc_marked <- 0;
+  t.inc_released <- 0;
+  t.inc_left_behind <- 0;
+  Remset.clear t.satb;
+  (* pre-snapshot remset records aim at nursery objects this cycle will
+     process out of the nursery; records logged mid-cycle survive for
+     the next nursery collection *)
+  Remset.clear t.remset;
+  t.inc_phase <- inc_mark
+
+(* One step of the mark phase: process up to [budget] snapshot entries
+   from the persistent work-list, in ascending slot order — live ones
+   charge their mark costs, dead ones release their lines and slots. *)
+let mark_slice (t : t) ~(budget : int) : unit =
+  let w = weights t in
   let q = t.mark_queue in
   let len = Intvec.length q in
-  let stop = min len (t.inc_pos + max 1 t.gc_slice) in
+  let budget = max 1 budget in
+  let stop = if len - t.inc_pos <= budget then len else t.inc_pos + budget in
   let i = ref t.inc_pos in
   while !i < stop do
     let enc = Intvec.unsafe_get q !i in
@@ -932,8 +844,7 @@ let mark_slice (t : t) (w : Cost.weights) : unit =
     else begin
       (* snapshot-dead: reclaim.  Nothing can release the slot between
          snapshot and here (nursery collections are suppressed during a
-         cycle), so the lines are still accounted and the release is
-         exactly [mark_slot]'s. *)
+         cycle), so the lines are still accounted. *)
       let id = lnot enc in
       let addr = Object_table.addr t.objects id in
       if addr >= 0 then begin
@@ -956,16 +867,15 @@ let mark_slice (t : t) (w : Cost.weights) : unit =
     Remset.clear t.satb;
     Intvec.clear q;
     assert (t.inc_marked + t.inc_released = t.inc_snapshot_len);
-    let candidates, _ = prepare_defrag t in
-    t.inc_candidates <- List.map (fun (b : Block.t) -> b.Block.index) candidates;
+    t.inc_candidates <- prepare_defrag t;
     Intvec.clear t.inc_recyclable;
     t.inc_phase <- inc_sweep;
     t.inc_pos <- 0
   end
 
-(* Cycle completion: conservation asserts, nursery snapshot-prefix drop,
-   and the same end-of-collection bookkeeping as [full_gc].  The pause
-   record itself is per-slice, emitted by [gc_increment]. *)
+(* Cycle completion: conservation asserts, nursery snapshot-prefix drop
+   and the end-of-collection bookkeeping.  The pause is recorded by
+   whichever driver brackets the step. *)
 let finish_cycle_end (t : t) : unit =
   assert (t.inc_marked + t.inc_released = t.inc_snapshot_len);
   assert (t.inc_candidates = []);
@@ -982,22 +892,22 @@ let finish_cycle_end (t : t) : unit =
   let live = Object_table.live_bytes t.objects in
   if live > t.metrics.Metrics.peak_live_bytes then t.metrics.Metrics.peak_live_bytes <- live
 
-(* One increment of the sweep phase: a budgeted run of the ascending
-   block pass that [rebuild_recyclable] performs in one go — same
-   per-block charge, same dissolve rule, same recyclable selection —
-   accumulating into [inc_recyclable], installed when the pass ends. *)
-let sweep_slice (t : t) (w : Cost.weights) : unit =
-  let per_slice = max 1 (t.gc_slice / 128) in
-  let is_candidate bi = List.mem bi t.inc_candidates in
+(* One step of the sweep phase: a run of up to [budget / 128] blocks of
+   the ascending block pass (the ratio of per-block sweep cost to
+   per-object mark cost).  Empty blocks no cursor points into are
+   dissolved; the others are charged and swept, their stale object ids
+   dropped, and — unless a defrag candidate — queued as recyclable into
+   [inc_recyclable], installed when the pass ends. *)
+let sweep_slice (t : t) ~(budget : int) : unit =
+  let w = weights t in
+  let per_slice = max 1 (budget / 128) in
   let swept = ref 0 in
   while !swept < per_slice && t.inc_pos < t.next_block_index do
     (match Array.unsafe_get t.table t.inc_pos with
     | None -> ()
     | Some b ->
         let bi = b.Block.index in
-        if Block.is_empty b && bi <> t.cur_block && bi <> t.ovf_block
-           && not (is_candidate bi)
-        then dissolve_block t b
+        if Block.is_empty b && bi <> t.cur_block && bi <> t.ovf_block then dissolve_block t b
         else begin
           Cost.charge t.cost (w.Cost.sweep_line *. float_of_int b.Block.nlines);
           let free = Block.sweep b in
@@ -1008,8 +918,7 @@ let sweep_slice (t : t) (w : Cost.weights) : unit =
               a >= 0
               && (not (Object_table.is_los t.objects id))
               && a / block_bytes = bi);
-          if free > 0 && (not (is_candidate bi)) && bi <> t.cur_block
-             && bi <> t.ovf_block
+          if free > 0 && (not (Block.candidate b)) && bi <> t.cur_block && bi <> t.ovf_block
           then begin
             Block.set_recyclable b true;
             Intvec.push t.inc_recyclable bi
@@ -1028,20 +937,20 @@ let sweep_slice (t : t) (w : Cost.weights) : unit =
     else t.inc_phase <- inc_defrag
   end
 
-(* One increment of the defrag phase: evacuate one candidate block per
-   slice; once the candidates are drained, complete the deferred line
-   retirements — a bounded batch per slice, each one may relocate a
-   line's worth of survivors — and end with the same final dissolve +
-   charged rebuild pass stop-the-world defragmentation ends with. *)
-let defrag_slice (t : t) (_w : Cost.weights) : unit =
+(* One step of the defrag phase: evacuate one candidate block; once the
+   candidates are drained, complete the deferred line retirements — up
+   to [budget / 128] per step, each may relocate a line's worth of
+   survivors — and end with a final dissolve and charged recyclable
+   rebuild. *)
+let defrag_slice (t : t) ~(budget : int) : unit =
   match t.inc_candidates with
   | bi :: rest ->
       t.inc_candidates <- rest;
       (match block_opt t bi with
       | None -> ()
-      | Some b -> ignore (evacuate_block t b))
+      | Some b -> t.inc_left_behind <- t.inc_left_behind + evacuate_block t b)
   | [] when t.pending_retire <> [] ->
-      (* oldest first; retirements arriving mid-slice (a relocation
+      (* oldest first; retirements arriving mid-step (a relocation
          store wearing out another line) are re-queued behind the
          unprocessed remainder *)
       let pending = List.rev t.pending_retire in
@@ -1052,72 +961,85 @@ let defrag_slice (t : t) (_w : Cost.weights) : unit =
             drain (n - 1) rest
         | rest -> rest
       in
-      let rest = drain (max 1 (t.gc_slice / 128)) pending in
+      let rest = drain (max 1 (budget / 128)) pending in
       t.pending_retire <- t.pending_retire @ List.rev rest
   | [] ->
-      iter_blocks t (fun b ->
-          if Block.is_empty b && b.Block.index <> t.cur_block
-             && b.Block.index <> t.ovf_block
-          then dissolve_block t b);
-      rebuild_recyclable t ~except:(fun _ -> false);
+      dissolve_empty_blocks t;
+      rebuild_recyclable t;
       finish_cycle_end t
 
-(* Run one bounded increment of the active cycle, bracketed as its own
-   recorded pause; no-op when no cycle is active. *)
-let gc_increment (t : t) : unit =
-  if incremental_active t then begin
-    let w = weights t in
-    let armed = Trace.armed t.tracer in
-    Cost.begin_gc t.cost;
-    if armed then
-      Trace.begin_span t.tracer ~tid:Trace.tid_gc "gc_increment"
-        ~args:[ ("phase", float_of_int t.inc_phase) ];
-    (match t.inc_phase with
-    | 1 -> mark_slice t w
-    | 2 -> sweep_slice t w
-    | 3 -> defrag_slice t w
-    | _ -> ());
-    let pause = Cost.end_gc t.cost in
-    t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
-    Metrics.record_pause t.metrics pause;
-    if armed then
-      Trace.end_span t.tracer ~tid:Trace.tid_gc "gc_increment"
-        ~args:[ ("pause_ns", pause) ];
-    t.post_gc_check ()
-  end
-
-(* Open a cycle: take the snapshot.  Its own recorded slice — the
-   enqueue pass is uncharged exactly as [full_gc]'s is; the fixed
-   collection cost lands here. *)
-let start_cycle (t : t) : unit =
-  let w = weights t in
+(** A stop-the-world full collection: close the bump cursors, take the
+    snapshot, and drain mark, sweep and defrag with no budget inside one
+    [Cost.begin_gc]/[end_gc] bracket — one recorded pause, traced as
+    [full_gc] with [mark]/[sweep]/[defrag] sub-spans. *)
+let full_gc (t : t) : unit =
   let armed = Trace.armed t.tracer in
+  let span name = if armed then Trace.begin_span t.tracer ~tid:Trace.tid_gc name in
+  let span_end ?(args = []) name =
+    if armed then Trace.end_span t.tracer ~tid:Trace.tid_gc name ~args
+  in
   Cost.begin_gc t.cost;
-  if armed then Trace.begin_span t.tracer ~tid:Trace.tid_gc "gc_snapshot";
-  Cost.charge t.cost w.Cost.gc_fixed;
-  t.inc_epoch <- t.inc_epoch + 1;
-  Intvec.clear t.mark_queue;
-  Object_table.iter_slots t.objects (fun id ->
-      Intvec.push t.mark_queue
-        (if Object_table.is_alive t.objects id then id else lnot id));
-  t.inc_pos <- 0;
-  t.inc_snapshot_len <- Intvec.length t.mark_queue;
-  t.inc_nursery_len <- Intvec.length t.nursery;
-  t.inc_marked <- 0;
-  t.inc_released <- 0;
-  Remset.clear t.satb;
-  (* pre-snapshot remset records aim at nursery objects this cycle will
-     process out of the nursery: clear now (stop-the-world clears at
-     cycle end); records logged mid-cycle survive for the next nursery
-     collection *)
-  Remset.clear t.remset;
-  t.inc_phase <- inc_mark;
+  span "full_gc";
+  reset_cursors t;
+  snapshot t;
+  span "mark";
+  mark_slice t ~budget:max_int;
+  span_end "mark";
+  span "sweep";
+  sweep_slice t ~budget:max_int;
+  span_end "sweep";
+  if incremental_active t then begin
+    let evacuated = t.metrics.Metrics.objects_evacuated in
+    if armed then
+      Trace.begin_span t.tracer ~tid:Trace.tid_gc "defrag"
+        ~args:[ ("candidates", float_of_int (List.length t.inc_candidates)) ];
+    while incremental_active t do
+      defrag_slice t ~budget:max_int
+    done;
+    span_end "defrag"
+      ~args:
+        [
+          ("evacuated", float_of_int (t.metrics.Metrics.objects_evacuated - evacuated));
+          ("left_behind", float_of_int t.inc_left_behind);
+        ]
+  end;
+  let pause = Cost.end_gc t.cost in
+  Metrics.record_pause t.metrics pause;
+  span_end "full_gc" ~args:[ ("pause_ns", pause) ];
+  t.post_gc_check ()
+
+(* Close the slice [Cost.begin_gc] opened: count it, record its pause,
+   end its span and run the verifier hook. *)
+let end_slice (t : t) (name : string) : unit =
   let pause = Cost.end_gc t.cost in
   t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
   Metrics.record_pause t.metrics pause;
-  if armed then
-    Trace.end_span t.tracer ~tid:Trace.tid_gc "gc_snapshot" ~args:[ ("pause_ns", pause) ];
+  if Trace.armed t.tracer then
+    Trace.end_span t.tracer ~tid:Trace.tid_gc name ~args:[ ("pause_ns", pause) ];
   t.post_gc_check ()
+
+(* Run one budgeted step of the active cycle, bracketed as its own
+   recorded slice; no-op when no cycle is active. *)
+let gc_increment (t : t) : unit =
+  if incremental_active t then begin
+    Cost.begin_gc t.cost;
+    if Trace.armed t.tracer then
+      Trace.begin_span t.tracer ~tid:Trace.tid_gc "gc_increment"
+        ~args:[ ("phase", float_of_int t.inc_phase) ];
+    (match t.inc_phase with
+    | 1 -> mark_slice t ~budget:t.gc_slice
+    | 2 -> sweep_slice t ~budget:t.gc_slice
+    | _ -> defrag_slice t ~budget:t.gc_slice);
+    end_slice t "gc_increment"
+  end
+
+(* Open a cycle as its own recorded slice; the fixed collection cost
+   lands here, so it is the incremental pause floor. *)
+let start_cycle (t : t) : unit =
+  Cost.begin_gc t.cost;
+  if Trace.armed t.tracer then Trace.begin_span t.tracer ~tid:Trace.tid_gc "gc_snapshot";
+  snapshot t;
+  end_slice t "gc_snapshot"
 
 (* Drive the active cycle to completion (each slice still individually
    bounded, bracketed and verified). *)
@@ -1126,11 +1048,15 @@ let finish_cycle (t : t) : unit =
     gc_increment t
   done
 
-(* A full collection under the incremental regime: finish the cycle in
-   flight, or run a whole fresh one. *)
-let incremental_full_gc (t : t) : unit =
-  if not (incremental_active t) then start_cycle t;
-  finish_cycle t
+(* A full collection: stop-the-world, or under a budget finish the
+   cycle in flight (or run a whole fresh one) slice by slice, so every
+   recorded pause stays bounded. *)
+let collect_full (t : t) : unit =
+  if t.gc_slice = 0 then full_gc t
+  else begin
+    if not (incremental_active t) then start_cycle t;
+    finish_cycle t
+  end
 
 (* The allocation-path pulse: advance the active cycle by one slice, or
    check (every 64 allocations) whether free memory has fallen low
@@ -1147,8 +1073,8 @@ let incremental_pulse (t : t) : unit =
   end
 
 (** Set the incremental work budget (0 = stop-the-world).  Toggling
-    increments off mid-cycle finishes the cycle first, so the
-    stop-the-world machinery never observes a half-run cycle. *)
+    increments off mid-cycle finishes the cycle first, so a
+    stop-the-world collection never starts over a half-run cycle. *)
 let set_gc_slice (t : t) (budget : int) : unit =
   if budget <= 0 && incremental_active t then finish_cycle t;
   t.gc_slice <- max 0 budget;
@@ -1157,11 +1083,6 @@ let set_gc_slice (t : t) (budget : int) : unit =
 (* ------------------------------------------------------------------ *)
 (* Public mutator interface                                            *)
 (* ------------------------------------------------------------------ *)
-
-let oom (t : t) ~(size : int) : 'a =
-  t.metrics.Metrics.out_of_memory <- true;
-  t.metrics.Metrics.oom_request <- size;
-  raise Out_of_memory
 
 (* The collection-retry ladder, as top-level recursion (the previous
    inner closures allocated four environments per call — on the hottest
@@ -1187,32 +1108,14 @@ and alloc_escalate (t : t) ~(size : int) ~(generational : bool) (n : int) : int 
   (* a medium that could not be placed signals fragmentation: ask the
      next full collection to defragment *)
   if is_medium t ~size then t.defrag_requested <- true;
-  if t.gc_slice > 0 then begin
-    (* incremental regime: a forced full collection finishes the cycle
-       in flight (or runs a whole fresh one) — still slice-bracketed,
-       so every recorded pause stays bounded.  Nursery collections are
-       suppressed while a cycle is active: they would release objects
-       the snapshot still references. *)
-    if n = 0 && generational && (not t.want_full) && not (incremental_active t) then begin
-      nursery_gc t;
-      alloc_attempt t ~size ~generational 1
-    end
-    else if n <= 1 then begin
-      incremental_full_gc t;
-      alloc_attempt t ~size ~generational 2
-    end
-    else if is_medium t ~size then begin
-      let a = alloc_medium_perfect t ~size in
-      if a >= 0 then a else oom t ~size
-    end
-    else oom t ~size
-  end
-  else if n = 0 && generational && not t.want_full then begin
+  (* nursery collections are suppressed while a cycle is active: they
+     would release objects the snapshot still references *)
+  if n = 0 && generational && (not t.want_full) && not (incremental_active t) then begin
     nursery_gc t;
     alloc_attempt t ~size ~generational 1
   end
   else if n <= 1 then begin
-    full_gc t;
+    collect_full t;
     alloc_attempt t ~size ~generational 2
   end
   else if is_medium t ~size then begin
@@ -1258,142 +1161,52 @@ let write_barrier (t : t) ~(src : int) : unit =
 
 (** Handle a dynamic line failure at byte address [addr] (Sec. 4.2).
 
-    The affected block is flagged for evacuation and a full (copying)
-    collection relocates any objects that overlap the failing line; only
-    then is the logical line marked failed — the failure buffer holds the
-    data in the interim, so no information is lost.  A pinned object on
-    the failing line cannot move: the OS instead remaps the page to a
-    perfect page (Sec. 3.3.3 "Pinning support"), so the software-visible
-    line never fails; we charge the page copy and a perfect-page grant.
-    Dynamic failures also update the backing page's bitmap in the stock,
-    so a reassembled block later sees the hole. *)
-let rec dynamic_failure (t : t) ~(addr : int) : unit =
+    A line no object occupies, or one under a pinned object (the OS
+    masks that failure by page remap), is retired at once.  Otherwise
+    the block is flagged for evacuation and the line's objects move
+    first — the failure buffer holds the data in the interim, so no
+    information is lost.  Stop-the-world, a full (copying) collection
+    runs and then [complete_line_retirement] relocates what evacuation
+    left on the line, outside the collection's pause.  Under a budget
+    the retirement is deferred to the cycle's defrag phase (opening a
+    cycle if none is running), so a failure storm produces a stream of
+    bounded slices instead of one monolithic evacuation pause.  Either
+    way the hole reaches the backing page's bitmap in the stock, so a
+    reassembled block later sees it. *)
+let dynamic_failure (t : t) ~(addr : int) : unit =
   t.metrics.Metrics.dynamic_failures <- t.metrics.Metrics.dynamic_failures + 1;
   if Trace.armed t.tracer then
     Trace.instant t.tracer ~tid:Trace.tid_gc "dynamic_failure"
       ~args:[ ("addr", float_of_int addr) ];
-  let bi = addr / block_bytes in
-  match block_opt t bi with
+  match block_opt t (addr / block_bytes) with
   | None ->
       (* the address is not backed by an assembled block (stale address
          or dissolved block): nothing lives there, only OS bookkeeping
          would apply *)
       ()
-  | Some b -> dynamic_failure_in_block t ~addr ~bi ~b
-
-and dynamic_failure_in_block (t : t) ~(addr : int) ~(bi : int) ~(b : Block.t) : unit =
-  let w = weights t in
-  let line = Block.line_of_offset b (addr - b.Block.base) in
-  let line_lo = b.Block.base + (line * b.Block.line_size) in
-  let line_hi = line_lo + b.Block.line_size in
-  (* close bump cursors whose run overlaps the failing line *)
-  let overlaps_cursor ~(cur_block : int) ~(cursor : int) ~(limit : int) =
-    cur_block = bi && cursor < line_hi && line_lo < limit
-  in
-  if overlaps_cursor ~cur_block:t.cur_block ~cursor:t.cursor ~limit:t.limit then begin
-    t.cur_block <- -1;
-    t.cursor <- 0;
-    t.limit <- 0
-  end;
-  if overlaps_cursor ~cur_block:t.ovf_block ~cursor:t.ovf_cursor ~limit:t.ovf_limit then begin
-    t.ovf_block <- -1;
-    t.ovf_cursor <- 0;
-    t.ovf_limit <- 0
-  end;
-  (* objects overlapping the failing line; dead-but-uncollected objects
-     also hold the line until a collection reclaims them *)
-  let overlapping ~(alive_only : bool) =
-    let acc = ref [] in
-    Intvec.iter b.Block.objs (fun id ->
-        if ((not alive_only) || Object_table.is_alive t.objects id)
-           && Object_table.addr t.objects id >= 0
-           && not (Object_table.is_los t.objects id)
-        then begin
-          let oa = Object_table.addr t.objects id in
-          let oe = oa + Object_table.size t.objects id in
-          if oa / block_bytes = bi && oa < line_hi && line_lo < oe then acc := id :: !acc
-        end);
-    !acc
-  in
-  let affected = overlapping ~alive_only:false in
-  let pinned =
-    List.filter
-      (fun id -> Object_table.is_alive t.objects id && Object_table.is_pinned t.objects id)
-      affected
-  in
-  if pinned <> [] then begin
-    (* OS masks the failure: copy the page to a perfect page and remap *)
-    Cost.charge t.cost
-      (w.Cost.perfect_request +. w.Cost.dram_borrow
-      +. (w.Cost.copy_byte *. float_of_int Holes_pcm.Geometry.page_bytes));
-    t.metrics.Metrics.bytes_copied <-
-      t.metrics.Metrics.bytes_copied + Holes_pcm.Geometry.page_bytes
-  end
-  else if t.gc_slice > 0 && affected <> [] then begin
-    (* incremental regime: flag the block for evacuation and defer the
-       line retirement to the active cycle's defrag phase (opening a
-       cycle if none is running), so a failure storm produces a stream
-       of bounded slices instead of one monolithic evacuation pause.
-       The failure buffer holds the line's data until the retirement
-       completes, exactly as it does across the synchronous window.
-       The backing page id is captured now: the block may be dissolved
-       before the completion runs, but the hole must still reach the
-       stock. *)
-    Block.set_evacuate b true;
-    let off = addr - b.Block.base in
-    let page_id = b.Block.pages.(off / Holes_pcm.Geometry.page_bytes) in
-    let line64 = off mod Holes_pcm.Geometry.page_bytes / Holes_pcm.Geometry.line_bytes in
-    t.pending_retire <- (addr, page_id, line64) :: t.pending_retire;
-    if not (incremental_active t) then start_cycle t
-  end
-  else begin
-    (if affected <> [] then begin
-       Block.set_evacuate b true;
-       full_gc t
-     end);
-    (* the block may have been dissolved by the collection *)
-    (match block_opt t bi with
-    | None -> ()
-    | Some b -> (
-        (* evacuation is opportunistic and leaves behind objects it
-           cannot place in imperfect memory (at 64 B lines every
-           multi-line object is "medium", and a long contiguous hole may
-           simply not exist).  A leftover is static fragmentation, not
-           garbage: relocate it through the perfect-block fallback, and
-           only if even that fails is the heap genuinely full. *)
-        let relocate_leftover (id : int) : unit =
-          let size = Object_table.size t.objects id in
-          let oa = Object_table.addr t.objects id in
-          let new_addr =
-            let a = alloc_nogc t ~size in
-            if a >= 0 then a else alloc_medium_perfect t ~size
-          in
-          if new_addr < 0 then begin
-            t.metrics.Metrics.out_of_memory <- true;
-            t.metrics.Metrics.oom_request <- size;
-            raise Out_of_memory
-          end
-          else begin
-            Block.remove_object_lines b ~addr:oa ~size;
-            Object_table.relocate t.objects id ~new_addr;
-            Intvec.push (block_of_addr t new_addr).Block.objs id;
-            Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
-            t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size;
-            t.metrics.Metrics.objects_evacuated <- t.metrics.Metrics.objects_evacuated + 1
-          end
-        in
-        List.iter relocate_leftover (overlapping ~alive_only:true);
-        match Block.fail_line b ~line with
-        | `Already_failed | `Was_free -> ()
-        | `Was_live -> assert false));
-    (* persist the hole on the backing page (64 B PCM granularity) *)
-    let off = addr - b.Block.base in
-    let page_idx = off / Holes_pcm.Geometry.page_bytes in
-    let page_id = b.Block.pages.(page_idx) in
-    if page_id >= 0 then
-      Page_stock.mark_line_failed t.stock ~id:page_id
-        ~line:(off mod Holes_pcm.Geometry.page_bytes / Holes_pcm.Geometry.line_bytes)
-  end
+  | Some b ->
+      let off = addr - b.Block.base in
+      (* the backing page is captured now: the block may be dissolved
+         before the retirement completes, but the hole must still reach
+         the stock *)
+      let stock_page = b.Block.pages.(off / Holes_pcm.Geometry.page_bytes) in
+      let line64 = off mod Holes_pcm.Geometry.page_bytes / Holes_pcm.Geometry.line_bytes in
+      let line = Block.line_of_offset b off in
+      close_cursors_over t b ~line;
+      let occupants = line_occupants t b ~line in
+      if occupants = [] || List.exists (pinned_alive t) occupants then
+        complete_line_retirement t ~addr ~stock_page ~line64
+      else begin
+        Block.set_evacuate b true;
+        if t.gc_slice > 0 then begin
+          t.pending_retire <- (addr, stock_page, line64) :: t.pending_retire;
+          if not (incremental_active t) then start_cycle t
+        end
+        else begin
+          full_gc t;
+          complete_line_retirement t ~addr ~stock_page ~line64
+        end
+      end
 
 (** The assembled block (and page index within it) backed by stock page
     [page], if any — the reverse lookup the OS failure up-call needs to
@@ -1429,14 +1242,12 @@ let page_backing (t : t) ~(addr : int) : (int * int) option =
     blocks back into stock pages). *)
 let request_defrag (t : t) : unit = t.defrag_requested <- true
 
-(** Force a collection (used by the VM's LOS retry path).  Under the
-    incremental regime a full collection drives the cycle to completion
-    in bounded, individually recorded slices. *)
+(** Force a collection (used by the VM's LOS retry path).  A nursery
+    request while a cycle is in flight finishes the cycle instead:
+    nursery collections would release objects the snapshot still
+    references. *)
 let collect (t : t) ~(full : bool) : unit =
-  if t.gc_slice > 0 then
-    if full || incremental_active t then incremental_full_gc t else nursery_gc t
-  else if full then full_gc t
-  else nursery_gc t
+  if full || incremental_active t then collect_full t else nursery_gc t
 
 let live_blocks (t : t) : int = t.nblocks
 

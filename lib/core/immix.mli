@@ -15,11 +15,15 @@
     affected blocks are flagged and their live objects evacuated by a
     full collection.
 
-    The heap-layout and fast-path design — the dense block table, the
-    struct-of-arrays block metadata, the bump cursors, and the flat
-    batched mark deque below — is documented in DESIGN.md §13.  The
-    record is exposed for the heap verifier and the adversarial failure
-    models, which inspect cursors and blocks directly. *)
+    There is one full collector: a snapshot-at-the-beginning cycle of
+    snapshot, mark, sweep and defrag steps.  Stop-the-world drains every
+    step with no budget inside one recorded pause; a [gc_slice] budget
+    cuts the same steps into slices (DESIGN.md §15).  The heap-layout
+    and fast-path design — the dense block table, the struct-of-arrays
+    block metadata, the bump cursors and the snapshot work-list below —
+    is documented in DESIGN.md §13.  The record is exposed for the heap
+    verifier and the adversarial failure models, which inspect cursors
+    and blocks directly. *)
 
 open Holes_stdx
 open Holes_heap
@@ -53,9 +57,9 @@ type t = {
           to back through [recyclable_pos] *)
   mutable recyclable_pos : int;
   mark_queue : Intvec.t;
-      (** the flat mark deque: slot ids are enqueued in ascending-id
-          order and drained in fixed-size batches, so the trace loop
-          runs over a dense int array *)
+      (** the snapshot work-list: one entry per occupied slot, in
+          ascending-id order, liveness sign-encoded — the mark phase runs
+          over a dense int array *)
   mutable cur_block : int;  (** main bump cursor's block; -1 = none *)
   mutable cursor : int;
   mutable limit : int;
@@ -70,14 +74,13 @@ type t = {
           demand: set by allocation failures and dynamic failures) *)
   mutable post_gc_check : unit -> unit;
       (** paranoid-verifier hook, run at the end of every collection *)
-  (* incremental (snapshot-at-the-beginning) collection state.  A cycle
-     is the same full collection as the stop-the-world one — same mark
-     charges, same sweep passes, same evacuation — cut into budgeted
-     slices driven from the allocation path.  [mark_queue] doubles as
-     the persistent snapshot work-list: entries are slot ids,
-     sign-encoded with liveness at snapshot time (id = live,
-     [lnot id] = dead).  Exposed for the heap verifier's SATB checks
-     and the torture driver. *)
+  (* full-collection cycle state.  Every full collection is one
+     snapshot-at-the-beginning cycle: stop-the-world drains it inside
+     one pause, a [gc_slice] budget cuts it into slices driven from the
+     allocation path.  [mark_queue] is the persistent snapshot
+     work-list: entries are slot ids, sign-encoded with liveness at
+     snapshot time (id = live, [lnot id] = dead).  Exposed for the heap
+     verifier's SATB checks and the torture driver. *)
   mutable gc_slice : int;
       (** work budget per slice in mark-queue entries; 0 = stop-the-world
           (mutable so the torture driver can toggle mid-run) *)
@@ -98,6 +101,7 @@ type t = {
   mutable inc_nursery_len : int;  (** nursery length at snapshot *)
   mutable inc_marked : int;  (** cycle work counter: snapshot-live processed *)
   mutable inc_released : int;  (** cycle work counter: snapshot-dead released *)
+  mutable inc_left_behind : int;  (** cycle counter: live objects evacuation could not move *)
   mutable pending_retire : (int * int * int) list;
       (** deferred dynamic-failure line retirements, newest first:
           (heap addr, stock page id or -1, 64 B line within the page) —
@@ -150,18 +154,22 @@ val write_barrier : t -> src:int -> unit
     a nursery object. *)
 
 val collect : t -> full:bool -> unit
-(** Force a collection (used by the VM's LOS retry path).  Under the
-    incremental regime ([gc_slice > 0]) a full collection drives the
-    cycle to completion in bounded, individually recorded slices. *)
+(** Force a collection (used by the VM's LOS retry path).  A full
+    collection is stop-the-world (one recorded pause) with
+    [gc_slice = 0]; under a budget it drives the cycle to completion in
+    bounded, individually recorded slices.  A nursery request while a
+    cycle is in flight finishes the cycle instead. *)
 
 (** {2 Incremental collection}
 
-    With [Config.gc_slice > 0] full collections run as
-    snapshot-at-the-beginning increments: each allocation advances the
-    active cycle by at most the budget's worth of marking work
-    (sweeping and evacuation are budgeted proportionally), so the
-    recorded pause is per-slice rather than per-cycle.  Total GC work
-    is unchanged — only its interleaving with the mutator. *)
+    Every full collection runs the same snapshot-at-the-beginning cycle.
+    With [Config.gc_slice > 0] its steps become slices: each allocation
+    advances the active cycle by at most the budget's worth of marking
+    work (sweeping, evacuation and deferred line retirement are
+    budgeted proportionally), so the recorded pause is per-slice rather
+    than per-cycle.  The charges and their order are those of the
+    stop-the-world collection of the same snapshot — only their
+    bracketing and interleaving with the mutator differ. *)
 
 val inc_idle : int
 (** [inc_phase] value: no cycle in flight. *)
@@ -173,8 +181,8 @@ val inc_sweep : int
 (** [inc_phase] value: budgeted sweep of the block table. *)
 
 val inc_defrag : int
-(** [inc_phase] value: per-slice evacuation and deferred line
-    retirements. *)
+(** [inc_phase] value: evacuation, one candidate block per step, then
+    deferred line retirements. *)
 
 val incremental_active : t -> bool
 (** A collection cycle is in flight (some slice work remains). *)
@@ -186,21 +194,25 @@ val gc_increment : t -> unit
 
 val set_gc_slice : t -> int -> unit
 (** Set the incremental work budget (0 = stop-the-world).  Toggling
-    increments off mid-cycle finishes the cycle first, so the
-    stop-the-world machinery never observes a half-run cycle. *)
+    increments off mid-cycle finishes the cycle first, so a
+    stop-the-world collection never starts over a half-run cycle. *)
 
 val dynamic_failure : t -> addr:int -> unit
 (** Handle a dynamic line failure at byte address [addr] (Sec. 4.2).
 
     The affected block is flagged for evacuation and a full (copying)
-    collection relocates any objects that overlap the failing line; only
+    collection relocates the objects that overlap the failing line; only
     then is the logical line marked failed — the failure buffer holds the
-    data in the interim, so no information is lost.  A pinned object on
-    the failing line cannot move: the OS instead remaps the page to a
-    perfect page (Sec. 3.3.3 "Pinning support"), so the software-visible
-    line never fails; we charge the page copy and a perfect-page grant.
-    Dynamic failures also update the backing page's bitmap in the stock,
-    so a reassembled block later sees the hole. *)
+    data in the interim, so no information is lost.  Stop-the-world, the
+    collection runs at once and the line retirement relocates whatever
+    evacuation left on the line right after its pause, as mutator time;
+    under a [gc_slice] budget the retirement is deferred to the cycle's
+    defrag phase.  A pinned object on the failing line cannot move: the
+    OS instead remaps the page to a perfect page (Sec. 3.3.3 "Pinning
+    support"), so the software-visible line never fails; we charge the
+    page copy and a perfect-page grant.  Dynamic failures also update
+    the backing page's bitmap in the stock, so a reassembled block later
+    sees the hole. *)
 
 val find_page_owner : t -> page:int -> (Block.t * int) option
 (** The assembled block (and page index within it) backed by stock page

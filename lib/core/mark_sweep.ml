@@ -56,12 +56,13 @@ type t = {
   nursery : Intvec.t;
   mutable want_full : bool;
   mutable gc_slice : int;
-      (** incremental work budget per recorded slice (0 = stop-the-world).
-          The free-list baseline has no mutator-interleaved marking: a
-          sliced collection still runs to completion within one call, but
-          brackets its mark and sweep work into budgeted chunks so every
-          recorded pause is bounded — the honest comparison point for the
-          Immix incremental mode's pause figures. *)
+      (** work budget per recorded pause (0 = stop-the-world).  The
+          free-list baseline has no mutator-interleaved marking: a
+          budgeted collection still runs to completion within one call,
+          but closes its pause every [gc_slice] units of mark and sweep
+          work so every recorded pause is bounded — the honest
+          comparison point for the Immix incremental mode's pause
+          figures. *)
 }
 
 let block_bytes = Units.block_bytes
@@ -175,9 +176,30 @@ let addr_to_cell (t : t) (addr : int) : ms_block * int =
   let b = Hashtbl.find t.blocks (addr / block_bytes) in
   (b, (addr - b.base) / b.cell_size)
 
-(** Full mark-sweep collection. *)
+(** Full mark-sweep collection, one recorded pause — or, under a
+    [gc_slice] budget, a pause closed and the next opened every
+    [gc_slice] units of work (a slot marked is one unit, a block swept
+    128: the ratio of per-block sweep cost to per-object mark cost).
+    Nothing runs in the gaps, so the end state and the charges are the
+    same either way; only the pause records differ. *)
 let full_gc (t : t) : unit =
   let w = weights t in
+  let budget = t.gc_slice in
+  let record pause =
+    if budget > 0 then t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
+    Metrics.record_pause t.metrics pause
+  in
+  let work = ref 0 in
+  let did units =
+    if budget > 0 then begin
+      work := !work + units;
+      if !work >= budget then begin
+        record (Cost.end_gc t.cost);
+        Cost.begin_gc t.cost;
+        work := 0
+      end
+    end
+  in
   Cost.begin_gc t.cost;
   Cost.charge t.cost w.Cost.gc_fixed;
   (* mark *)
@@ -186,7 +208,8 @@ let full_gc (t : t) : unit =
         let nrefs = Object_table.nrefs t.objects id in
         Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
         Object_table.clear_nursery_flag t.objects id
-      end);
+      end;
+      did 1);
   (* sweep: rebuild free lists; release dead objects *)
   Array.iter Intvec.clear t.free_lists;
   let empties = ref [] in
@@ -208,102 +231,10 @@ let full_gc (t : t) : unit =
           Intvec.push t.free_lists.(b.klass) ((b.index lsl cell_bits) lor c)
         end
       done;
-      if b.free_cells = b.ncells then empties := b :: !empties)
+      if b.free_cells = b.ncells then empties := b :: !empties;
+      did 128)
     t.blocks;
   (* release dead LOS-only objects (they occupy no cell) *)
-  Object_table.iter_slots t.objects (fun id ->
-      if (not (Object_table.is_alive t.objects id)) && Object_table.is_los t.objects id then begin
-        Los.free t.los ~addr:(Object_table.addr t.objects id);
-        Object_table.release t.objects id
-      end);
-  List.iter (dissolve_block t) !empties;
-  Intvec.clear t.nursery;
-  Remset.clear t.remset;
-  t.want_full <- false;
-  let pause = Cost.end_gc t.cost in
-  t.metrics.Metrics.full_gcs <- t.metrics.Metrics.full_gcs + 1;
-  Metrics.record_pause t.metrics pause;
-  let live = Object_table.live_bytes t.objects in
-  if live > t.metrics.Metrics.peak_live_bytes then t.metrics.Metrics.peak_live_bytes <- live
-
-(* The sliced variant of [full_gc]: identical work and charge totals,
-   but bracketed into budgeted [Cost.begin_gc]/[end_gc] chunks so every
-   recorded pause is bounded by the work budget.  The heap is untouched
-   between chunks (nothing runs in the gaps), so the end state is
-   bit-identical to [full_gc]'s — only the pause records differ. *)
-let full_gc_sliced (t : t) : unit =
-  let w = weights t in
-  let record pause =
-    t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
-    Metrics.record_pause t.metrics pause
-  in
-  let budget = max 1 t.gc_slice in
-  (* mark, in budgeted chunks over a scratch of the slot ids (the scratch
-     preserves [iter_slots]' ascending order, so charges are identical) *)
-  let ids = Intvec.create ~capacity:1024 () in
-  Object_table.iter_slots t.objects (fun id -> Intvec.push ids id);
-  let n = Intvec.length ids in
-  let i = ref 0 in
-  let first = ref true in
-  while !i < n || !first do
-    Cost.begin_gc t.cost;
-    if !first then begin
-      Cost.charge t.cost w.Cost.gc_fixed;
-      first := false
-    end;
-    let stop = min n (!i + budget) in
-    while !i < stop do
-      let id = Intvec.unsafe_get ids !i in
-      if Object_table.is_alive t.objects id then begin
-        let nrefs = Object_table.nrefs t.objects id in
-        Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
-        Object_table.clear_nursery_flag t.objects id
-      end;
-      incr i
-    done;
-    record (Cost.end_gc t.cost)
-  done;
-  (* sweep: rebuild free lists block by block, a budgeted number per
-     chunk (the same [Hashtbl.iter]-order block sequence, materialized
-     so it can be chunked) *)
-  Array.iter Intvec.clear t.free_lists;
-  let blocks = ref [] in
-  Hashtbl.iter (fun _ b -> blocks := b :: !blocks) t.blocks;
-  let blocks = ref (List.rev !blocks) in
-  let per_chunk = max 1 (budget / 128) in
-  let empties = ref [] in
-  while !blocks <> [] do
-    Cost.begin_gc t.cost;
-    let k = ref 0 in
-    while !k < per_chunk && !blocks <> [] do
-      (match !blocks with
-      | [] -> ()
-      | b :: rest ->
-          blocks := rest;
-          Cost.charge t.cost (w.Cost.sweep_cell *. float_of_int b.ncells);
-          b.free_cells <- 0;
-          for c = b.ncells - 1 downto 0 do
-            let id = b.cells.(c) in
-            let live = id >= 0 && Object_table.is_alive t.objects id in
-            if not live then begin
-              if id >= 0 then begin
-                if Object_table.is_los t.objects id then
-                  Los.free t.los ~addr:(Object_table.addr t.objects id);
-                Object_table.release t.objects id;
-                b.cells.(c) <- -1
-              end;
-              b.free_cells <- b.free_cells + 1;
-              Intvec.push t.free_lists.(b.klass) ((b.index lsl cell_bits) lor c)
-            end
-          done;
-          if b.free_cells = b.ncells then empties := b :: !empties);
-      incr k
-    done;
-    record (Cost.end_gc t.cost)
-  done;
-  (* finish: dead LOS-only objects, empty-block dissolution, nursery and
-     remset reset — one final chunk *)
-  Cost.begin_gc t.cost;
   Object_table.iter_slots t.objects (fun id ->
       if (not (Object_table.is_alive t.objects id)) && Object_table.is_los t.objects id then begin
         Los.free t.los ~addr:(Object_table.addr t.objects id);
@@ -317,9 +248,6 @@ let full_gc_sliced (t : t) : unit =
   t.metrics.Metrics.full_gcs <- t.metrics.Metrics.full_gcs + 1;
   let live = Object_table.live_bytes t.objects in
   if live > t.metrics.Metrics.peak_live_bytes then t.metrics.Metrics.peak_live_bytes <- live
-
-(* Dispatch on the incremental budget. *)
-let full_gc_auto (t : t) : unit = if t.gc_slice > 0 then full_gc_sliced t else full_gc t
 
 (** Set the incremental work budget (0 = stop-the-world).  The baseline
     has no cycle state to finish: the next collection simply uses the
@@ -376,7 +304,7 @@ let alloc (t : t) ~(size : int) : int * int * int =
           attempt 1
         end
         else if n <= 1 then begin
-          full_gc_auto t;
+          full_gc t;
           attempt 2
         end
         else begin
@@ -394,4 +322,4 @@ let write_barrier (t : t) ~(src : int) : unit =
   if Config.is_generational t.cfg.Config.collector && not (Object_table.is_nursery t.objects src)
   then ignore (Remset.record t.remset ~src)
 
-let collect (t : t) ~(full : bool) : unit = if full then full_gc_auto t else nursery_gc t
+let collect (t : t) ~(full : bool) : unit = if full then full_gc t else nursery_gc t

@@ -54,12 +54,13 @@ type t = {
   nursery : Intvec.t;
   mutable want_full : bool;
   mutable gc_slice : int;
-      (** incremental work budget per recorded slice (0 = stop-the-world).
-          The free-list baseline has no mutator-interleaved marking: a
-          sliced collection still runs to completion within one call, but
-          brackets its mark and sweep work into budgeted chunks so every
-          recorded pause is bounded — the honest comparison point for the
-          Immix incremental mode's pause figures. *)
+      (** work budget per recorded pause (0 = stop-the-world).  The
+          free-list baseline has no mutator-interleaved marking: a
+          budgeted collection still runs to completion within one call,
+          but closes its pause every [gc_slice] units of mark and sweep
+          work so every recorded pause is bounded — the honest
+          comparison point for the Immix incremental mode's pause
+          figures. *)
 }
 
 val create :
@@ -90,8 +91,10 @@ val write_barrier : t -> src:int -> unit
 
 val collect : t -> full:bool -> unit
 (** Run a full mark-sweep collection, or a sticky nursery collection.
-    With [gc_slice > 0] the full collection records its pauses in
-    budgeted chunks (identical end state and charge totals). *)
+    With [gc_slice > 0] the full collection closes its recorded pause
+    every [gc_slice] units of work (a slot marked is one unit, a block
+    swept 128) — identical end state and charges, only the pause
+    records differ. *)
 
 val set_gc_slice : t -> int -> unit
 (** Set the incremental work budget (0 = stop-the-world).  The baseline

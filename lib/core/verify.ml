@@ -222,7 +222,13 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
           (s.Immix.inc_candidates = [])
           (fun () ->
             Printf.sprintf "%d defrag candidates with no cycle in flight"
-              (List.length s.Immix.inc_candidates))
+              (List.length s.Immix.inc_candidates));
+        Immix.iter_blocks s (fun b ->
+            check c
+              (not (Block.candidate b))
+              (fun () ->
+                Printf.sprintf "block %d still flagged a defrag candidate with no cycle in flight"
+                  b.Block.index))
       end
       else if phase = Immix.inc_mark then begin
         let q = s.Immix.mark_queue in

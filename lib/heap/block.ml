@@ -23,7 +23,7 @@ type line_state = Free | Live | Failed
 (** The struct-of-arrays block-metadata table (one per heap).
 
     The mutable per-block scalars — free/failed line counts, the hole
-    bound, and the recyclable/evacuate/perfect-grant flags — live in
+    bound, and the recyclable/evacuate/candidate/perfect-grant flags — live in
     flat [int array]s indexed by block id rather than as mutable fields
     of each block record.  Collection passes that visit every block
     (sweep, defrag selection, recyclable rebuild) then stream over
@@ -36,7 +36,8 @@ type table = {
   mutable t_free_lines : int array;
   mutable t_failed_lines : int array;
   mutable t_hole_bound : int array;
-  mutable t_flags : int array;  (* bit 0 recyclable, bit 1 evacuate, bit 2 perfect_grant *)
+  mutable t_flags : int array;
+      (* bit 0 recyclable, bit 1 evacuate, bit 2 perfect_grant, bit 3 candidate *)
 }
 
 let table_create () : table =
@@ -104,9 +105,13 @@ let[@inline] flag_assign (b : t) (bit : int) (v : bool) : unit =
 let[@inline] recyclable (b : t) : bool = flag_get b 1
 let[@inline] set_recyclable (b : t) (v : bool) : unit = flag_assign b 1 v
 
-(** Selected for defragmentation / dynamic failure. *)
+(** Flagged for evacuation by a dynamic failure. *)
 let[@inline] evacuate (b : t) : bool = flag_get b 2
 let[@inline] set_evacuate (b : t) (v : bool) : unit = flag_assign b 2 v
+
+(** Selected for evacuation by the current collection cycle. *)
+let[@inline] candidate (b : t) : bool = flag_get b 8
+let[@inline] set_candidate (b : t) (v : bool) : unit = flag_assign b 8 v
 
 (** Assembled from a perfect-page grant (overflow / perfect-block
     fallback): the block had no failed lines when built — though a later

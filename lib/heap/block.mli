@@ -24,7 +24,8 @@ type line_state = Free | Live | Failed
 (** The struct-of-arrays block-metadata table (one per heap).
 
     The mutable per-block scalars — free/failed line counts, the hole
-    bound, and the recyclable/evacuate/perfect-grant flags — live in
+    bound, and the recyclable/evacuate/candidate/perfect-grant flags —
+    live in
     flat [int array]s indexed by block id rather than as mutable fields
     of each block record.  Collection passes that visit every block
     (sweep, defrag selection, recyclable rebuild) then stream over
@@ -81,9 +82,16 @@ val recyclable : t -> bool
 val set_recyclable : t -> bool -> unit
 
 val evacuate : t -> bool
-(** Selected for defragmentation / dynamic failure. *)
+(** Flagged for evacuation by a dynamic failure. *)
 
 val set_evacuate : t -> bool -> unit
+
+val candidate : t -> bool
+(** Selected for evacuation by the current collection cycle (a flagged
+    block, or a sparse one under requested defragmentation) — the
+    sweep's O(1) test for keeping it off the recyclable list. *)
+
+val set_candidate : t -> bool -> unit
 
 val perfect_grant : t -> bool
 (** Assembled from a perfect-page grant (overflow / perfect-block

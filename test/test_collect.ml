@@ -114,4 +114,86 @@ let test_golden () =
         Alcotest.(list string)
         "matches committed golden" (Test_hotpath.read_lines golden_path) j1
 
-let suite = [ ("full-collection grid matches golden, -j independent", `Quick, test_golden) ]
+(* ---- a budget only changes bracketing ------------------------------- *)
+
+(* A seeded heap, collected once stop-the-world (which closes the bump
+   cursors), then half its objects killed and defragmentation requested:
+   the next full collection has marking, sweeping and evacuation to do. *)
+let seeded_vm (collector : Cfg.collector) : Holes.Vm.t =
+  let vm = Holes.Vm.create ~cfg:{ Cfg.default with Cfg.collector } ~min_heap_bytes:(1 lsl 20) () in
+  let rng = Holes_stdx.Xrng.of_seed 11 in
+  let ids = Array.init 3000 (fun _ -> Holes.Vm.alloc vm ~size:(16 + Holes_stdx.Xrng.int rng 600) ()) in
+  Array.iter
+    (fun src -> Holes.Vm.write_ref vm ~src ~dst:ids.(Holes_stdx.Xrng.int rng (Array.length ids)))
+    ids;
+  Holes.Vm.collect vm ~full:true;
+  Array.iter (fun id -> if Holes_stdx.Xrng.bool rng then Holes.Vm.kill vm id) ids;
+  Holes.Vm.request_defrag vm;
+  vm
+
+(* every serialized counter except the pause records, which are the one
+   thing a budget may change *)
+let counters (m : Holes.Metrics.t) : (string * float) list =
+  List.filter
+    (fun (k, _) -> not (String.starts_with ~prefix:"pause_ns" k || k = "gc_increments"))
+    (Holes.Metrics.to_fields m)
+
+let bits (x : float) : int64 = Int64.bits_of_float x
+
+(* DESIGN.md §15's claim as a check: collecting the same heap
+   stop-the-world and under a budget of k ends in the same heap at the
+   bit-identical charged cost; the budget only cuts the one pause into
+   slices that sum to it. *)
+let test_budget_only_brackets () =
+  List.iter
+    (fun collector ->
+      List.iter
+        (fun k ->
+          let where = Printf.sprintf "%s, budget %d" (Cfg.collector_name collector) k in
+          let stw = seeded_vm collector and sliced = seeded_vm collector in
+          let m_stw = Holes.Vm.metrics stw and m_sliced = Holes.Vm.metrics sliced in
+          let evacuated0 = m_stw.Holes.Metrics.objects_evacuated in
+          let slices0 = List.length m_sliced.Holes.Metrics.pauses_ns in
+          Holes.Vm.collect stw ~full:true;
+          Holes.Vm.set_gc_slice sliced k;
+          Holes.Vm.collect sliced ~full:true;
+          Holes.Verify.raise_on_errors (Holes.Vm.verify stw);
+          Holes.Verify.raise_on_errors (Holes.Vm.verify sliced);
+          if Cfg.is_immix collector then
+            Alcotest.(check bool) (where ^ ": the collection evacuated") true
+              (m_stw.Holes.Metrics.objects_evacuated > evacuated0);
+          let objs vm =
+            let ot = Holes.Vm.objects vm and acc = ref [] in
+            Holes_heap.Object_table.iter_slots ot (fun id ->
+                acc := (id, Holes_heap.Object_table.addr ot id) :: !acc);
+            !acc
+          in
+          check Alcotest.(list (pair int int)) (where ^ ": object addresses") (objs stw) (objs sliced);
+          let c_stw = Holes.Vm.cost stw and c_sliced = Holes.Vm.cost sliced in
+          check Alcotest.int64 (where ^ ": gc_ns bit-equal") (bits (Holes.Cost.gc_ns c_stw))
+            (bits (Holes.Cost.gc_ns c_sliced));
+          check Alcotest.int64 (where ^ ": total_ns bit-equal") (bits (Holes.Cost.total_ns c_stw))
+            (bits (Holes.Cost.total_ns c_sliced));
+          check
+            Alcotest.(list (pair string (float 0.0)))
+            (where ^ ": counters") (counters m_stw) (counters m_sliced);
+          let pause = List.hd m_stw.Holes.Metrics.pauses_ns in
+          let slices =
+            List.filteri
+              (fun i _ -> i < List.length m_sliced.Holes.Metrics.pauses_ns - slices0)
+              m_sliced.Holes.Metrics.pauses_ns
+          in
+          Alcotest.(check bool) (where ^ ": cut into slices") true (List.length slices > 1);
+          let sum = List.fold_left ( +. ) 0.0 slices in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: slices sum to the pause (%.17g vs %.17g)" where sum pause)
+            true
+            (Float.abs (sum -. pause) <= 1e-9 *. pause))
+        [ 1; 64; 4096 ])
+    [ Cfg.Sticky_immix; Cfg.Mark_sweep ]
+
+let suite =
+  [
+    ("full-collection grid matches golden, -j independent", `Quick, test_golden);
+    ("a budget only changes bracketing", `Quick, test_budget_only_brackets);
+  ]

@@ -338,12 +338,13 @@ let test_bump_vs_reference () =
 
 (* ---- mark deque vs oracle reference ----------------------------------- *)
 
-(* The flat batched mark deque replaced a per-slot recursive walk; the
-   observable contract is unchanged: after a full collection exactly the
-   oracle-live objects survive, every dead slot is released for reuse,
-   and the rebuilt block line accounting matches a naive recomputation
-   from the survivors — which is precisely what [Vm.verify] replays
-   (per-line live maps, counts, hole bounds, charge conservation). *)
+(* The mark phase runs over a flat snapshot work-list rather than a
+   per-slot recursive walk; the observable contract is unchanged: after
+   a full collection exactly the oracle-live objects survive, every dead
+   slot is released for reuse, and the block line accounting matches a
+   naive recomputation from the survivors — which is precisely what
+   [Vm.verify] replays (per-line live maps, counts, hole bounds, charge
+   conservation). *)
 let test_mark_deque_vs_reference () =
   let rng = Rng.of_seed 0x6c01 in
   for _case = 1 to 6 do
