@@ -91,12 +91,12 @@ let[@inline] charge (t : t) (ns : float) : unit =
   else Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. ns)
 
 (** Enter collection context; subsequent charges count as pause time.
-    The bracketing unit is one {e recorded pause}: a whole
-    stop-the-world collection, or a single increment under a
-    [gc_slice] budget — each slice of an incremental cycle opens and
-    closes its own bracket, so [end_gc] returns the mutator stall for
-    that slice alone while [gc_ns] keeps accumulating across the
-    cycle. *)
+    The bracketing unit is one {e recorded pause}.  A stop-the-world
+    collection drains every step of its cycle inside one bracket; under
+    a [gc_slice] budget each slice opens and closes its own, so [end_gc]
+    returns the mutator stall for that slice alone.  The charges, and
+    therefore [gc_ns], are the same either way: only where the brackets
+    close differs. *)
 let begin_gc (t : t) : unit =
   t.in_gc <- true;
   t.acc.(2) <- 0.0

@@ -577,7 +577,7 @@ let evacuate_block (t : t) (b : Block.t) : int =
           end
         end
       end)
-    (List.sort_uniq compare (Intvec.to_list b.Block.objs));
+    (List.sort_uniq Int.compare (Intvec.to_list b.Block.objs));
   Block.set_evacuate b false;
   Block.set_candidate b false;
   !left
@@ -683,7 +683,7 @@ let line_occupants (t : t) (b : Block.t) ~(line : int) : int list =
       if oa >= 0 && oa / block_bytes = b.Block.index && (not (Object_table.is_los t.objects id))
          && oa < hi && lo < oa + Object_table.size t.objects id
       then acc := id :: !acc);
-  List.sort_uniq (fun x y -> compare y x) !acc
+  List.sort_uniq (fun x y -> Int.compare y x) !acc
 
 (* Close the bump cursors whose run overlaps logical line [line] of [b]. *)
 let close_cursors_over (t : t) (b : Block.t) ~(line : int) : unit =
@@ -978,6 +978,7 @@ let full_gc (t : t) : unit =
   let span_end ?(args = []) name =
     if armed then Trace.end_span t.tracer ~tid:Trace.tid_gc name ~args
   in
+  assert (not (incremental_active t));
   Cost.begin_gc t.cost;
   span "full_gc";
   reset_cursors t;

@@ -11,6 +11,11 @@
        dune exec test/test_main.exe -- test collect *)
 
 module Cfg = Holes.Config
+module Vm = Holes.Vm
+module Metrics = Holes.Metrics
+module Cost = Holes.Cost
+module Xrng = Holes_stdx.Xrng
+module OT = Holes_heap.Object_table
 module R = Holes_exp.Runner
 module Sink = Holes_engine.Sink
 module Dacapo = Holes_workload.Dacapo
@@ -119,24 +124,24 @@ let test_golden () =
 (* A seeded heap, collected once stop-the-world (which closes the bump
    cursors), then half its objects killed and defragmentation requested:
    the next full collection has marking, sweeping and evacuation to do. *)
-let seeded_vm (collector : Cfg.collector) : Holes.Vm.t =
-  let vm = Holes.Vm.create ~cfg:{ Cfg.default with Cfg.collector } ~min_heap_bytes:(1 lsl 20) () in
-  let rng = Holes_stdx.Xrng.of_seed 11 in
-  let ids = Array.init 3000 (fun _ -> Holes.Vm.alloc vm ~size:(16 + Holes_stdx.Xrng.int rng 600) ()) in
+let seeded_vm (collector : Cfg.collector) : Vm.t =
+  let vm = Vm.create ~cfg:{ Cfg.default with Cfg.collector } ~min_heap_bytes:(1 lsl 20) () in
+  let rng = Xrng.of_seed 11 in
+  let ids = Array.init 3000 (fun _ -> Vm.alloc vm ~size:(16 + Xrng.int rng 600) ()) in
   Array.iter
-    (fun src -> Holes.Vm.write_ref vm ~src ~dst:ids.(Holes_stdx.Xrng.int rng (Array.length ids)))
+    (fun src -> Vm.write_ref vm ~src ~dst:ids.(Xrng.int rng (Array.length ids)))
     ids;
-  Holes.Vm.collect vm ~full:true;
-  Array.iter (fun id -> if Holes_stdx.Xrng.bool rng then Holes.Vm.kill vm id) ids;
-  Holes.Vm.request_defrag vm;
+  Vm.collect vm ~full:true;
+  Array.iter (fun id -> if Xrng.bool rng then Vm.kill vm id) ids;
+  Vm.request_defrag vm;
   vm
 
 (* every serialized counter except the pause records, which are the one
    thing a budget may change *)
-let counters (m : Holes.Metrics.t) : (string * float) list =
+let counters (m : Metrics.t) : (string * float) list =
   List.filter
     (fun (k, _) -> not (String.starts_with ~prefix:"pause_ns" k || k = "gc_increments"))
-    (Holes.Metrics.to_fields m)
+    (Metrics.to_fields m)
 
 let bits (x : float) : int64 = Int64.bits_of_float x
 
@@ -151,37 +156,37 @@ let test_budget_only_brackets () =
         (fun k ->
           let where = Printf.sprintf "%s, budget %d" (Cfg.collector_name collector) k in
           let stw = seeded_vm collector and sliced = seeded_vm collector in
-          let m_stw = Holes.Vm.metrics stw and m_sliced = Holes.Vm.metrics sliced in
-          let evacuated0 = m_stw.Holes.Metrics.objects_evacuated in
-          let slices0 = List.length m_sliced.Holes.Metrics.pauses_ns in
-          Holes.Vm.collect stw ~full:true;
-          Holes.Vm.set_gc_slice sliced k;
-          Holes.Vm.collect sliced ~full:true;
-          Holes.Verify.raise_on_errors (Holes.Vm.verify stw);
-          Holes.Verify.raise_on_errors (Holes.Vm.verify sliced);
+          let m_stw = Vm.metrics stw and m_sliced = Vm.metrics sliced in
+          let evacuated0 = m_stw.Metrics.objects_evacuated in
+          let slices0 = List.length m_sliced.Metrics.pauses_ns in
+          Vm.collect stw ~full:true;
+          Vm.set_gc_slice sliced k;
+          Vm.collect sliced ~full:true;
+          Holes.Verify.raise_on_errors (Vm.verify stw);
+          Holes.Verify.raise_on_errors (Vm.verify sliced);
           if Cfg.is_immix collector then
             Alcotest.(check bool) (where ^ ": the collection evacuated") true
-              (m_stw.Holes.Metrics.objects_evacuated > evacuated0);
+              (m_stw.Metrics.objects_evacuated > evacuated0);
           let objs vm =
-            let ot = Holes.Vm.objects vm and acc = ref [] in
-            Holes_heap.Object_table.iter_slots ot (fun id ->
-                acc := (id, Holes_heap.Object_table.addr ot id) :: !acc);
+            let ot = Vm.objects vm and acc = ref [] in
+            OT.iter_slots ot (fun id ->
+                acc := (id, OT.addr ot id) :: !acc);
             !acc
           in
           check Alcotest.(list (pair int int)) (where ^ ": object addresses") (objs stw) (objs sliced);
-          let c_stw = Holes.Vm.cost stw and c_sliced = Holes.Vm.cost sliced in
-          check Alcotest.int64 (where ^ ": gc_ns bit-equal") (bits (Holes.Cost.gc_ns c_stw))
-            (bits (Holes.Cost.gc_ns c_sliced));
-          check Alcotest.int64 (where ^ ": total_ns bit-equal") (bits (Holes.Cost.total_ns c_stw))
-            (bits (Holes.Cost.total_ns c_sliced));
+          let c_stw = Vm.cost stw and c_sliced = Vm.cost sliced in
+          check Alcotest.int64 (where ^ ": gc_ns bit-equal") (bits (Cost.gc_ns c_stw))
+            (bits (Cost.gc_ns c_sliced));
+          check Alcotest.int64 (where ^ ": total_ns bit-equal") (bits (Cost.total_ns c_stw))
+            (bits (Cost.total_ns c_sliced));
           check
             Alcotest.(list (pair string (float 0.0)))
             (where ^ ": counters") (counters m_stw) (counters m_sliced);
-          let pause = List.hd m_stw.Holes.Metrics.pauses_ns in
+          let pause = List.hd m_stw.Metrics.pauses_ns in
           let slices =
             List.filteri
-              (fun i _ -> i < List.length m_sliced.Holes.Metrics.pauses_ns - slices0)
-              m_sliced.Holes.Metrics.pauses_ns
+              (fun i _ -> i < List.length m_sliced.Metrics.pauses_ns - slices0)
+              m_sliced.Metrics.pauses_ns
           in
           Alcotest.(check bool) (where ^ ": cut into slices") true (List.length slices > 1);
           let sum = List.fold_left ( +. ) 0.0 slices in
