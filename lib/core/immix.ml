@@ -875,7 +875,7 @@ let mark_slice (t : t) ~(budget : int) : unit =
 
 (* Cycle completion: conservation asserts, nursery snapshot-prefix drop
    and the end-of-collection bookkeeping.  The pause is recorded by
-   whichever driver brackets the step. *)
+   whichever caller brackets the step. *)
 let finish_cycle_end (t : t) : unit =
   assert (t.inc_marked + t.inc_released = t.inc_snapshot_len);
   assert (t.inc_candidates = []);

@@ -80,7 +80,7 @@ type t = {
      allocation path.  [mark_queue] is the persistent snapshot
      work-list: entries are slot ids, sign-encoded with liveness at
      snapshot time (id = live, [lnot id] = dead).  Exposed for the heap
-     verifier's SATB checks and the torture driver. *)
+     verifier's SATB checks and the torture harness. *)
   mutable gc_slice : int;
       (** work budget per slice in mark-queue entries; 0 = stop-the-world
           (mutable so the torture driver can toggle mid-run) *)
