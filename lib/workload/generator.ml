@@ -1,6 +1,10 @@
 (** The workload executor: drives a {!Holes.Vm} with the allocation,
     lifetime and mutation behaviour described by a {!Profile}.
 
+    {!events} draws the profile's allocation stream; {!drive} is the
+    only loop that executes a stream against a VM, whether it comes
+    straight from {!events} ({!run}) or from a recorded {!Trace}.
+
     Lifetimes are measured in bytes of subsequent allocation (the
     standard GC-literature clock); the executor maintains a death queue
     and kills objects as the clock passes their death time, so the live
@@ -67,65 +71,98 @@ let sample_lifetime (rng : Xrng.t) (p : Profile.t) : int =
   let mean = if Xrng.float rng < s then mean_short else mean_long in
   1 + int_of_float (Dist.exponential rng ~mean)
 
-(** Run [profile] against [vm].  [rng] drives all sampling.  Returns the
-    run's metrics; an out-of-memory VM yields [completed = false] (the
-    paper's "some configurations cannot execute some of the
-    benchmarks"). *)
-let run ?(rng : Xrng.t option) (vm : Holes.Vm.t) (profile : Profile.t) : result =
-  let rng = match rng with Some r -> r | None -> Xrng.of_seed 7 in
+(* pool of recent allocations that mutation sources are drawn from *)
+let pool_size = 1024
+
+(** One step of a workload, with every random choice already drawn. *)
+type event =
+  | Immortal of int  (** size of a base object that never dies *)
+  | Alloc of {
+      size : int;
+      pinned : bool;
+      lifetime : int;  (** bytes of subsequent allocation until death *)
+      slot : int;  (** mutation-pool slot the new object takes *)
+      src : int;  (** pool slot whose object then references it, or [-1] *)
+    }
+
+(** The allocation stream of [profile]: the immortal base (plain
+    small/medium objects) first, then mortal allocations until the
+    profile's volume is reached.  [rng] drives all sampling, so the
+    sequence is ephemeral: it can be consumed once. *)
+let events ~(rng : Xrng.t) (profile : Profile.t) : event Seq.t =
   let dist = category_dist profile in
+  let rec base imm () =
+    if imm >= profile.Profile.immortal then allocs 0 ()
+    else
+      let size = min 2048 (max 32 (sample_size rng profile dist)) in
+      Seq.Cons (Immortal size, base (imm + size))
+  and allocs clock () =
+    if clock >= profile.Profile.volume then Seq.Nil
+    else
+      let size = sample_size rng profile dist in
+      let pinned = Xrng.float rng < profile.Profile.pin_rate in
+      let lifetime = sample_lifetime rng profile in
+      let slot = Xrng.int rng pool_size in
+      let src =
+        if Xrng.float rng < profile.Profile.mutation_rate then Xrng.int rng pool_size else -1
+      in
+      Seq.Cons (Alloc { size; pinned; lifetime; slot; src }, allocs (clock + size))
+  in
+  base 0
+
+(** Drive [vm] with [events]: the one workload loop.  A death queue
+    kills each object once the allocation clock passes its death time;
+    mutation stores a reference from the pool's older object to the new
+    one.  An out-of-memory VM yields [completed = false] (the paper's
+    "some configurations cannot execute some of the benchmarks"). *)
+let drive (vm : Holes.Vm.t) (profile : Profile.t) (events : event Seq.t) : result =
   let deaths : int Heapq.t = Heapq.create ~dummy:(-1) in
-  (* pool of recent allocations for mutation sources *)
-  let pool_size = 1024 in
   let pool = Array.make pool_size (-1) in
-  let completed = ref true in
-  (try
-     (* immortal base: plain small/medium objects that never die *)
-     let imm = ref 0 in
-     while !imm < profile.Profile.immortal do
-       let size = min 2048 (max 32 (sample_size rng profile dist)) in
-       ignore (Holes.Vm.alloc vm ~size ());
-       imm := !imm + size
-     done;
-     let clock = ref 0 in
-     while !clock < profile.Profile.volume do
-       let size = sample_size rng profile dist in
-       let pinned = Xrng.float rng < profile.Profile.pin_rate in
-       let id = Holes.Vm.alloc vm ~pinned ~size () in
-       let lifetime = sample_lifetime rng profile in
-       Heapq.push deaths ~key:(!clock + lifetime) id;
-       pool.(Xrng.int rng pool_size) <- id;
-       (* mutation: a random older object references the new one *)
-       if Xrng.float rng < profile.Profile.mutation_rate then begin
-         let src = pool.(Xrng.int rng pool_size) in
-         if src >= 0 && src <> id && Holes_heap.Object_table.is_alive (Holes.Vm.objects vm) src
-         then Holes.Vm.write_ref vm ~src ~dst:id
-       end;
-       clock := !clock + size;
-       (* process deaths due by now *)
-       let rec reap () =
-         match Heapq.min_key deaths with
-         | Some k when k <= !clock -> (
-             match Heapq.pop deaths with
-             | Some (_, dead) ->
-                 Holes.Vm.kill vm dead;
-                 reap ()
-             | None -> ())
-         | _ -> ()
-       in
-       reap ()
-     done
-   with Holes.Vm.Out_of_memory -> completed := false);
+  let clock = ref 0 in
+  let rec reap () =
+    match Heapq.min_key deaths with
+    | Some k when k <= !clock -> (
+        match Heapq.pop deaths with
+        | Some (_, dead) ->
+            Holes.Vm.kill vm dead;
+            reap ()
+        | None -> ())
+    | _ -> ()
+  in
+  let step = function
+    | Immortal size -> ignore (Holes.Vm.alloc vm ~size ())
+    | Alloc e ->
+        let id = Holes.Vm.alloc vm ~pinned:e.pinned ~size:e.size () in
+        Heapq.push deaths ~key:(!clock + e.lifetime) id;
+        pool.(e.slot) <- id;
+        if e.src >= 0 then begin
+          let src = pool.(e.src) in
+          if src >= 0 && src <> id && Holes_heap.Object_table.is_alive (Holes.Vm.objects vm) src
+          then Holes.Vm.write_ref vm ~src ~dst:id
+        end;
+        clock := !clock + e.size;
+        reap ()
+  in
+  let completed =
+    try
+      Seq.iter step events;
+      true
+    with Holes.Vm.Out_of_memory -> false
+  in
   Holes.Vm.sync_backend_stats vm;
   let cost = Holes.Vm.cost vm in
   {
-    completed = !completed;
+    completed;
     profile;
     elapsed_ms = Holes.Cost.total_ms cost;
     metrics = Holes.Vm.metrics vm;
     mutator_ms = Holes.Cost.mutator_ns cost /. 1e6;
     gc_ms = Holes.Cost.gc_ns cost /. 1e6;
   }
+
+(** Run [profile] against [vm], sampling with [rng]. *)
+let run ?(rng = Xrng.of_seed 7) (vm : Holes.Vm.t) (profile : Profile.t) : result =
+  drive vm profile (events ~rng profile)
 
 (** Convenience: build a VM for [profile] under [cfg] (heap sized from
     the profile's minimum) and run it. *)
