@@ -23,33 +23,6 @@ let device_cfg ~(endurance : float) : Cfg.t =
   let wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance = endurance } in
   { Figures.base_six with Cfg.backend = Cfg.Device { d with Cfg.wear } }
 
-exception Worn_out
-
-(** Run [profile] repeatedly on one device-backed VM until it cannot
-    complete a round (or [max_rounds] is reached).  Returns the number
-    of completed rounds and the VM's final metrics (device counters
-    synced). *)
-let rounds_until_wearout ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t)
-    ~(scale : float) ~(max_rounds : int) : int * Holes.Metrics.t =
-  let profile = Holes_workload.Profile.scaled profile scale in
-  let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(Holes_workload.Profile.min_heap profile) () in
-  let rounds = ref 0 in
-  (try
-     while !rounds < max_rounds do
-       let rng = Xrng.of_seed (cfg.Cfg.seed + (31 * !rounds)) in
-       let res = Holes_workload.Generator.run ~rng vm profile in
-       if not res.Holes_workload.Generator.completed then raise Worn_out;
-       incr rounds;
-       (* drain the live set so the next round starts from an empty heap *)
-       let objs = Holes.Vm.objects vm in
-       Holes_heap.Object_table.iter_slots objs (fun id ->
-           if Holes_heap.Object_table.is_alive objs id then Holes.Vm.kill vm id);
-       Holes.Vm.collect vm ~full:true
-     done
-   with Worn_out | Holes.Vm.Out_of_memory -> ());
-  Holes.Vm.sync_backend_stats vm;
-  (!rounds, Holes.Vm.metrics vm)
-
 (** Rounds survived and pipeline activity across a mean-endurance sweep:
     the lifetime the cooperative pipeline buys as endurance shrinks.
     Each endurance point is one engine job — the whole sweep shards
@@ -83,26 +56,25 @@ let table ?(params = Runner.quick) () : Table.t =
   let results =
     Holes_engine.Engine.run ~jobs:params.Runner.jobs
       ?sink:(Runner.current_sink ())
-      ~metrics:(fun (rounds, m) ->
+      ~metrics:(fun (o : Wear_policies.outcome) ->
         [
-          ("rounds", float_of_int rounds);
-          ("device_writes", float_of_int m.Holes.Metrics.device_writes);
-          ("device_line_failures", float_of_int m.Holes.Metrics.device_line_failures);
-          ("os_upcalls", float_of_int m.Holes.Metrics.os_upcalls);
+          ("rounds", float_of_int o.rounds);
+          ("device_writes", float_of_int o.m.Holes.Metrics.device_writes);
+          ("device_line_failures", float_of_int o.m.Holes.Metrics.device_line_failures);
+          ("os_upcalls", float_of_int o.m.Holes.Metrics.os_upcalls);
         ])
       ~f:(fun spec ~seed:_ ->
         (* wear-out is a property of the aging device, not of trial
            noise: the round RNG derives from cfg.seed so the point is a
            pure function of its spec *)
-        rounds_until_wearout ~cfg:spec.Holes_engine.Job.cfg
-          ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale
-          ~max_rounds)
+        Wear_policies.lifetime_run ~cfg:spec.Holes_engine.Job.cfg
+          ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale ~max_rounds)
       specs
   in
   List.iteri
     (fun i endurance ->
       match results.(i).Holes_engine.Engine.outcome with
-      | Holes_engine.Pool.Done (rounds, m) ->
+      | Holes_engine.Pool.Done { Wear_policies.rounds; m; _ } ->
           Table.add_row t
             [
               Printf.sprintf "%.0f" endurance;

@@ -87,10 +87,15 @@ type outcome = {
   m : Holes.Metrics.t;
 }
 
-(** Like {!Wear_lifetime.rounds_until_wearout}, but also accumulates the
-    cost-model time of the completed rounds so cells can report
-    time-per-round (the GC-overhead signal) next to lifetime.  Both are
-    virtual quantities — deterministic for a given config at any [-j]. *)
+(** Run [profile] repeatedly on one device-backed VM until it cannot
+    complete a round (or [max_rounds] is reached).  Between rounds the
+    whole live set is killed and a full collection runs, so survival
+    reflects wear capacity loss rather than live-set leakage.  Also
+    accumulates the cost-model time of the completed rounds, so cells
+    can report time-per-round (the GC-overhead signal) next to lifetime.
+    Both are virtual quantities — deterministic for a given config at
+    any [-j].  The one aging loop behind the wearlevel, wearlife and
+    hybrid tables. *)
 let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : float)
     ~(max_rounds : int) : outcome =
   let profile = Holes_workload.Profile.scaled profile scale in
@@ -197,8 +202,8 @@ let table ?(params = Runner.quick) () : Table.t =
           ("wl_remaps", float_of_int o.m.Holes.Metrics.wl_remaps);
         ])
       ~f:(fun spec ~seed:_ ->
-        (* like wear_lifetime: the round RNG derives from cfg.seed, so a
-           cell is a pure function of its spec *)
+        (* the round RNG derives from cfg.seed, so a cell is a pure
+           function of its spec *)
         lifetime_run ~cfg:spec.Holes_engine.Job.cfg ~profile:spec.Holes_engine.Job.profile
           ~scale:spec.Holes_engine.Job.scale ~max_rounds)
       specs
