@@ -3,7 +3,7 @@
 # ocamlformat is available (the check is skipped, not failed, on
 # machines without it).
 
-.PHONY: all build test check fmt doc lint-md bench bench-check micro figures-quick fleet-quick speedup quickstart clean
+.PHONY: all build test check fmt doc lint-md bench bench-check figures-quick fleet-quick speedup quickstart clean
 
 MD_FILES := README.md DESIGN.md EXPERIMENTS.md CHANGES.md ROADMAP.md
 
@@ -55,15 +55,12 @@ bench:
 bench-check:
 	dune exec --profile release bench/microbench.exe -- --check BENCH_hotpath.json --tolerance 0.15 --retry 2
 
-# Operf-micro style latency table over the allocator entry points.
-micro:
-	dune exec bench/main.exe -- micro
-
 # Reduced figure grid on 2 worker domains, streaming one JSONL record
 # per trial plus a Chrome trace of every trial: the CI perf-trajectory
 # artifacts.  The trace is -j-independent (virtual timestamps).  The
-# wear-leveling ablation and the fleet figure stream to their own
-# derived sinks (results-wearlevel.jsonl / results-fleet.jsonl).
+# wear-leveling ablation, the fleet and hybrid figures and the
+# wear-lifetime sweep stream to their own derived sinks
+# (results-wearlevel.jsonl / -fleet / -hybrid / -wearlife).
 figures-quick:
 	dune exec bench/main.exe -- figures-quick -j 2 --verify --out results.jsonl --trace trace.json
 

@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 6) and wall-clock-benchmarks the core operations via
-   Bechamel.
+   evaluation (Sec. 6).  Host wall-clock lives elsewhere: the hot-path
+   kernels in bench/microbench.ml and the end-to-end workloads in
+   bench/e2e.
 
    Usage:
      main.exe                 regenerate everything (quick parameters)
@@ -23,14 +24,11 @@
      main.exe fleet           the fleet-serving tail-latency figure
      main.exe hybrid          the DRAM/PCM tiering absorption figure
      main.exe figures-quick   reduced CI grid (fig4 + headline +
-                              wearlevel + fleet + hybrid, the last
-                              three to their own sink files)
+                              wearlevel + fleet + hybrid + wearlife, the
+                              last four to their own sink files)
      main.exe speedup         wall-clock of the quick grid, -j 1 vs -j max
-     main.exe micro           Bechamel microbenchmarks (one per
-                              operation family underlying the figures) *)
 
-open Bechamel
-open Toolkit
+   An unknown target or flag exits 2 before anything runs. *)
 
 let figures : (string * (params:Holes_exp.Runner.params -> Holes_stdx.Table.t)) list =
   [
@@ -55,139 +53,16 @@ let figures : (string * (params:Holes_exp.Runner.params -> Holes_stdx.Table.t)) 
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: the operation families whose costs the
-   figures are built from.                                             *)
-(* ------------------------------------------------------------------ *)
-
-let mk_vm ?(cfg = Holes.Config.default) () =
-  Holes.Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) ()
-
-let bench_alloc_small =
-  (* fig3/fig6a driver: the bump-pointer fast path *)
-  Test.make ~name:"alloc-small-bump" (Staged.stage (fun () ->
-      let vm = mk_vm () in
-      for _ = 1 to 2000 do
-        let id = Holes.Vm.alloc vm ~size:48 () in
-        Holes.Vm.kill vm id
-      done))
-
-let bench_alloc_holes =
-  (* fig4/fig5 driver: allocation that must skip failed lines *)
-  let cfg =
-    { Holes.Config.default with Holes.Config.failure_rate = 0.25; failure_dist = Holes.Config.Uniform }
-  in
-  Test.make ~name:"alloc-small-skip-holes" (Staged.stage (fun () ->
-      let vm = mk_vm ~cfg () in
-      for _ = 1 to 2000 do
-        let id = Holes.Vm.alloc vm ~size:48 () in
-        Holes.Vm.kill vm id
-      done))
-
-let bench_alloc_medium =
-  (* fig7/fig9 driver: medium-object overflow allocation under failures *)
-  let cfg =
-    { Holes.Config.default with Holes.Config.failure_rate = 0.25; failure_dist = Holes.Config.Hw_cluster 2 }
-  in
-  Test.make ~name:"alloc-medium-overflow" (Staged.stage (fun () ->
-      let vm = mk_vm ~cfg () in
-      for _ = 1 to 300 do
-        let id = Holes.Vm.alloc vm ~size:2048 () in
-        Holes.Vm.kill vm id
-      done))
-
-let bench_full_gc =
-  (* pause-table driver: a full-heap trace and sweep *)
-  Test.make ~name:"full-collection" (Staged.stage (fun () ->
-      let vm = mk_vm () in
-      let ids = Array.init 3000 (fun _ -> Holes.Vm.alloc vm ~size:64 ()) in
-      Array.iteri (fun i id -> if i mod 2 = 0 then Holes.Vm.kill vm id) ids;
-      Holes.Vm.collect vm ~full:true))
-
-let bench_cluster_transform =
-  (* fig8/fig9 driver: the hardware clustering map transform *)
-  let rng = Holes_stdx.Xrng.of_seed 3 in
-  let map = Holes_pcm.Failure_map.uniform rng ~nlines:(256 * 64) ~rate:0.25 in
-  Test.make ~name:"cluster-transform-1MB" (Staged.stage (fun () ->
-      ignore (Holes_pcm.Failure_map.cluster_transform map ~region_pages:2)))
-
-let bench_redirect =
-  (* Sec. 3.1.2 hardware: redirection-map failure recording + lookups *)
-  Test.make ~name:"redirect-record+translate" (Staged.stage (fun () ->
-      let r = Holes_pcm.Redirect.create ~region_pages:2 ~region_index:0 () in
-      for p = 0 to 63 do
-        ignore (Holes_pcm.Redirect.record_failure r ~physical:(p * 2))
-      done;
-      let acc = ref 0 in
-      for l = 0 to Holes_pcm.Redirect.nlines r - 1 do
-        acc := !acc + Holes_pcm.Redirect.translate r l
-      done;
-      ignore !acc))
-
-let bench_failure_buffer =
-  (* Sec. 3.1.1 hardware: failure-buffer insert/forward/clear *)
-  let payload = Bytes.make Holes_pcm.Geometry.line_bytes 'x' in
-  Test.make ~name:"failure-buffer-cycle" (Staged.stage (fun () ->
-      let fb = Holes_pcm.Failure_buffer.create ~capacity:32 () in
-      for a = 0 to 19 do
-        ignore (Holes_pcm.Failure_buffer.insert fb ~addr:a ~data:payload)
-      done;
-      for a = 0 to 19 do
-        ignore (Holes_pcm.Failure_buffer.forward fb ~addr:a);
-        ignore (Holes_pcm.Failure_buffer.clear fb ~addr:a)
-      done))
-
-let bench_wear =
-  (* Sec. 2.2 wear model: writes to exhaustion *)
-  Test.make ~name:"wear-line-to-failure" (Staged.stage (fun () ->
-      let rng = Holes_stdx.Xrng.of_seed 11 in
-      let p = Holes_pcm.Wear.fast_params in
-      let l = Holes_pcm.Wear.fresh_line rng p in
-      let rec go () =
-        match Holes_pcm.Wear.write rng p l with
-        | Holes_pcm.Wear.Failed -> ()
-        | _ -> go ()
-      in
-      go ()))
-
-let micro_tests =
-  Test.make_grouped ~name:"holes" ~fmt:"%s %s"
-    [
-      bench_alloc_small; bench_alloc_holes; bench_alloc_medium; bench_full_gc;
-      bench_cluster_transform; bench_redirect; bench_failure_buffer; bench_wear;
-    ]
-
-let run_micro () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-  let raw_results = Benchmark.all cfg instances micro_tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
-  in
-  let results = Analyze.merge ols instances results in
-  print_endline "== Bechamel microbenchmarks (monotonic clock) ==";
-  Hashtbl.iter
-    (fun measure tbl ->
-      if measure = Measure.label Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some (est :: _) -> Printf.printf "%-34s %12.1f ns/run\n" name est
-            | _ -> Printf.printf "%-34s (no estimate)\n" name)
-          tbl)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* The reduced grid used by `figures-quick` (CI) and `speedup`: two
    substantial figures at a small scale, enough trials to exercise the
    engine without paper-grade wall-clock.                              *)
 
 let quick_grid_params ~jobs = { Holes_exp.Runner.scale = 0.1; seeds = 2; jobs }
 
-(* The wearlevel ablation and the fleet figure joined the CI grid later
-   than the original figures; their trials stream to *separate* sink
-   files (results-wearlevel.jsonl / results-fleet.jsonl next to --out)
-   so the long-standing results.jsonl stream stays record-for-record
+(* The device and fleet tables joined the CI grid later than the
+   original figures; each streams its trials to a *separate* sink file
+   next to --out (results-wearlevel.jsonl, results-fleet.jsonl, ...) so
+   the long-standing results.jsonl stream stays record-for-record
    comparable across releases. *)
 let run_quick_grid ~params ~out =
   Holes_stdx.Table.print (Holes_exp.Figures.fig4 ~params ());
@@ -216,7 +91,8 @@ let run_quick_grid ~params ~out =
   in
   print_to_own_sink "wearlevel" (fun () -> Holes_exp.Wear_policies.table ~params ());
   print_to_own_sink "fleet" (fun () -> Holes_exp.Fleet_figure.table ~params ());
-  print_to_own_sink "hybrid" (fun () -> Holes_exp.Hybrid_figure.table ~params ())
+  print_to_own_sink "hybrid" (fun () -> Holes_exp.Hybrid_figure.table ~params ());
+  print_to_own_sink "wearlife" (fun () -> Holes_exp.Wear_lifetime.table ~params ())
 
 (* `speedup`: measure the parallelism win instead of asserting it — the
    same reduced grid, wall-clocked at -j 1 and -j max from a cold memo
@@ -258,6 +134,13 @@ let () =
     | name :: rest -> parse (jobs, out, trace, fullp, verify, name :: names) rest
   in
   let jobs, out, trace, fullp, verify, args = parse (1, None, None, false, false, []) args in
+  let targets = List.map fst figures @ [ "figures-quick"; "speedup" ] in
+  (match List.filter (fun n -> not (List.mem n targets)) args with
+  | [] -> ()
+  | bad ->
+      List.iter (Printf.eprintf "unknown target or flag %s\n") bad;
+      Printf.eprintf "valid targets: %s\n" (String.concat " " targets);
+      exit 2);
   Holes_exp.Runner.set_verify verify;
   let params =
     let p = if fullp then Holes_exp.Runner.full else Holes_exp.Runner.quick in
@@ -285,22 +168,18 @@ let () =
     Holes_exp.Runner.set_sink None
   in
   Fun.protect ~finally:finish (fun () ->
-      let print_one name =
-        match List.assoc_opt name figures with
-        | Some f ->
+      let run_one = function
+        | "figures-quick" -> run_quick_grid ~params:(quick_grid_params ~jobs) ~out
+        | "speedup" -> run_speedup ()
+        | name ->
             let t0 = Unix.gettimeofday () in
-            Holes_stdx.Table.print (f ~params);
+            Holes_stdx.Table.print ((List.assoc name figures) ~params);
             Printf.printf "(%s generated in %.1f s)\n\n%!" name (Unix.gettimeofday () -. t0)
-        | None -> Printf.eprintf "unknown target %s\n" name
       in
       match args with
       | [] ->
           Printf.printf "Regenerating all paper tables/figures (%s parameters, -j %d)\n\n%!"
             (if fullp then "full" else "quick")
             jobs;
-          List.iter (fun (n, _) -> print_one n) figures;
-          run_micro ()
-      | [ "micro" ] -> run_micro ()
-      | [ "figures-quick" ] -> run_quick_grid ~params:(quick_grid_params ~jobs) ~out
-      | [ "speedup" ] -> run_speedup ()
-      | names -> List.iter print_one names)
+          List.iter (fun (n, _) -> run_one n) figures
+      | names -> List.iter run_one names)

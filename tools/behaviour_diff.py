@@ -4,7 +4,9 @@
     python3 tools/behaviour_diff.py BASE_DIR HEAD_DIR [--summary FILE] [--changed FILE]
 
 Each directory holds the JSONL sinks `bench/main.exe figures-quick`
-writes (results.jsonl and its derived sinks).  Records are compared
+writes (results.jsonl and its derived sinks); every results*.jsonl
+found in either directory is diffed, so a new derived sink needs no
+edit here.  Records are compared
 with the scheduling fields (worker, duration_s) dropped.  Within a
 sink, records are grouped by (config, profile, seed_index, seed) and
 compared as multisets, so a sink that emits several records per key
@@ -20,11 +22,17 @@ behaviour on purpose, and the table is there to show whether it did.
 
 import argparse
 import collections
+import glob
 import json
 import os
 
-SINKS = ["results.jsonl", "results-wearlevel.jsonl", "results-fleet.jsonl", "results-hybrid.jsonl"]
 SCHEDULING = ("worker", "duration_s")
+
+
+def sinks(*dirs):
+    """Every results*.jsonl name in any of dirs, results.jsonl first."""
+    names = {os.path.basename(p) for d in dirs for p in glob.glob(os.path.join(d, "results*.jsonl"))}
+    return sorted(names, key=lambda n: (n != "results.jsonl", n))
 
 
 def load(path):
@@ -69,7 +77,11 @@ def main():
     args = ap.parse_args()
 
     rows, differing, absent = [], [], False
-    for sink in SINKS:
+    names = sinks(args.base, args.head)
+    if not names:
+        rows.append("| `results*.jsonl` | — | — | — | — | — | **absent on both** |")
+        absent = True
+    for sink in names:
         base, head = load(os.path.join(args.base, sink)), load(os.path.join(args.head, sink))
         if base is None or head is None:
             side = "base" if base is None else "head"
@@ -85,7 +97,7 @@ def main():
         differing += [dict(sink=sink, side=side, record=rec) for side, rec in diff]
 
     if absent:
-        outcome = "**incomplete**: a sink is absent on one side (did its run fail?)"
+        outcome = "**incomplete**: a sink is absent (a new sink, or did a run fail?)"
     elif differing:
         outcome = f"**behaviour changed**: {len(differing)} differing records (see the behaviour-diff artifact)"
     else:
