@@ -1250,8 +1250,6 @@ let request_defrag (t : t) : unit = t.defrag_requested <- true
 let collect (t : t) ~(full : bool) : unit =
   if full || incremental_active t then collect_full t else nursery_gc t
 
-let live_blocks (t : t) : int = t.nblocks
-
 (** Install the paranoid-verifier hook run at the end of every
     collection (replaces the previous hook). *)
 let set_post_gc_check (t : t) (f : unit -> unit) : unit = t.post_gc_check <- f

@@ -229,8 +229,6 @@ val request_defrag : t -> unit
     VM when the LOS runs short of pages: consolidation dissolves sparse
     blocks back into stock pages). *)
 
-val live_blocks : t -> int
-
 val set_post_gc_check : t -> (unit -> unit) -> unit
 (** Install the paranoid-verifier hook run at the end of every
     collection (replaces the previous hook). *)

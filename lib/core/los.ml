@@ -136,6 +136,3 @@ let addr_backed_by (t : t) ~(page : int) : int option =
 
 (** Pages currently backing live LOS objects. *)
 let pages_in_use (t : t) : int = t.pages_in_use
-
-(** Live LOS allocations (addresses). *)
-let live_addrs (t : t) : int list = Hashtbl.fold (fun a _ acc -> a :: acc) t.entries []

@@ -44,20 +44,10 @@ type outcome = {
   mean_full_gcs : float;
   mean_nursery_gcs : float;
   mean_borrowed : float;  (** borrowed DRAM pages (lifetime) per trial *)
-  mean_perfect_requests : float;
-  mean_hole_skips : float;
-  mean_bytes_copied : float;
   (* device-backend pipeline activity (all zero on the static backend) *)
   mean_device_writes : float;
   mean_device_failures : float;  (** wear-induced line failures per trial *)
   mean_upcalls : float;  (** OS → runtime failure up-calls per trial *)
-  mean_reverse_translations : float;
-  mean_swap_ins : float;
-  mean_fbuf_peak : float;  (** peak failure-buffer occupancy *)
-  mean_device_reads : float;
-  mean_os_page_copies : float;  (** failure-unaware fallback resolutions *)
-  mean_os_data_restores : float;  (** clustering re-backed the failing line *)
-  mean_fbuf_stalls : float;  (** device stall events per trial *)
   mean_verify_passes : float;
       (** clean paranoid-verifier runs per trial (0 unless [Config.verify]) *)
   pause_hist : Ostats.hist;  (** full-GC pauses (ns) pooled over completed trials *)
@@ -93,7 +83,6 @@ let current_sink () : Sink.t option = !sink
 let tracer : Otrace.t option ref = ref None
 
 let set_tracer (t : Otrace.t option) : unit = tracer := t
-let current_tracer () : Otrace.t option = !tracer
 
 (* verifier override: when set ([--verify] in bench/bin), every trial
    runs with the paranoid heap verifier on regardless of per-config
@@ -221,25 +210,10 @@ let outcome_of_trials ~(cfg : Holes.Config.t) ~(profile : Holes_workload.Profile
     mean_full_gcs = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.full_gcs);
     mean_nursery_gcs = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.nursery_gcs);
     mean_borrowed = meanf (fun t -> float_of_int t.r_borrowed);
-    mean_perfect_requests = meanf (fun t -> float_of_int t.r_perfect_requests);
-    mean_hole_skips = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.hole_skips);
-    mean_bytes_copied = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.bytes_copied);
     mean_device_writes = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.device_writes);
     mean_device_failures =
       meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.device_line_failures);
     mean_upcalls = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.os_upcalls);
-    mean_reverse_translations =
-      meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.reverse_translations);
-    mean_swap_ins = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.swap_ins);
-    mean_fbuf_peak =
-      meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.fbuf_peak_occupancy);
-    mean_device_reads = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.device_reads);
-    mean_os_page_copies =
-      meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.os_page_copies);
-    mean_os_data_restores =
-      meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.os_data_restores);
-    mean_fbuf_stalls =
-      meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.fbuf_stall_events);
     mean_verify_passes =
       meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.verify_passes);
     pause_hist =

@@ -67,8 +67,3 @@ let mean_failed_run (map : Bitset.t) : float =
     else in_run := false
   done;
   if !runs = 0 then 0.0 else float_of_int !failed /. float_of_int !runs
-
-(** Human-readable fragmentation statistic of a map. *)
-let describe (map : Bitset.t) : string =
-  Printf.sprintf "mean failed-run %.2f lines, %d perfect pages" (mean_failed_run map)
-    (Holes_pcm.Failure_map.perfect_pages map)

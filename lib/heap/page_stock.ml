@@ -49,7 +49,7 @@ type t = {
       (** ids of the surrendered pages: back with the OS, out of
           circulation for the rest of the run (the verifier accounts
           for them as a fourth page-ownership class) *)
-  mutable max_borrowed : int;  (** DRAM borrow cap (DRAM is scarce, Sec. 2.3) *)
+  max_borrowed : int;  (** DRAM borrow cap (DRAM is scarce, Sec. 2.3) *)
   mutable extra_free_bytes : unit -> int;
       (** free bytes held outside the stock (e.g. inside partially used
           collector blocks); part of the "has sufficient memory" test *)
@@ -149,9 +149,6 @@ let create ?(line_size = Holes_pcm.Geometry.line_bytes) ~(device_map : Bitset.t)
 (** Register the collector's view of free bytes held outside the stock
     (inside partially used blocks). *)
 let set_extra_free (t : t) (f : unit -> int) : unit = t.extra_free_bytes <- f
-
-(** Override the DRAM borrow cap (default: npages/8, min 16). *)
-let set_max_borrowed (t : t) (cap : int) : unit = t.max_borrowed <- cap
 
 let page (t : t) (id : int) : page = t.pages.(id)
 

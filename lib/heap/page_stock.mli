@@ -51,7 +51,7 @@ type t = {
       (** ids of the surrendered pages: back with the OS, out of
           circulation for the rest of the run (the verifier accounts
           for them as a fourth page-ownership class) *)
-  mutable max_borrowed : int;  (** DRAM borrow cap (DRAM is scarce, Sec. 2.3) *)
+  max_borrowed : int;  (** DRAM borrow cap (DRAM is scarce, Sec. 2.3) *)
   mutable extra_free_bytes : unit -> int;
       (** free bytes held outside the stock (e.g. inside partially used
           collector blocks); part of the "has sufficient memory" test *)
@@ -79,9 +79,6 @@ val create : ?line_size:int -> device_map:Holes_stdx.Bitset.t -> npages:int -> u
 val set_extra_free : t -> (unit -> int) -> unit
 (** Register the collector's view of free bytes held outside the stock
     (inside partially used blocks). *)
-
-val set_max_borrowed : t -> int -> unit
-(** Override the DRAM borrow cap. *)
 
 val page : t -> int -> page
 val npages : t -> int

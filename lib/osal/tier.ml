@@ -109,8 +109,6 @@ let residents (t : t) : (int * int * int * int) list =
   Hashtbl.fold (fun _ r acc -> (r.r_pid, r.r_virt, r.r_dram_phys, r.r_pcm_phys) :: acc) t.by_frame []
   |> List.sort (fun (_, _, a, _) (_, _, b, _) -> compare a b)
 
-let resident_count (t : t) : int = Hashtbl.length t.by_frame
-
 (* ---- demotion --------------------------------------------------------- *)
 
 (* per-domain write-back staging line: engine workers run one tier per

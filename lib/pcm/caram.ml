@@ -188,8 +188,6 @@ let flush (t : t) ~(line_bytes : int) : (int * Bytes.t) list =
     t.table;
   List.sort (fun (a, _) (b, _) -> compare a b) all
 
-let bound_count (t : t) : int = Hashtbl.length t.bound
-
 let stats (t : t) : stats =
   {
     s_dedup_hits = t.dedup_hits;

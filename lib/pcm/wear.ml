@@ -100,8 +100,3 @@ let draw_factor (rng : Holes_stdx.Xrng.t) ~(shape : shape) ~(cov : float) : floa
       let sigma = lognormal_sigma ~cov in
       Holes_stdx.Dist.lognormal rng ~mu:(-.(sigma *. sigma) /. 2.0) ~sigma
   | Gaussian -> Float.max 1e-6 (Holes_stdx.Dist.normal rng ~mu:1.0 ~sigma:cov)
-
-(** Wear parameters whose lognormal endurance draw has the given CoV
-    (keeps [base]'s mean and ECP settings). *)
-let params_of_cov ?(base = default_params) ~(cov : float) () : params =
-  { base with sigma = lognormal_sigma ~cov }

@@ -28,16 +28,6 @@ let add_row (t : t) (cells : string list) : unit =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- cells :: t.rows
 
-let addf (t : t) (cells : [ `S of string | `F of float | `I of int | `Pct of float ] list) : unit =
-  add_row t
-    (List.map
-       (function
-         | `S s -> s
-         | `F f -> Printf.sprintf "%.3f" f
-         | `I i -> string_of_int i
-         | `Pct f -> Printf.sprintf "%.1f%%" (f *. 100.0))
-       cells)
-
 let render (t : t) : string =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in
