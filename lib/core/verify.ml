@@ -431,27 +431,28 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
       let dram = st.Memory_backend.dram_pages in
       Array.iteri
         (fun stock_page virt ->
-          match Osal.Vmm.translate st.Memory_backend.proc ~virt with
-          | None ->
-              check c false (fun () -> Printf.sprintf "stock page %d unmapped (virt %d)" stock_page virt)
-          | Some phys when phys < dram -> () (* DRAM frame: no failure state to agree on *)
-          | Some phys ->
-              let dev_page = phys - dram in
-              let os = Osal.Failure_table.get table ~page:dev_page in
-              let sb = stock.Page_stock.pages.(stock_page).Page_stock.bitmap in
-              (* the OS may know strictly more (masked pinned-page
-                 failures), never less *)
-              check c (Bitset.subset sb os) (fun () ->
-                  Printf.sprintf "stock page %d claims failures the OS table lacks (phys %d)"
-                    stock_page phys);
-              Bitset.iter_set os (fun off ->
-                  check c
-                    (not
-                       (Pcm.Device.line_usable st.Memory_backend.device
-                          ((dev_page * pcm_lines_per_page) + off)))
-                    (fun () ->
-                      Printf.sprintf "OS table marks line %d of device page %d the device calls usable"
-                        off dev_page)))
+          let phys = Osal.Vmm.translate st.Memory_backend.proc ~virt in
+          if phys < 0 then
+            check c false (fun () -> Printf.sprintf "stock page %d unmapped (virt %d)" stock_page virt)
+          (* a DRAM frame has no failure state to agree on *)
+          else if phys >= dram then begin
+            let dev_page = phys - dram in
+            let os = Osal.Failure_table.get table ~page:dev_page in
+            let sb = stock.Page_stock.pages.(stock_page).Page_stock.bitmap in
+            (* the OS may know strictly more (masked pinned-page
+               failures), never less *)
+            check c (Bitset.subset sb os) (fun () ->
+                Printf.sprintf "stock page %d claims failures the OS table lacks (phys %d)"
+                  stock_page phys);
+            Bitset.iter_set os (fun off ->
+                check c
+                  (not
+                     (Pcm.Device.line_usable st.Memory_backend.device
+                        ((dev_page * pcm_lines_per_page) + off)))
+                  (fun () ->
+                    Printf.sprintf "OS table marks line %d of device page %d the device calls usable"
+                      off dev_page))
+          end)
         st.Memory_backend.virt_of_stock;
       (* translation-consistency: every pipeline stage is a permutation
          and the composed logical->physical map is a bijection whose
@@ -496,7 +497,7 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
                       Printf.sprintf "tier resident pid %d has no process" pid)
               | Some proc ->
                   check c
-                    (Osal.Vmm.translate proc ~virt = Some dram_phys)
+                    (Osal.Vmm.translate proc ~virt = dram_phys)
                     (fun () ->
                       Printf.sprintf
                         "tier resident (pid %d, virt %d): mapping disagrees with frame %d" pid

@@ -40,8 +40,10 @@ type t = {
   dram_pages : int;
   epoch : int;  (** charged line writes between decay rounds *)
   promote_threshold : int;
-  heat : (int * int, int) Hashtbl.t;  (** (pid, virt) -> decayed write count *)
-  by_frame : (int, resident) Hashtbl.t;  (** dram frame id -> resident *)
+  mutable heat : int array array;
+      (** pid -> virtual page -> decayed write count (0 = cold); each
+          row grows on demand and is freed when its process drops *)
+  by_frame : resident option array;  (** dram frame id -> resident *)
   mutable tick : int;
   mutable promotes : int;
   mutable demotes : int;
@@ -77,8 +79,8 @@ let create ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Holes_pcm.Device.t)
        epoch's writes on a single page, floored so tiny epochs still
        demand repeated traffic *)
     promote_threshold = max 4 (epoch / 256);
-    heat = Hashtbl.create 64;
-    by_frame = Hashtbl.create 16;
+    heat = [||];
+    by_frame = Array.make dram_pages None;
     tick = 0;
     promotes = 0;
     demotes = 0;
@@ -92,6 +94,12 @@ let create ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Holes_pcm.Device.t)
 
 let set_on_stall (t : t) (f : unit -> unit) : unit = t.on_stall <- f
 
+(* the residents satisfying [p], ascending by frame *)
+let residents_where (t : t) (p : resident -> bool) : resident list =
+  Array.fold_right
+    (fun slot acc -> match slot with Some r when p r -> r :: acc | _ -> acc)
+    t.by_frame []
+
 let stats (t : t) : stats =
   {
     s_promotes = t.promotes;
@@ -100,14 +108,15 @@ let stats (t : t) : stats =
     s_promote_skips = t.promote_skips;
     s_epochs = t.epochs;
     s_writeback_failures = t.writeback_failures;
-    s_resident = Hashtbl.length t.by_frame;
+    s_resident = List.length (residents_where t (fun _ -> true));
   }
 
 (** Residents as [(pid, virt, dram_phys, pcm_phys)], ascending by frame
     — non-counted accessors only, safe for the paranoid verifier. *)
 let residents (t : t) : (int * int * int * int) list =
-  Hashtbl.fold (fun _ r acc -> (r.r_pid, r.r_virt, r.r_dram_phys, r.r_pcm_phys) :: acc) t.by_frame []
-  |> List.sort (fun (_, _, a, _) (_, _, b, _) -> compare a b)
+  List.map
+    (fun r -> (r.r_pid, r.r_virt, r.r_dram_phys, r.r_pcm_phys))
+    (residents_where t (fun _ -> true))
 
 (* ---- demotion --------------------------------------------------------- *)
 
@@ -155,26 +164,20 @@ let demote (t : t) (r : resident) ~(charge_copy : bytes:int -> unit) : unit =
               ("dirty", float_of_int !written);
             ]);
   Pools.free (Vmm.pools t.vmm) r.r_dram_phys;
-  Hashtbl.remove t.by_frame r.r_dram_phys;
+  t.by_frame.(r.r_dram_phys) <- None;
   t.demotes <- t.demotes + 1
 
-(** Demote every resident belonging to [pid] — must run before the
-    process's pages are unmapped (a munmap of a promoted page would
-    free the DRAM frame and leak the reserved PCM home). *)
+(** Demote every resident belonging to [pid] and free its heat row —
+    must run before the process's pages are unmapped (a munmap of a
+    promoted page would free the DRAM frame and leak the reserved PCM
+    home). *)
 let drop_process (t : t) ~(pid : int) ~(charge_copy : bytes:int -> unit) : unit =
-  let mine =
-    Hashtbl.fold (fun _ r acc -> if r.r_pid = pid then r :: acc else acc) t.by_frame []
-    |> List.sort (fun a b -> compare a.r_dram_phys b.r_dram_phys)
-  in
-  List.iter (fun r -> demote t r ~charge_copy) mine
+  List.iter (fun r -> demote t r ~charge_copy) (residents_where t (fun r -> r.r_pid = pid));
+  if pid < Array.length t.heat then t.heat.(pid) <- [||]
 
 (** Demote every resident (turning migration off mid-run). *)
 let drop_all (t : t) ~(charge_copy : bytes:int -> unit) : unit =
-  let all =
-    Hashtbl.fold (fun _ r acc -> r :: acc) t.by_frame []
-    |> List.sort (fun a b -> compare a.r_dram_phys b.r_dram_phys)
-  in
-  List.iter (fun r -> demote t r ~charge_copy) all
+  List.iter (fun r -> demote t r ~charge_copy) (residents_where t (fun _ -> true))
 
 (* ---- promotion -------------------------------------------------------- *)
 
@@ -188,7 +191,8 @@ let promote (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     | None -> t.promote_skips <- t.promote_skips + 1
     | Some frame ->
         Vmm.migrate t.vmm proc ~virt ~new_phys:frame;
-        Hashtbl.replace t.by_frame frame
+        t.by_frame.(frame) <-
+          Some
           {
             r_pid = proc.Vmm.pid;
             r_virt = virt;
@@ -198,7 +202,7 @@ let promote (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
             content = Bytes.make Geometry.page_bytes '\000';
             dram_writes = 0;
           };
-        Hashtbl.remove t.heat (proc.Vmm.pid, virt);
+        t.heat.(proc.Vmm.pid).(virt) <- 0;
         t.promotes <- t.promotes + 1;
         charge_copy ~bytes:Geometry.page_bytes;
         if Trace.armed t.tracer then
@@ -212,27 +216,42 @@ let epoch_tick (t : t) ~(charge_copy : bytes:int -> unit) : unit =
   if t.tick >= t.epoch then begin
     t.tick <- 0;
     t.epochs <- t.epochs + 1;
-    Hashtbl.filter_map_inplace
-      (fun _ c -> if c / 2 = 0 then None else Some (c / 2))
+    Array.iter
+      (fun row ->
+        for v = 0 to Array.length row - 1 do
+          Array.unsafe_set row v (Array.unsafe_get row v / 2)
+        done)
       t.heat;
     let cold =
-      Hashtbl.fold
-        (fun _ (r : resident) acc ->
-          if r.dram_writes < max 2 (t.promote_threshold / 2) then r :: acc else acc)
-        t.by_frame []
-      |> List.sort (fun a b -> compare a.r_dram_phys b.r_dram_phys)
+      residents_where t (fun r -> r.dram_writes < max 2 (t.promote_threshold / 2))
     in
     List.iter (fun r -> demote t r ~charge_copy) cold;
-    Hashtbl.iter (fun _ (r : resident) -> r.dram_writes <- 0) t.by_frame
+    Array.iter (function Some (r : resident) -> r.dram_writes <- 0 | None -> ()) t.by_frame
+  end
+
+(* the heat row of [pid], grown to hold [virt] *)
+let heat_row (t : t) ~(pid : int) ~(virt : int) : int array =
+  if pid >= Array.length t.heat then begin
+    let heat = Array.make (max (2 * Array.length t.heat) (pid + 1)) [||] in
+    Array.blit t.heat 0 heat 0 (Array.length t.heat);
+    t.heat <- heat
+  end;
+  let row = t.heat.(pid) in
+  if virt < Array.length row then row
+  else begin
+    let grown = Array.make (max (2 * Array.length row) (virt + 1)) 0 in
+    Array.blit row 0 grown 0 (Array.length row);
+    t.heat.(pid) <- grown;
+    grown
   end
 
 (** A charged line write that reached the PCM path: bump the page's
     heat and promote it when it crosses the threshold. *)
 let note_pcm_write (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     ~(charge_copy : bytes:int -> unit) : unit =
-  let key = (proc.Vmm.pid, virt) in
-  let c = (match Hashtbl.find_opt t.heat key with Some c -> c | None -> 0) + 1 in
-  Hashtbl.replace t.heat key c;
+  let row = heat_row t ~pid:proc.Vmm.pid ~virt in
+  let c = row.(virt) + 1 in
+  row.(virt) <- c;
   if c >= t.promote_threshold then promote t proc ~virt ~pcm_phys ~charge_copy;
   epoch_tick t ~charge_copy
 
@@ -242,7 +261,7 @@ let note_pcm_write (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     interrupt handler swapped in, which the tier does not manage. *)
 let note_dram_write (t : t) ~(phys : int) ~(line : int) ~(payload : Bytes.t)
     ~(charge_copy : bytes:int -> unit) : bool =
-  match Hashtbl.find_opt t.by_frame phys with
+  match t.by_frame.(phys) with
   | None -> false
   | Some r ->
       Bitset.set r.dirty line;
@@ -256,17 +275,15 @@ let note_dram_write (t : t) ~(phys : int) ~(line : int) ~(payload : Bytes.t)
 
 (** Corrupt the residency map (tests only: the verifier must catch it). *)
 let unsafe_poke (t : t) : unit =
-  match
-    Hashtbl.fold (fun _ r acc -> match acc with None -> Some r | some -> some) t.by_frame None
-  with
-  | Some r ->
+  match residents_where t (fun _ -> true) with
+  | r :: _ ->
       (* point the reserved PCM home back into the DRAM range: the
          round-trip invariant (home stays a reserved PCM page) breaks *)
-      Hashtbl.remove t.by_frame r.r_dram_phys;
-      Hashtbl.replace t.by_frame r.r_dram_phys { r with r_pcm_phys = r.r_dram_phys }
-  | None ->
+      t.by_frame.(r.r_dram_phys) <- Some { r with r_pcm_phys = r.r_dram_phys }
+  | [] ->
       (* no resident yet: invent one — every invariant fails on it *)
-      Hashtbl.replace t.by_frame 0
+      t.by_frame.(0) <-
+        Some
         {
           r_pid = -1;
           r_virt = -1;
