@@ -239,9 +239,11 @@ let migrate_kernel () : int * (unit -> unit) =
 
 (* dedup: the content-store stage in front of the cells — FNV
    fingerprint, set lookup, dedup refcount bump, pattern compression,
-   install and LRU eviction — on a write mix of shared, all-same-byte
-   and unique payloads.  device_write above stays content-blind, so
-   the pair separates the store's cost from the arena's. *)
+   and install into the set's lowest-index unreferenced way (which may
+   overwrite a valid entry while a higher way is still empty) — on a
+   write mix of shared, all-same-byte and unique payloads.
+   device_write above stays content-blind, so the pair separates the
+   store's cost from the arena's. *)
 let dedup_kernel () : int * (unit -> unit) =
   let config =
     {
