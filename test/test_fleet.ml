@@ -74,7 +74,8 @@ let test_arrival_cli () =
 
 (* A fleet small enough for the test suite but aging fast enough that
    storms retire lines and force evictions. *)
-let aging_params ?(wear_level = None) () : Sim.params =
+let aging_params ?(wear_level = None) ?(gc_slice = 0) ?(hybrid = Holes_pcm.Hybrid.none) () :
+    Sim.params =
   let d = Holes.Config.default_device in
   let wear = { d.Holes.Config.wear with Holes_pcm.Wear.mean_endurance = 25.0 } in
   let cfg =
@@ -82,6 +83,8 @@ let aging_params ?(wear_level = None) () : Sim.params =
       Sim.default.Sim.cfg with
       Holes.Config.backend = Holes.Config.Device { d with Holes.Config.wear };
       wear_level;
+      gc_slice;
+      hybrid;
     }
   in
   {
@@ -181,9 +184,7 @@ let test_incremental_pause_report () =
     Alcotest.fail "STW report leaked the gated pause fields";
   (* incremental: the fields appear, pauses were recorded, and the worst
      stall respects the figure's pause-time SLO *)
-  let p = aging_params () in
-  let p = { p with Sim.cfg = { p.Sim.cfg with Holes.Config.gc_slice = 256 } } in
-  let r = Sim.run ~jobs:2 p in
+  let r = Sim.run ~jobs:2 (aging_params ~gc_slice:256 ()) in
   if not r.Report.inc_active then Alcotest.fail "incremental fleet not flagged";
   if not (List.mem_assoc "gc_pause_max_ms" (Report.fields r)) then
     Alcotest.fail "incremental report missing the pause fields";
@@ -242,6 +243,13 @@ let grid_lines ~(jobs : int) : string list =
             (Sim.run ~jobs ~sink
                (aging_params
                   ~wear_level:(Some (Holes_pcm.Wear_level.Random_remap { psi = 64 }))
+                  ()));
+          (* incremental and tiered: the only records carrying the gated
+             gc_pause_* and hyb_* fields *)
+          ignore
+            (Sim.run ~jobs ~sink
+               (aging_params ~gc_slice:256
+                  ~hybrid:{ Holes_pcm.Hybrid.migrate_epoch = Some 512; caram_ways = Some 8 }
                   ())));
       read_lines path |> List.map strip_schedule |> List.sort compare)
 
