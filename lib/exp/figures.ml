@@ -308,13 +308,14 @@ let pauses ?(params = Runner.quick) () : Table.t =
       let o = Runner.run ~params ~cfg:base_six ~profile:p () in
       let total = match o.Runner.time_ms with Some s -> s.Stats.mean | None -> nan in
       let n = o.Runner.mean_full_gcs +. o.Runner.mean_nursery_gcs in
+      let mean_pause = Holes_obs.Stats.mean o.Runner.pause_hist /. 1e6 in
       totals := total :: !totals;
       gcs := n :: !gcs;
-      if o.Runner.mean_full_pause_ms > 0.0 then pause_means := o.Runner.mean_full_pause_ms :: !pause_means;
+      if mean_pause > 0.0 then pause_means := mean_pause :: !pause_means;
       Table.add_row t
         [ p.W.Profile.name; Printf.sprintf "%.1f" total; Printf.sprintf "%.1f" n;
-          Printf.sprintf "%.2f" o.Runner.mean_full_pause_ms;
-          Printf.sprintf "%.2f" o.Runner.max_full_pause_ms ])
+          Printf.sprintf "%.2f" mean_pause;
+          Printf.sprintf "%.2f" (Holes_obs.Stats.max_value o.Runner.pause_hist /. 1e6) ])
     suite;
   Table.add_row t
     [ "mean"; Printf.sprintf "%.1f" (Stats.mean !totals); Printf.sprintf "%.1f" (Stats.mean !gcs);

@@ -39,8 +39,6 @@ type outcome = {
   completed : int;  (** trials that finished *)
   trials : int;
   time_ms : Stats.summary option;  (** over completed trials *)
-  mean_full_pause_ms : float;
-  max_full_pause_ms : float;
   mean_full_gcs : float;
   mean_nursery_gcs : float;
   mean_borrowed : float;  (** borrowed DRAM pages (lifetime) per trial *)
@@ -192,10 +190,6 @@ let outcome_of_trials ~(cfg : Holes.Config.t) ~(profile : Holes_workload.Profile
     ~(trials : int) (raw : raw_trial list) : outcome =
   let done_ = List.filter (fun t -> t.r_completed) raw in
   let meanf f = match raw with [] -> 0.0 | _ -> Stats.mean (List.map f raw) in
-  let pauses =
-    List.concat_map (fun t -> t.r_metrics.Holes.Metrics.pauses_ns) done_
-    |> List.map (fun ns -> ns /. 1.0e6)
-  in
   {
     profile = profile.Holes_workload.Profile.name;
     cfg;
@@ -205,8 +199,6 @@ let outcome_of_trials ~(cfg : Holes.Config.t) ~(profile : Holes_workload.Profile
       (match done_ with
       | [] -> None
       | _ -> Some (Stats.summarize (List.map (fun t -> t.r_time) done_)));
-    mean_full_pause_ms = (match pauses with [] -> 0.0 | _ -> Stats.mean pauses);
-    max_full_pause_ms = (match pauses with [] -> 0.0 | _ -> Stats.maximum pauses);
     mean_full_gcs = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.full_gcs);
     mean_nursery_gcs = meanf (fun t -> float_of_int t.r_metrics.Holes.Metrics.nursery_gcs);
     mean_borrowed = meanf (fun t -> float_of_int t.r_borrowed);

@@ -19,6 +19,7 @@ module OT = Holes_heap.Object_table
 module R = Holes_exp.Runner
 module Sink = Holes_engine.Sink
 module Dacapo = Holes_workload.Dacapo
+module Stats = Holes_obs.Stats
 
 let check = Alcotest.check
 
@@ -158,7 +159,14 @@ let test_budget_only_brackets () =
           let stw = seeded_vm collector and sliced = seeded_vm collector in
           let m_stw = Vm.metrics stw and m_sliced = Vm.metrics sliced in
           let evacuated0 = m_stw.Metrics.objects_evacuated in
-          let slices0 = List.length m_sliced.Metrics.pauses_ns in
+          (* the pauses this collection records: count and sum deltas of
+             the full-pause histogram *)
+          let pauses_since (m : Metrics.t) =
+            let h = m.Metrics.pause_hist in
+            let n0 = Stats.count h and s0 = Stats.total h in
+            fun () -> (Stats.count h - n0, Stats.total h -. s0)
+          in
+          let stw_pauses = pauses_since m_stw and sliced_pauses = pauses_since m_sliced in
           Vm.collect stw ~full:true;
           Vm.set_gc_slice sliced k;
           Vm.collect sliced ~full:true;
@@ -182,14 +190,10 @@ let test_budget_only_brackets () =
           check
             Alcotest.(list (pair string (float 0.0)))
             (where ^ ": counters") (counters m_stw) (counters m_sliced);
-          let pause = List.hd m_stw.Metrics.pauses_ns in
-          let slices =
-            List.filteri
-              (fun i _ -> i < List.length m_sliced.Metrics.pauses_ns - slices0)
-              m_sliced.Metrics.pauses_ns
-          in
-          Alcotest.(check bool) (where ^ ": cut into slices") true (List.length slices > 1);
-          let sum = List.fold_left ( +. ) 0.0 slices in
+          let npauses, pause = stw_pauses () in
+          check Alcotest.int (where ^ ": stop-the-world records one pause") 1 npauses;
+          let nslices, sum = sliced_pauses () in
+          Alcotest.(check bool) (where ^ ": cut into slices") true (nslices > 1);
           Alcotest.(check bool)
             (Printf.sprintf "%s: slices sum to the pause (%.17g vs %.17g)" where sum pause)
             true

@@ -226,9 +226,7 @@ let test_pause_ordering () =
     Alcotest.(check bool) "completed" true res.Holes_workload.Generator.completed;
     (* force a full collection at peak live to measure the pause *)
     Vm.collect vm ~full:true;
-    match (Vm.metrics vm).Metrics.pauses_ns with
-    | [] -> 0.0
-    | ps -> Holes_stdx.Stats.maximum ps
+    Holes_obs.Stats.max_value (Vm.metrics vm).Metrics.pause_hist
   in
   let hsqldb = pause Holes_workload.Dacapo.hsqldb in
   let luindex = pause Holes_workload.Dacapo.luindex in
