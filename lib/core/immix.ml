@@ -162,7 +162,6 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
       tracer;
     }
   in
-  if cfg.Config.gc_slice > 0 then metrics.Metrics.inc_active <- true;
   (* the "has sufficient memory" test for DRAM borrowing must see the
      free lines held inside partially used blocks, not just free stock
      pages *)
@@ -1078,8 +1077,7 @@ let incremental_pulse (t : t) : unit =
     stop-the-world collection never starts over a half-run cycle. *)
 let set_gc_slice (t : t) (budget : int) : unit =
   if budget <= 0 && incremental_active t then finish_cycle t;
-  t.gc_slice <- max 0 budget;
-  if budget > 0 then t.metrics.Metrics.inc_active <- true
+  t.gc_slice <- max 0 budget
 
 (* ------------------------------------------------------------------ *)
 (* Public mutator interface                                            *)

@@ -78,7 +78,6 @@ let create ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics : Metrics.t) ~(stock : P
     ~(objects : Object_table.t) ~(los : Los.t) : t =
   if cfg.Config.failure_rate > 0.0 then
     invalid_arg "Mark_sweep.create: the free-list baselines run only without failures";
-  if cfg.Config.gc_slice > 0 then metrics.Metrics.inc_active <- true;
   {
     cfg;
     cost;
@@ -252,9 +251,7 @@ let full_gc (t : t) : unit =
 (** Set the incremental work budget (0 = stop-the-world).  The baseline
     has no cycle state to finish: the next collection simply uses the
     new bracketing. *)
-let set_gc_slice (t : t) (budget : int) : unit =
-  t.gc_slice <- max 0 budget;
-  if budget > 0 then t.metrics.Metrics.inc_active <- true
+let set_gc_slice (t : t) (budget : int) : unit = t.gc_slice <- max 0 budget
 
 (** Nursery collection (sticky mark bits over the free list). *)
 let nursery_gc (t : t) : unit =
