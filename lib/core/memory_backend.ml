@@ -325,22 +325,24 @@ let device_write (st : device_state) ~(stock_page : int) ~(line : int) : write_o
     end
   end
 
-(** Copy the pipeline's counters into the VM metrics (idempotent
-    assignment, called at run end and before printing summaries). *)
-let sync (st : device_state) : unit =
-  let s = Pcm.Device.stats st.device in
-  let m = st.metrics in
+(** Copy the node's device, OS, tier and content-store counters into
+    [m] (idempotent assignment).  A VM syncs its own metrics at run end
+    and before printing summaries; a fleet shard syncs a record of its
+    own for the pooled node.  The counters are node-wide: every tenant
+    attached to a node reads the same values. *)
+let sync_node (node : node) (m : Metrics.t) : unit =
+  let s = Pcm.Device.stats node.n_device in
   m.Metrics.device_reads <- s.Pcm.Device.reads;
   m.Metrics.device_writes <- s.Pcm.Device.writes;
   m.Metrics.device_line_failures <- s.Pcm.Device.failures;
   m.Metrics.fbuf_peak_occupancy <- s.Pcm.Device.buffer.Pcm.Failure_buffer.max_occupancy;
   m.Metrics.fbuf_stall_events <- s.Pcm.Device.buffer.Pcm.Failure_buffer.stall_events;
-  m.Metrics.os_upcalls <- Osal.Interrupts.upcalls st.interrupts;
-  m.Metrics.os_page_copies <- Osal.Interrupts.page_copies st.interrupts;
-  m.Metrics.os_data_restores <- Osal.Interrupts.restores st.interrupts;
-  m.Metrics.reverse_translations <- Osal.Vmm.reverse_translations st.vmm;
-  m.Metrics.swap_ins <- Osal.Vmm.swap_ins st.vmm;
-  m.Metrics.wear_cov <- Pcm.Device.wear_cov st.device;
+  m.Metrics.os_upcalls <- Osal.Interrupts.upcalls node.n_interrupts;
+  m.Metrics.os_page_copies <- Osal.Interrupts.page_copies node.n_interrupts;
+  m.Metrics.os_data_restores <- Osal.Interrupts.restores node.n_interrupts;
+  m.Metrics.reverse_translations <- Osal.Vmm.reverse_translations node.n_vmm;
+  m.Metrics.swap_ins <- Osal.Vmm.swap_ins node.n_vmm;
+  m.Metrics.wear_cov <- Pcm.Device.wear_cov node.n_device;
   (match s.Pcm.Device.caram with
   | None -> ()
   | Some cs ->
@@ -348,7 +350,7 @@ let sync (st : device_state) : unit =
       m.Metrics.hyb_dedup_hits <- cs.Pcm.Caram.s_dedup_hits;
       m.Metrics.hyb_compressed <- cs.Pcm.Caram.s_compressed;
       m.Metrics.hyb_meta_writes <- cs.Pcm.Caram.s_meta_writes);
-  (match st.node.n_tier with
+  (match node.n_tier with
   | None -> ()
   | Some tier ->
       let ts = Osal.Tier.stats tier in

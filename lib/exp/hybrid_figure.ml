@@ -55,17 +55,11 @@ let cell_cfg ~(hybrid : Hybrid.policy) ~(dram_pages : int) : Cfg.t =
     hybrid;
   }
 
-(* absorbed / charged, from a cell's synced metrics.  [device_writes]
-   counts every write that reached the device (including the ones the
-   content store then absorbed); DRAM-tier writes never reach it, so
-   the charged total is their sum. *)
+(* {!Hybrid.absorption} of a cell's synced metrics *)
 let absorption (m : Holes.Metrics.t) : float =
-  let absorbed =
-    m.Holes.Metrics.hyb_dram_writes + m.Holes.Metrics.hyb_dedup_hits
-    + m.Holes.Metrics.hyb_compressed
-  in
-  let charged = m.Holes.Metrics.device_writes + m.Holes.Metrics.hyb_dram_writes in
-  if charged = 0 then 0.0 else float_of_int absorbed /. float_of_int charged
+  Hybrid.absorption ~device_writes:m.Holes.Metrics.device_writes
+    ~dram_writes:m.Holes.Metrics.hyb_dram_writes ~dedup_hits:m.Holes.Metrics.hyb_dedup_hits
+    ~compressed:m.Holes.Metrics.hyb_compressed
 
 (** One row per policy: lifetime rounds at each provisioning level,
     then absorption and the write-extension factor at the provisioned

@@ -3,13 +3,15 @@
 
     A fleet run shards by device ({!Sim}); each shard accumulates a
     [partial] — request counts, the request-latency histogram (whole run
-    and per age epoch), device wear and tenant-lifecycle counters — and
-    the driver folds the partials in device-index order, so the merged
-    report is bit-identical at any [-j].  Latencies are recorded in
+    and per age epoch), GC and tenant-lifecycle counters, and its node's
+    device, tier and content-store counters in a {!Holes.Metrics.t} —
+    and the driver folds the partials in device-index order, so the
+    merged report is bit-identical at any [-j].  Latencies are recorded in
     virtual nanoseconds ({!Holes_obs.Stats.hist} log₂ buckets) and
     reported in milliseconds. *)
 
 module Stats = Holes_obs.Stats
+module Metrics = Holes.Metrics
 
 type partial = {
   device_index : int;
@@ -24,23 +26,15 @@ type partial = {
   gc_pause : Stats.hist;
       (** individual GC pauses (full/increment + nursery, ns) across the
           device's tenants, evicted and surviving *)
-  mutable inc_active : bool;
-      (** any tenant ran with a GC increment budget; gates the pause
-          fields so stop-the-world records keep their historical shape *)
-  mutable wear_cov : float;  (** within-device wear CoV at run end *)
-  mutable device_writes : int;
-  mutable device_failures : int;
   mutable evictions : int;
   mutable dead_tenants : int;  (** slots with no replacement left *)
   mutable end_ns : int;  (** virtual time when the device's queue drained *)
-  mutable hybrid_active : bool;
-      (** the node runs a tiering mechanism; gates the hyb_* fields so
-          untiered records keep their historical shape *)
-  mutable hyb_promotes : int;
-  mutable hyb_demotes : int;
-  mutable hyb_dram_writes : int;  (** writes absorbed by promoted DRAM frames *)
-  mutable hyb_dedup_hits : int;  (** writes absorbed by content dedup *)
-  mutable hyb_compressed : int;  (** writes absorbed as single-byte patterns *)
+  node : Metrics.t;
+      (** the node's counters at run end ({!Holes.Memory_backend.sync_node}).
+          Its [inc_active] (any tenant ran with a GC increment budget)
+          and [hybrid_active] (the node runs a tiering mechanism) gate
+          the pause and hyb_* fields, so stop-the-world and untiered
+          records keep their historical shape. *)
 }
 
 let partial ~(device_index : int) ~(epochs : int) : partial =
@@ -55,19 +49,10 @@ let partial ~(device_index : int) ~(epochs : int) : partial =
     epoch = Array.init (max 1 epochs) (fun _ -> Stats.hist ());
     gc_ns = 0.0;
     gc_pause = Stats.hist ();
-    inc_active = false;
-    wear_cov = 0.0;
-    device_writes = 0;
-    device_failures = 0;
     evictions = 0;
     dead_tenants = 0;
     end_ns = 0;
-    hybrid_active = false;
-    hyb_promotes = 0;
-    hyb_demotes = 0;
-    hyb_dram_writes = 0;
-    hyb_dedup_hits = 0;
-    hyb_compressed = 0;
+    node = Metrics.create ();
   }
 
 let ns_to_ms (ns : float) : float = ns /. 1e6
@@ -75,8 +60,17 @@ let ns_to_ms (ns : float) : float = ns /. 1e6
 let quantiles_ms (h : Stats.hist) : float * float * float =
   (ns_to_ms (Stats.quantile h 0.50), ns_to_ms (Stats.quantile h 0.99), ns_to_ms (Stats.quantile h 0.999))
 
+(* The gated GC-pause fields of a shard record and of the merged report. *)
+let pause_fields (h : Stats.hist) : (string * float) list =
+  [
+    ("gc_pause_p99_ms", ns_to_ms (Stats.quantile ~interp:true h 0.99));
+    ("gc_pause_max_ms", ns_to_ms (Stats.max_value h));
+    ("gc_pause_count", float_of_int (Stats.count h));
+  ]
+
 (** Flat metrics for the JSONL sink, one record per device shard. *)
 let partial_fields (p : partial) : (string * float) list =
+  let n = p.node in
   let p50, p99, p999 = quantiles_ms p.latency in
   let per_epoch =
     List.concat
@@ -100,28 +94,22 @@ let partial_fields (p : partial) : (string * float) list =
     ("lat_p999_ms", p999);
     ("lat_max_ms", ns_to_ms (Stats.max_value p.latency));
     ("gc_ms", ns_to_ms p.gc_ns);
-    ("wear_cov", p.wear_cov);
-    ("device_writes", float_of_int p.device_writes);
-    ("device_failures", float_of_int p.device_failures);
+    ("wear_cov", n.Metrics.wear_cov);
+    ("device_writes", float_of_int n.Metrics.device_writes);
+    ("device_failures", float_of_int n.Metrics.device_line_failures);
     ("evictions", float_of_int p.evictions);
     ("dead_tenants", float_of_int p.dead_tenants);
     ("end_ms", ns_to_ms (float_of_int p.end_ns));
   ]
-  @ (if not p.inc_active then []
+  @ (if not n.Metrics.inc_active then [] else pause_fields p.gc_pause)
+  @ (if not n.Metrics.hybrid_active then []
      else
        [
-         ("gc_pause_p99_ms", ns_to_ms (Stats.quantile ~interp:true p.gc_pause 0.99));
-         ("gc_pause_max_ms", ns_to_ms (Stats.max_value p.gc_pause));
-         ("gc_pause_count", float_of_int (Stats.count p.gc_pause));
-       ])
-  @ (if not p.hybrid_active then []
-     else
-       [
-         ("hyb_promotes", float_of_int p.hyb_promotes);
-         ("hyb_demotes", float_of_int p.hyb_demotes);
-         ("hyb_dram_writes", float_of_int p.hyb_dram_writes);
-         ("hyb_dedup_hits", float_of_int p.hyb_dedup_hits);
-         ("hyb_compressed", float_of_int p.hyb_compressed);
+         ("hyb_promotes", float_of_int n.Metrics.hyb_promotes);
+         ("hyb_demotes", float_of_int n.Metrics.hyb_demotes);
+         ("hyb_dram_writes", float_of_int n.Metrics.hyb_dram_writes);
+         ("hyb_dedup_hits", float_of_int n.Metrics.hyb_dedup_hits);
+         ("hyb_compressed", float_of_int n.Metrics.hyb_compressed);
        ])
   @ per_epoch
 
@@ -160,17 +148,19 @@ type t = {
   hyb_compressed : int;
   hyb_absorption : float;
       (** fraction of the fleet's charged writes that never wore a PCM
-          cell: (DRAM-absorbed + dedup + compressed)
-          / (device writes + DRAM-absorbed) *)
+          cell ({!Holes_pcm.Hybrid.absorption}) *)
 }
 
-(** Fold per-device partials (callers pass them in device-index order;
-    every reduction here is order-insensitive anyway, so the merge is
-    deterministic under any scheduling). *)
+(** Fold per-device partials.  The integer sums, maxima and histogram
+    merges are order-insensitive, but the float sums behind [gc_ms] and
+    [wear_cov_mean] are not: the merge is deterministic because
+    {!Sim.run} passes the partials in device-index order whatever the
+    scheduling. *)
 let merge ~(duration_ms : float) ~(tenants : int) (parts : partial list) : t =
   let devices = List.length parts in
   let sum (f : partial -> int) = List.fold_left (fun acc p -> acc + f p) 0 parts in
   let sumf (f : partial -> float) = List.fold_left (fun acc p -> acc +. f p) 0.0 parts in
+  let sum_node (f : Metrics.t -> int) = sum (fun p -> f p.node) in
   let latency = Stats.merged (List.map (fun (p : partial) -> p.latency) parts) in
   let epochs =
     List.fold_left (fun acc (p : partial) -> max acc (Array.length p.epoch)) 1 parts
@@ -187,11 +177,10 @@ let merge ~(duration_ms : float) ~(tenants : int) (parts : partial list) : t =
   let dur_s = duration_ms /. 1e3 in
   let p50_ms, p99_ms, p999_ms = quantiles_ms latency in
   let gc_pause = Stats.merged (List.map (fun (p : partial) -> p.gc_pause) parts) in
-  let hyb_dram_writes = sum (fun p -> p.hyb_dram_writes) in
-  let hyb_dedup_hits = sum (fun p -> p.hyb_dedup_hits) in
-  let hyb_compressed = sum (fun p -> p.hyb_compressed) in
-  let device_writes = sum (fun p -> p.device_writes) in
-  let charged = device_writes + hyb_dram_writes in
+  let hyb_dram_writes = sum_node (fun m -> m.Metrics.hyb_dram_writes) in
+  let hyb_dedup_hits = sum_node (fun m -> m.Metrics.hyb_dedup_hits) in
+  let hyb_compressed = sum_node (fun m -> m.Metrics.hyb_compressed) in
+  let device_writes = sum_node (fun m -> m.Metrics.device_writes) in
   {
     devices;
     tenants;
@@ -209,29 +198,28 @@ let merge ~(duration_ms : float) ~(tenants : int) (parts : partial list) : t =
     p99_ms;
     p999_ms;
     wear_cov_mean =
-      (if devices = 0 then 0.0 else sumf (fun p -> p.wear_cov) /. float_of_int devices);
+      (if devices = 0 then 0.0
+       else sumf (fun p -> p.node.Metrics.wear_cov) /. float_of_int devices);
     wear_cov_max =
-      List.fold_left (fun acc (p : partial) -> Float.max acc p.wear_cov) 0.0 parts;
+      List.fold_left (fun acc (p : partial) -> Float.max acc p.node.Metrics.wear_cov) 0.0 parts;
     evictions = sum (fun p -> p.evictions);
     dead_tenants = sum (fun p -> p.dead_tenants);
     device_writes;
-    device_failures = sum (fun p -> p.device_failures);
+    device_failures = sum_node (fun m -> m.Metrics.device_line_failures);
     gc_ms = ns_to_ms (sumf (fun p -> p.gc_ns));
     gc_pause;
     gc_pause_p99_ms = ns_to_ms (Stats.quantile ~interp:true gc_pause 0.99);
     gc_pause_max_ms = ns_to_ms (Stats.max_value gc_pause);
-    inc_active = List.exists (fun (p : partial) -> p.inc_active) parts;
-    hybrid_active = List.exists (fun (p : partial) -> p.hybrid_active) parts;
-    hyb_promotes = sum (fun p -> p.hyb_promotes);
-    hyb_demotes = sum (fun p -> p.hyb_demotes);
+    inc_active = List.exists (fun (p : partial) -> p.node.Metrics.inc_active) parts;
+    hybrid_active = List.exists (fun (p : partial) -> p.node.Metrics.hybrid_active) parts;
+    hyb_promotes = sum_node (fun m -> m.Metrics.hyb_promotes);
+    hyb_demotes = sum_node (fun m -> m.Metrics.hyb_demotes);
     hyb_dram_writes;
     hyb_dedup_hits;
     hyb_compressed;
     hyb_absorption =
-      (if charged = 0 then 0.0
-       else
-         float_of_int (hyb_dram_writes + hyb_dedup_hits + hyb_compressed)
-         /. float_of_int charged);
+      Holes_pcm.Hybrid.absorption ~device_writes ~dram_writes:hyb_dram_writes
+        ~dedup_hits:hyb_dedup_hits ~compressed:hyb_compressed;
   }
 
 (** Flat metrics of the merged report (figure rows, tests). *)
@@ -257,13 +245,7 @@ let fields (t : t) : (string * float) list =
     ("device_failures", float_of_int t.device_failures);
     ("gc_ms", t.gc_ms);
   ]
-  @ (if not t.inc_active then []
-     else
-       [
-         ("gc_pause_p99_ms", t.gc_pause_p99_ms);
-         ("gc_pause_max_ms", t.gc_pause_max_ms);
-         ("gc_pause_count", float_of_int (Stats.count t.gc_pause));
-       ])
+  @ (if not t.inc_active then [] else pause_fields t.gc_pause)
   @ (if not t.hybrid_active then []
      else
        [

@@ -31,6 +31,18 @@ let is_none (p : policy) : bool = p = none
 let default_epoch = 2048
 let default_ways = 8
 
+(** The fraction of charged line writes that never wore a PCM cell:
+    writes absorbed by promoted DRAM frames, content dedup or pattern
+    compression, over the charged total.  [device_writes] counts every
+    write that reached the device, the content store's absorptions
+    included; DRAM-frame writes never reach it, so the charged total is
+    the sum of the two.  0 when nothing was charged. *)
+let absorption ~(device_writes : int) ~(dram_writes : int) ~(dedup_hits : int)
+    ~(compressed : int) : float =
+  let charged = device_writes + dram_writes in
+  if charged = 0 then 0.0
+  else float_of_int (dram_writes + dedup_hits + compressed) /. float_of_int charged
+
 (* ------------------------------------------------------------------ *)
 (* CLI surface: none | migrate[:epoch] | caram[:ways] | migrate+caram
    (the combined form accepts per-mechanism parameters on either side,
