@@ -11,7 +11,12 @@
    One engine job per device shard; any -j yields a bit-identical
    report.  --out streams one JSONL record per device; --trace writes a
    Chrome trace with one synthetic process per device and a thread lane
-   per tenant (virtual timestamps). *)
+   per tenant (virtual timestamps).
+
+   Exit status: 0 on a clean run; 2 when a tenant slot ran out of
+   replacements (tenants aged off the fleet); 3 when a device shard
+   raised — its index and exception go to stderr and the report covers
+   the remaining devices only. *)
 
 open Cmdliner
 module Fleet_sim = Holes_fleet.Sim
@@ -124,7 +129,9 @@ let run tenants devices arrival duration jobs endurance wear_level wear_aware hy
   (match trace with
   | Some path -> Printf.printf "trace: %s\n" path
   | None -> ());
-  if report.Report.dead_tenants > 0 then 2 else 0
+  if report.Report.devices < devices then 3
+  else if report.Report.dead_tenants > 0 then 2
+  else 0
 
 let cmd =
   let tenants =
@@ -251,8 +258,13 @@ let cmd =
     Arg.(value & flag & info [ "epoch-table" ] ~doc:"Print the per-epoch latency table.")
   in
   let doc = "simulate a serving fleet of tenant VMs over shared aging PCM devices" in
+  let exits =
+    Cmd.Exit.info 2 ~doc:"when a tenant slot ran out of replacements (dead tenants)."
+    :: Cmd.Exit.info 3 ~doc:"when a device shard raised (reported on stderr)."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "fleet-run" ~doc)
+    (Cmd.info "fleet-run" ~doc ~exits)
     Term.(
       const run $ tenants $ devices $ arrival $ duration $ jobs $ endurance $ wear_level
       $ wear_aware $ hybrid $ dram_pages $ gc_increment $ req_bytes $ session_bytes
