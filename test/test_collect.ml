@@ -5,10 +5,10 @@
    Mark_sweep variants.  Each row asserts it still takes its path, so a
    workload change cannot quietly turn the golden into a no-op.
 
-   To regenerate after an intentional results change:
+   To regenerate after an intentional results change (see
+   [Test_hotpath.check_golden]):
 
-     HOLES_UPDATE_GOLDEN_COLLECT=test/golden/collect.jsonl \
-       dune exec test/test_main.exe -- test collect *)
+     HOLES_UPDATE_GOLDEN=test/golden dune exec test/test_main.exe -- test collect *)
 
 module Cfg = Holes.Config
 module Vm = Holes.Vm
@@ -102,23 +102,12 @@ let check_paths (lines : string list) : unit =
       if contains c "-inc" then positive "gc_increments")
     lines
 
-let golden_path = "golden/collect.jsonl"
-
 let test_golden () =
   let j1 = grid_lines ~jobs:1 in
   let j4 = grid_lines ~jobs:4 in
   check Alcotest.(list string) "-j 4 bit-identical to -j 1" j1 j4;
   check_paths j1;
-  match Sys.getenv_opt "HOLES_UPDATE_GOLDEN_COLLECT" with
-  | Some out ->
-      let oc = open_out out in
-      List.iter (fun l -> output_string oc (l ^ "\n")) j1;
-      close_out oc;
-      Printf.printf "(wrote %s)\n" out
-  | None ->
-      check
-        Alcotest.(list string)
-        "matches committed golden" (Test_hotpath.read_lines golden_path) j1
+  Test_hotpath.check_golden "collect.jsonl" j1
 
 (* ---- a budget only changes bracketing ------------------------------- *)
 

@@ -2,10 +2,10 @@
    -j, eviction versus the heap verifier, and a golden snapshot of the
    fleet grid's sink records.
 
-   To regenerate the golden after an intentional results change:
+   To regenerate the golden after an intentional results change (see
+   [Test_hotpath.check_golden]):
 
-     HOLES_UPDATE_GOLDEN_FLEET=test/golden/fleet.jsonl \
-       dune runtest --force *)
+     HOLES_UPDATE_GOLDEN=test/golden dune exec test/test_main.exe -- test fleet *)
 
 open Holes_stdx
 module Arrivals = Holes_fleet.Arrivals
@@ -196,39 +196,6 @@ let test_incremental_pause_report () =
 
 (* ---- golden snapshot of the sink records ----------------------------- *)
 
-let find_sub (haystack : string) (needle : string) : int option =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub haystack i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-(* drop ["worker":N,"duration_s":F,] — scheduling noise, everything else
-   is the deterministic trial outcome *)
-let strip_schedule (l : string) : string =
-  match find_sub l "\"worker\":" with
-  | None -> l
-  | Some i ->
-      let rec nth_comma j k =
-        if l.[j] = ',' then if k = 1 then j else nth_comma (j + 1) (k - 1)
-        else nth_comma (j + 1) k
-      in
-      let j = nth_comma i 2 in
-      String.sub l 0 i ^ String.sub l (j + 1) (String.length l - j - 1)
-
-let read_lines (path : string) : string list =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | l -> go (l :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
-
 let grid_lines ~(jobs : int) : string list =
   let path = Filename.temp_file "holes_fleet_golden" ".jsonl" in
   Fun.protect
@@ -251,24 +218,15 @@ let grid_lines ~(jobs : int) : string list =
                (aging_params ~gc_slice:256
                   ~hybrid:{ Holes_pcm.Hybrid.migrate_epoch = Some 512; caram_ways = Some 8 }
                   ())));
-      read_lines path |> List.map strip_schedule |> List.sort compare)
-
-let golden_path = "golden/fleet.jsonl"
+      Test_hotpath.read_lines path
+      |> List.map Test_hotpath.strip_schedule
+      |> List.sort compare)
 
 let test_golden () =
   let j1 = grid_lines ~jobs:1 in
   let j4 = grid_lines ~jobs:4 in
   check Alcotest.(list string) "-j 4 sink bit-identical to -j 1" j1 j4;
-  match Sys.getenv_opt "HOLES_UPDATE_GOLDEN_FLEET" with
-  | Some out ->
-      let oc = open_out out in
-      List.iter (fun l -> output_string oc (l ^ "\n")) j1;
-      close_out oc;
-      Printf.printf "(wrote %s)\n" out
-  | None ->
-      check
-        Alcotest.(list string)
-        "matches committed golden" (read_lines golden_path) j1
+  Test_hotpath.check_golden "fleet.jsonl" j1
 
 let suite =
   [

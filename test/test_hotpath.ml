@@ -4,10 +4,10 @@
    pinned to a committed golden snapshot — the representation change
    must be invisible in both results and the charged cost model.
 
-   To regenerate the golden after an intentional results change:
+   To regenerate the golden after an intentional results change (see
+   [check_golden]):
 
-     HOLES_UPDATE_GOLDEN=test/golden/determinism.jsonl \
-       dune exec test/test_main.exe -- test hotpath *)
+     HOLES_UPDATE_GOLDEN=test/golden dune exec test/test_main.exe -- test hotpath *)
 
 module B = Holes_stdx.Bitset
 module Rng = Holes_stdx.Xrng
@@ -456,6 +456,23 @@ let read_lines (path : string) : string list =
   in
   go []
 
+(* Compare [lines] with the committed golden [golden/NAME].  With
+   HOLES_UPDATE_GOLDEN set to the source tree's golden directory, write
+   [lines] to NAME there instead: the one way every golden in this suite
+   is regenerated after an intentional results change. *)
+let check_golden (name : string) (lines : string list) : unit =
+  match Sys.getenv_opt "HOLES_UPDATE_GOLDEN" with
+  | Some dir ->
+      let out = Filename.concat dir name in
+      let oc = open_out out in
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+      close_out oc;
+      Printf.printf "(wrote %s)\n" out
+  | None ->
+      check
+        Alcotest.(list string)
+        "matches committed golden" (read_lines (Filename.concat "golden" name)) lines
+
 let grid_lines ~(jobs : int) : string list =
   let path = Filename.temp_file "holes_golden" ".jsonl" in
   Fun.protect
@@ -480,22 +497,11 @@ let grid_lines ~(jobs : int) : string list =
             grid_cfgs);
       read_lines path |> List.map strip_schedule |> List.sort compare)
 
-let golden_path = "golden/determinism.jsonl"
-
 let test_golden_determinism () =
   let j1 = grid_lines ~jobs:1 in
   let j4 = grid_lines ~jobs:4 in
   check Alcotest.(list string) "-j 4 bit-identical to -j 1" j1 j4;
-  match Sys.getenv_opt "HOLES_UPDATE_GOLDEN" with
-  | Some out ->
-      let oc = open_out out in
-      List.iter (fun l -> output_string oc (l ^ "\n")) j1;
-      close_out oc;
-      Printf.printf "(wrote %s)\n" out
-  | None ->
-      check
-        Alcotest.(list string)
-        "matches committed golden" (read_lines golden_path) j1
+  check_golden "determinism.jsonl" j1
 
 let suite =
   [

@@ -24,10 +24,10 @@
      test_hotpath.ml, test_collect.ml and test_fleet.ml gate the none
      path bit-for-bit.)
 
-   To regenerate the hybrid golden after an intentional results change:
+   To regenerate the hybrid golden after an intentional results change
+   (see [Test_hotpath.check_golden]):
 
-     HOLES_UPDATE_GOLDEN_HYBRID=test/golden/hybrid.jsonl \
-       dune exec test/test_main.exe -- test hybrid *)
+     HOLES_UPDATE_GOLDEN=test/golden dune exec test/test_main.exe -- test hybrid *)
 
 open Alcotest
 module Pcm = Holes_pcm
@@ -351,21 +351,13 @@ let check_hybrid_paths (lines : string list) : unit =
       end)
     lines
 
-let hybrid_golden_path = "golden/hybrid.jsonl"
-
 let test_engine_determinism () =
   let exact1, j1 = hybrid_runs ~jobs:1 in
   let exact4, j4 = hybrid_runs ~jobs:4 in
   check (list string) "-j 4 bit-identical to -j 1" exact1 exact4;
   check (list string) "-j 4 sink records identical to -j 1" j1 j4;
   check_hybrid_paths j1;
-  match Sys.getenv_opt "HOLES_UPDATE_GOLDEN_HYBRID" with
-  | Some out ->
-      let oc = open_out out in
-      List.iter (fun l -> output_string oc (l ^ "\n")) j1;
-      close_out oc;
-      Printf.printf "(wrote %s)\n" out
-  | None -> check (list string) "matches committed golden" (Test_hotpath.read_lines hybrid_golden_path) j1
+  Test_hotpath.check_golden "hybrid.jsonl" j1
 
 (* ---- verifier mutation ------------------------------------------------ *)
 
