@@ -279,56 +279,15 @@ let test_caram_matches_model () =
    match the committed golden.  Each run returns the exact
    ([%h]) outcome strings and the sorted sink records. *)
 let hybrid_runs ~(jobs : int) : string list * string list =
-  let cells =
-    List.map
-      (fun (_, hybrid) -> Holes_exp.Hybrid_figure.cell_cfg ~hybrid ~dram_pages:8)
-      Holes_exp.Hybrid_figure.policies
-  in
-  let profile = Holes_workload.Dacapo.pmd in
-  let specs =
-    Array.of_list
-      (List.map
-         (fun cfg -> { Holes_engine.Job.cfg; profile; scale = 0.04; seed_index = 0 })
-         cells)
-  in
-  let path = Filename.temp_file "holes_hybrid" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let sink = Holes_engine.Sink.create ~path ~progress:false () in
-      let results =
-        Fun.protect
-          ~finally:(fun () -> Holes_engine.Sink.close sink)
-          (fun () ->
-            Holes_engine.Engine.run ~jobs ~sink
-              ~metrics:(fun (o : Holes_exp.Wear_policies.outcome) ->
-                ("rounds", float_of_int o.Holes_exp.Wear_policies.rounds)
-                :: ("dead_lines", float_of_int o.Holes_exp.Wear_policies.dead_lines)
-                :: ("elapsed_ms", o.Holes_exp.Wear_policies.elapsed_ms)
-                :: Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)
-              ~f:(fun spec ~seed:_ ->
-                Holes_exp.Wear_policies.lifetime_run ~cfg:spec.Holes_engine.Job.cfg
-                  ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale
-                  ~max_rounds:10)
-              specs)
-      in
-      let exact =
-        Array.to_list results
-        |> List.map (fun r ->
-               match r.Holes_engine.Engine.outcome with
-               | Holes_engine.Pool.Done (o : Holes_exp.Wear_policies.outcome) ->
-                   Printf.sprintf "%d|%d|%.6f|%s" o.Holes_exp.Wear_policies.rounds
-                     o.Holes_exp.Wear_policies.dead_lines o.Holes_exp.Wear_policies.elapsed_ms
-                     (String.concat ";"
-                        (List.map
-                           (fun (k, v) -> Printf.sprintf "%s=%h" k v)
-                           (Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)))
-               | Holes_engine.Pool.Failed { exn; _ } -> "failed: " ^ exn)
-      in
-      ( exact,
-        Test_hotpath.read_lines path
-        |> List.map Test_hotpath.strip_schedule
-        |> List.sort compare ))
+  Test_translate.lifetime_runs ~jobs ~max_rounds:10
+    ~fields:(fun (o : Holes_exp.Wear_policies.outcome) ->
+      ("rounds", float_of_int o.Holes_exp.Wear_policies.rounds)
+      :: ("dead_lines", float_of_int o.Holes_exp.Wear_policies.dead_lines)
+      :: ("elapsed_ms", o.Holes_exp.Wear_policies.elapsed_ms)
+      :: Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)
+    (List.map
+       (fun (_, hybrid) -> Holes_exp.Hybrid_figure.cell_cfg ~hybrid ~dram_pages:8)
+       Holes_exp.Hybrid_figure.policies)
 
 (* each row keeps exercising the mechanisms its policy turns on, and
    every row wears lines out, so the golden cannot silently turn into

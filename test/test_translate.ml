@@ -4,14 +4,21 @@
    - wear-level policy CLI round-trips and rejections;
    - the composed pipeline stays a bijection under seeded write churn
      with live failures, for every leveling policy;
-   - a device + leveling experiment cell is bit-identical at -j 1 and
-     -j 4 (engine determinism through the new stage);
+   - the leveling experiment cells are bit-identical at -j 1 and -j 4
+     (engine determinism through the leveler) and match the committed
+     golden test/golden/wearlevel.jsonl, whose rows must keep wearing
+     lines out and, when leveled, keep moving data;
    - the paranoid verifier catches a corrupted leveling map
      ([Wear_level.unsafe_poke]);
    - the live start-gap stage reproduces the uniform-scatter failure
      pattern of the retired synthetic model
      ([Wear_ablation.wear_map ~leveled:true]) under hot-spot traffic,
-     while the unleveled device concentrates failures in the hot set. *)
+     while the unleveled device concentrates failures in the hot set.
+
+   To regenerate the wear-level golden after an intentional results
+   change (see [Test_hotpath.check_golden]):
+
+     HOLES_UPDATE_GOLDEN=test/golden dune exec test/test_main.exe -- test translate *)
 
 open Alcotest
 module Pcm = Holes_pcm
@@ -90,47 +97,95 @@ let churn_policy (policy : Wl.policy) () =
   | None -> fail "no wear stage installed"
   | Some w -> check bool "leveling stage active" true (Wl.gap_moves w + Wl.remaps w > 0)
 
-(* ---- engine determinism ----------------------------------------------- *)
+(* ---- engine determinism and the wear-level golden -------------------- *)
 
-(* One experiment cell per policy (uniform boot failures, device
-   backend), run through the engine at -j 1 and -j 4: the serialized
-   outcome must be bit-identical. *)
-let test_engine_determinism () =
-  let cells =
-    List.map
-      (fun (_, policy) -> Holes_exp.Wear_policies.cell_cfg ~model:Cfg.From_dist ~policy)
-      Holes_exp.Wear_policies.policies
-  in
-  let profile = Holes_workload.Dacapo.pmd in
+(* Run one pmd cell (scale 0.04) per config through
+   [Wear_policies.lifetime_run] on the engine at [jobs] workers.
+   Returns the exact ([%h]) outcome strings in cell order, and the
+   sorted sink records, whose metrics are [fields] of each outcome. *)
+let lifetime_runs ~(jobs : int) ~(max_rounds : int)
+    ~(fields : Holes_exp.Wear_policies.outcome -> (string * float) list) (cfgs : Cfg.t list) :
+    string list * string list =
   let specs =
     Array.of_list
       (List.map
-         (fun cfg -> { Holes_engine.Job.cfg; profile; scale = 0.04; seed_index = 0 })
-         cells)
+         (fun cfg ->
+           { Holes_engine.Job.cfg; profile = Holes_workload.Dacapo.pmd; scale = 0.04; seed_index = 0 })
+         cfgs)
   in
-  let run ~jobs =
-    let results =
-      Holes_engine.Engine.run ~jobs
-        ~f:(fun spec ~seed:_ ->
-          Holes_exp.Wear_policies.lifetime_run ~cfg:spec.Holes_engine.Job.cfg
-            ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale
-            ~max_rounds:2)
-        specs
-    in
-    Array.to_list results
-    |> List.map (fun r ->
-           match r.Holes_engine.Engine.outcome with
-           | Holes_engine.Pool.Done (o : Holes_exp.Wear_policies.outcome) ->
-               Printf.sprintf "%d|%d|%d|%.6f|%s" o.Holes_exp.Wear_policies.rounds
-                 o.Holes_exp.Wear_policies.dead_lines o.Holes_exp.Wear_policies.dead_runs
-                 o.Holes_exp.Wear_policies.elapsed_ms
-                 (String.concat ";"
-                    (List.map
-                       (fun (k, v) -> Printf.sprintf "%s=%h" k v)
-                       (Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)))
-           | Holes_engine.Pool.Failed { exn; _ } -> "failed: " ^ exn)
+  let path = Filename.temp_file "holes_lifetime" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let sink = Holes_engine.Sink.create ~path ~progress:false () in
+      let results =
+        Fun.protect
+          ~finally:(fun () -> Holes_engine.Sink.close sink)
+          (fun () ->
+            Holes_engine.Engine.run ~jobs ~sink ~metrics:fields
+              ~f:(fun spec ~seed:_ ->
+                Holes_exp.Wear_policies.lifetime_run ~cfg:spec.Holes_engine.Job.cfg
+                  ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale
+                  ~max_rounds)
+              specs)
+      in
+      let exact =
+        Array.to_list results
+        |> List.map (fun r ->
+               match r.Holes_engine.Engine.outcome with
+               | Holes_engine.Pool.Done (o : Holes_exp.Wear_policies.outcome) ->
+                   Printf.sprintf "%d|%d|%d|%.6f|%s" o.Holes_exp.Wear_policies.rounds
+                     o.Holes_exp.Wear_policies.dead_lines o.Holes_exp.Wear_policies.dead_runs
+                     o.Holes_exp.Wear_policies.elapsed_ms
+                     (String.concat ";"
+                        (List.map
+                           (fun (k, v) -> Printf.sprintf "%s=%h" k v)
+                           (Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)))
+               | Holes_engine.Pool.Failed { exn; _ } -> "failed: " ^ exn)
+      in
+      ( exact,
+        Test_hotpath.read_lines path
+        |> List.map Test_hotpath.strip_schedule
+        |> List.sort compare ))
+
+(* One experiment cell per policy (uniform boot failures, device
+   backend, 2-page clustering), run at -j 1 and -j 4 for six rounds:
+   enough for every cell to wear lines out, so failures walk the
+   clustering maps and, in the leveled cells, the leveler above them.
+   The serialized outcome and the sink records must be bit-identical
+   across -j, and the records must match the committed golden
+   test/golden/wearlevel.jsonl. *)
+let test_engine_determinism () =
+  let runs ~jobs =
+    lifetime_runs ~jobs ~max_rounds:6
+      ~fields:(fun (o : Holes_exp.Wear_policies.outcome) ->
+        ("rounds", float_of_int o.Holes_exp.Wear_policies.rounds)
+        :: ("dead_lines", float_of_int o.Holes_exp.Wear_policies.dead_lines)
+        :: ("dead_runs", float_of_int o.Holes_exp.Wear_policies.dead_runs)
+        :: ("elapsed_ms", o.Holes_exp.Wear_policies.elapsed_ms)
+        :: Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)
+      (List.map
+         (fun (_, policy) -> Holes_exp.Wear_policies.cell_cfg ~model:Cfg.From_dist ~policy)
+         Holes_exp.Wear_policies.policies)
   in
-  check (list string) "-j 4 bit-identical to -j 1" (run ~jobs:1) (run ~jobs:4)
+  let exact1, j1 = runs ~jobs:1 in
+  let exact4, j4 = runs ~jobs:4 in
+  check (list string) "-j 4 bit-identical to -j 1" exact1 exact4;
+  check (list string) "-j 4 sink records identical to -j 1" j1 j4;
+  (* every row wears lines out, and every leveled row keeps moving
+     data, so the golden cannot silently turn into a no-op *)
+  check int "one record per policy" (List.length Holes_exp.Wear_policies.policies)
+    (List.length j1);
+  List.iter
+    (fun l ->
+      let c = Test_collect.config l in
+      check bool (c ^ ": device_line_failures > 0") true
+        (Test_collect.field l "device_line_failures" > 0.0);
+      if Test_collect.contains c "-wl" then
+        check bool (c ^ ": wl_gap_moves + wl_remaps > 0") true
+          (Test_collect.field l "wl_gap_moves" +. Test_collect.field l "wl_remaps" > 0.0))
+    j1;
+  Test_hotpath.check_golden "wearlevel.jsonl" j1
 
 (* ---- verifier mutation ------------------------------------------------ *)
 
