@@ -128,17 +128,22 @@ let test_repro_command_shape () =
     "dune exec bin/torture.exe -- --seeds 7 --steps 50"
     (Torture.repro_command ~seed:7 ~steps:50)
 
+(* static seeds 0..3, plus device seed 7, whose schedule swaps the
+   device's wear-leveling policy mid-run *)
 let test_torture_seeds_clean () =
-  for seed = 0 to 3 do
-    let o = Torture.run_one ~steps:200 ~seed () in
-    (match o.Torture.violation with
-    | Some v ->
-        Alcotest.failf "seed %d violated: %s (repro: %s)" seed v
-          (Torture.repro_command ~seed ~steps:200)
-    | None -> ());
-    if o.Torture.verify_passes + o.Torture.explicit_verifies = 0 then
-      Alcotest.failf "seed %d never ran the verifier" seed
-  done
+  List.iter
+    (fun seed ->
+      let o = Torture.run_one ~steps:200 ~seed () in
+      (match o.Torture.violation with
+      | Some v ->
+          Alcotest.failf "seed %d violated: %s (repro: %s)" seed v
+            (Torture.repro_command ~seed ~steps:200)
+      | None -> ());
+      if o.Torture.verify_passes + o.Torture.explicit_verifies = 0 then
+        Alcotest.failf "seed %d never ran the verifier" seed;
+      if seed = 7 && o.Torture.wl_toggles = 0 then
+        Alcotest.fail "device seed 7 never toggled wear leveling")
+    [ 0; 1; 2; 3; 7 ]
 
 let suite =
   [
