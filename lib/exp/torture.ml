@@ -171,15 +171,10 @@ let run_one ?(steps = default_steps) ~(seed : int) () : outcome =
     match cfg.Cfg.backend with
     | Cfg.Static -> None
     | Cfg.Device params ->
-        let page_bytes = Holes_pcm.Geometry.page_bytes in
-        let pages_for heap =
-          let heap_bytes = int_of_float (cfg.Cfg.heap_factor *. float_of_int heap) in
-          let base = (heap_bytes + page_bytes - 1) / page_bytes in
-          if cfg.Cfg.compensate && cfg.Cfg.failure_rate > 0.0 then
-            int_of_float (ceil (float_of_int base /. (1.0 -. cfg.Cfg.failure_rate)))
-          else base
+        let device_pages =
+          Vm.heap_pages cfg ~min_heap_bytes
+          + (2 * Vm.heap_pages cfg ~min_heap_bytes:churn_heap_bytes)
         in
-        let device_pages = pages_for min_heap_bytes + (2 * pages_for churn_heap_bytes) in
         Some (Holes.Memory_backend.create_node ~cfg ~params ~device_pages ())
   in
   let vm = Vm.create ~cfg ?node ~min_heap_bytes () in
