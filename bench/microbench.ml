@@ -174,11 +174,11 @@ let device_write_kernel () : int * (unit -> unit) =
         done
       done )
 
-(* translate: the logical→physical pipeline walk with both stage kinds
-   live — a start-gap leveling permutation over clustering redirects —
-   after enough write churn that the permutation has rotated and the
-   redirect maps hold recorded failures.  This is the per-access cost
-   the pipeline adds on top of the arena store. *)
+(* translate: Device.physical_of_logical with both mechanisms live — a
+   start-gap leveling permutation over the clustering maps — after
+   enough write churn that the permutation has rotated and the
+   clustering maps hold recorded failures.  This is the per-access cost
+   translation adds on top of the arena store. *)
 let translate_kernel () : int * (unit -> unit) =
   let config =
     {
@@ -191,8 +191,8 @@ let translate_kernel () : int * (unit -> unit) =
   let dev = Holes_pcm.Device.create ~config ~seed:7 () in
   let payload = Bytes.make Holes_pcm.Geometry.line_bytes 't' in
   let nlines = Holes_pcm.Device.nlines dev in
-  (* boot failures populate the redirect maps (and freeze their pairs in
-     the leveling stage); churn then rotates the gap through the rest *)
+  (* boot failures populate the clustering maps (and freeze their pairs
+     in the leveler); churn then rotates the gap through the rest *)
   Holes_pcm.Device.preinstall_failures dev
     (Holes_pcm.Failure_map.uniform (Holes_stdx.Xrng.of_seed 13) ~nlines ~rate:0.10);
   for _ = 1 to 4 do

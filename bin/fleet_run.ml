@@ -32,7 +32,7 @@ let run tenants devices arrival duration jobs endurance wear_level wear_aware hy
     | Error m -> failwith (Printf.sprintf "bad --arrival: %s" m)
   in
   let wear_level =
-    match Holes_pcm.Translate.of_cli wear_level with
+    match Holes_pcm.Wear_level.of_cli wear_level with
     | Ok p -> p
     | Error m -> failwith (Printf.sprintf "bad --wear-level %S: %s" wear_level m)
   in
@@ -167,7 +167,7 @@ let cmd =
   let wear_level =
     Arg.(value & opt string "none"
          & info [ "wear-level" ] ~docv:"W"
-             ~doc:"Device wear-leveling stage: none, startgap[:PSI], random[:PSI] or \
+             ~doc:"Device wear-leveling policy: none, startgap[:PSI], random[:PSI] or \
                    decoder[:PSI].")
   in
   let wear_aware =

@@ -114,7 +114,7 @@ let run list_benches bench collector line_size rate dist model compensate arrayl
           | other -> failwith (Printf.sprintf "unknown backend %S (static|device)" other)
         in
         let wear_level =
-          match Holes_pcm.Translate.of_cli wear_level with
+          match Holes_pcm.Wear_level.of_cli wear_level with
           | Ok p -> p
           | Error m -> failwith (Printf.sprintf "bad --wear-level %S: %s" wear_level m)
         in
@@ -288,7 +288,7 @@ let cmd =
   let wear_level =
     Arg.(value & opt string "none"
          & info [ "wear-level" ] ~docv:"W"
-             ~doc:"Device backend: wear-leveling stage in the address-translation pipeline: \
+             ~doc:"Device backend: wear-leveling policy, applied above the clustering maps: \
                    none, startgap[:PSI], random[:PSI] or decoder[:PSI] (PSI = writes between \
                    moves, default 100).")
   in

@@ -37,7 +37,7 @@ type device_params = {
       (** OS page-allocator leveling: the free perfect pool hands out the
           least-worn page instead of the head of the free list, so fresh
           grants spread traffic across the module (the PR-6 follow-on
-          above the device's own leveling stages) *)
+          above the device's own wear leveler) *)
 }
 
 type backend =
@@ -77,9 +77,9 @@ type t = {
           cost *)
   backend : backend;  (** how heap pages are granted and failures arrive *)
   wear_level : Holes_pcm.Wear_level.policy option;
-      (** wear-leveling stage in the device's address-translation
-          pipeline ([None] = identity; see {!Holes_pcm.Translate}).
-          Parsed/printed by [Holes_pcm.Translate.of_cli]/[to_cli] *)
+      (** the device's wear leveler, above its clustering maps ([None]
+          = no leveler; see {!Holes_pcm.Wear_level}).  Parsed/printed by
+          [Holes_pcm.Wear_level.of_cli]/[to_cli] *)
   failure_model : failure_model;
       (** which adversary generates (and, for dynamic models, keeps
           injecting) line failures *)
@@ -153,12 +153,13 @@ let name (t : t) : string =
         Printf.sprintf "%s-dev-e%.0f%s" base d.wear.Holes_pcm.Wear.mean_endurance
           (if d.wear_aware_pools then "-wa" else "")
   in
-  (* identity pipeline keeps the pre-refactor name (cache keys, seeds and
-     result paths derive from it); a leveling stage tags itself on *)
+  (* an unleveled device keeps the name it had before leveling existed
+     (cache keys, seeds and result paths derive from it); a leveler tags
+     itself on *)
   let base =
     match t.wear_level with
     | None -> base
-    | Some _ -> base ^ "-wl" ^ Holes_pcm.Translate.short_name t.wear_level
+    | Some _ -> base ^ "-wl" ^ Holes_pcm.Wear_level.short_name t.wear_level
   in
   (* like -wa and -wl, the -hyb tag only appears when a tiering policy
      is on: untiered configurations keep their names *)

@@ -368,11 +368,11 @@ let sync_node (node : node) (m : Metrics.t) : unit =
       m.Metrics.wl_remap_copies <- wl.Pcm.Device.copies;
       m.Metrics.wl_meta_writes <- wl.Pcm.Device.meta_writes
 
-(** Switch the device's wear-leveling stage mid-run.  Pending failure
-    interrupts are drained first (a stage install freezes the current
-    unusable set into its permutation), and any line the new stage
-    reserves for itself is evacuated through the normal failure chain
-    and resolved before this returns. *)
+(** Switch the device's wear-leveling policy mid-run.  Pending failure
+    interrupts are drained first (installing a leveler freezes the
+    current unusable set into its permutation), and any line the
+    leveler reserves for itself is evacuated through the normal failure
+    chain and resolved before this returns. *)
 let set_wear_level (st : device_state) (p : Pcm.Wear_level.policy option) : unit =
   ignore (service st);
   Pcm.Device.set_wear_level st.device p;

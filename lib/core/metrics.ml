@@ -34,11 +34,11 @@ type t = {
   mutable os_data_restores : int;  (** clustering re-backed the failing address *)
   mutable reverse_translations : int;
   mutable swap_ins : int;
-  (* wear-leveling stage (Translate pipeline): overhead counters, synced
-     from the device.  Serialized only when a leveling stage is active
-     ([wl_active]) so identity-pipeline records stay byte-identical to
-     the pre-pipeline schema. *)
-  mutable wl_active : bool;  (** a leveling stage is installed on the device *)
+  (* the device's wear leveler: overhead counters, synced from the
+     device.  Serialized only when a leveler is installed ([wl_active])
+     so unleveled records keep the schema they had before leveling
+     existed. *)
+  mutable wl_active : bool;  (** a wear leveler is installed on the device *)
   mutable wl_gap_moves : int;  (** start-gap movements *)
   mutable wl_remaps : int;  (** pair swaps (random remap / decoder swap) *)
   mutable wl_remap_copies : int;  (** overhead line copies charged to the device *)

@@ -454,9 +454,9 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
                       off dev_page))
           end)
         st.Memory_backend.virt_of_stock;
-      (* translation-consistency: every pipeline stage is a permutation
-         and the composed logical->physical map is a bijection whose
-         inverse chain really inverts it (DESIGN.md §11) *)
+      (* translation-consistency: the leveler and every clustering map
+         are permutations, and the composed logical->physical map is a
+         bijection whose inverse really inverts it (DESIGN.md §11) *)
       check c
         (Pcm.Device.check_translation st.Memory_backend.device = Ok ())
         (fun () ->

@@ -489,11 +489,11 @@ let dynamic_failure (t : t) ~(id : int) : unit =
   if Object_table.is_alive t.objects id then
     dynamic_failure_at t ~addr:(Object_table.addr t.objects id)
 
-(** Switch the device's wear-leveling stage mid-run (device backend
-    only): pauses, resumes or installs a leveling policy in the
-    address-translation pipeline.  Any line the stage reserves for
-    itself is retired through the normal failure chain before this
-    returns, so the heap stays consistent for the next verify pass. *)
+(** Switch the device's wear-leveling policy mid-run (device backend
+    only): pauses, resumes or installs the device's wear leveler.  Any
+    line the leveler reserves for itself is retired through the normal
+    failure chain before this returns, so the heap stays consistent for
+    the next verify pass. *)
 let set_wear_level (t : t) (p : Holes_pcm.Wear_level.policy option) : unit =
   match t.backend with
   | Memory_backend.Device st -> Memory_backend.set_wear_level st p

@@ -30,7 +30,7 @@ type outcome = {
   steps_run : int;
   allocs : int;
   injections : int;  (** direct dynamic-failure strikes on live objects *)
-  wl_toggles : int;  (** mid-run wear-leveling stage toggles (device seeds) *)
+  wl_toggles : int;  (** mid-run wear-leveling policy toggles (device seeds) *)
   hyb_toggles : int;  (** mid-run DRAM/PCM tiering policy toggles (device seeds) *)
   inc_toggles : int;  (** mid-run incremental-collection budget toggles *)
   churns : int;  (** mid-run tenant spawn/verify/detach cycles (device seeds) *)
@@ -104,9 +104,9 @@ let config_of_seed (seed : int) : Cfg.t =
     | 1 -> Cfg.Hw_cluster 1
     | _ -> Cfg.Uniform
   in
-  (* device seeds also draw a boot wear-leveling stage for the
-     translation pipeline (drawn last so the other fields keep their
-     pre-pipeline values for any given seed) *)
+  (* device seeds also draw a boot wear-leveling policy (drawn last so
+     the other fields keep the values they had before leveling existed
+     for any given seed) *)
   let wear_level =
     if not device then None
     else
@@ -289,7 +289,7 @@ let run_one ?(steps = default_steps) ~(seed : int) () : outcome =
            end
            else begin
              (* device seeds split the injection slot three ways:
-                tenant churn, toggling the wear-leveling stage, and
+                tenant churn, toggling the wear-leveling policy, and
                 toggling the DRAM/PCM tiering policy mid-run.  The
                 wear-level toggle stresses on_failure re-translation
                 and the gap-line evacuate/re-reserve path; the hybrid

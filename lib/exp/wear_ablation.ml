@@ -2,10 +2,10 @@
 
     This used to be the Sec. 7.2 "Wear Leveling Considered Harmful"
     ablation.  The headline result now comes from {!Wear_policies},
-    which runs actual leveling stages in the device's translation
-    pipeline; what remains here is the closed-form wear model it is
-    cross-checked against: a live start-gap stage should reproduce the
-    uniform-scatter failure pattern of [wear_map ~leveled:true]
+    which runs the device's actual wear leveler; what remains here is
+    the closed-form wear model it is cross-checked against: a live
+    start-gap leveler should reproduce the uniform-scatter failure
+    pattern of [wear_map ~leveled:true]
     (statistically, on failure-location dispersion — see
     [test/test_translate.ml]), while unleveled traffic concentrates
     failures into hot pages.

@@ -1,11 +1,11 @@
-(** The Sec. 7.2 ablation, live: wear-leveling *stages* in the device's
-    translation pipeline versus the failure-aware runtime.
+(** The Sec. 7.2 ablation, live: the device's wear leveler versus the
+    failure-aware runtime.
 
     Unlike the retired synthetic version (which compared hand-built
     leveled/unleveled failure maps, see {!Wear_ablation.wear_map}), this
     experiment runs the actual pipeline end to end on the device
-    backend: every heap line store flows logical → wear-leveling stage →
-    clustering redirect → cells, lines wear out under the configured
+    backend: every heap line store flows logical → wear leveler →
+    clustering map → cells, lines wear out under the configured
     leveling policy, and each failure travels the device → failure
     buffer → interrupt → up-call chain back into the runtime.
 
@@ -49,7 +49,7 @@ let policies : (string * Wl.policy option) list =
 (** Boot-failure models: the state the module is in when the workload
     starts.  Uniform is the paper's map; correlated and variation are
     the PR-5 adversaries (static maps, so they compose with any
-    wear-leveling stage). *)
+    wear-leveling policy). *)
 let models : (string * Cfg.failure_model) list =
   [
     ("uniform", Cfg.From_dist);
@@ -60,8 +60,8 @@ let models : (string * Cfg.failure_model) list =
 let cell_cfg ~(model : Cfg.failure_model) ~(policy : Wl.policy option) : Cfg.t =
   let d = Cfg.default_device in
   (* endurance low enough that lines die mid-run; clustering on (the
-     paper's proposed hardware), so the redirect stage is live and the
-     leveling stage composes above it *)
+     paper's proposed hardware), so the clustering maps are live and
+     the leveler sits above them *)
   let wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance = 12.0 } in
   {
     Figures.base_six with
@@ -144,7 +144,7 @@ type cell = {
 }
 
 (** Rounds survived and time-per-round for every policy × model cell,
-    plus the leveling stage's own activity under the uniform model.
+    plus the leveler's own activity under the uniform model.
     One engine job per cell; a cell depends only on its config, so the
     table is bit-identical at any [-j]. *)
 let table ?(params = Runner.quick) () : Table.t =

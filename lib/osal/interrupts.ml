@@ -34,8 +34,8 @@ type t = {
   mutable restores : int;
   mutable evacuations : int;
       (** retires that arrived with no buffered payload: lines the
-          device's translation pipeline reserved for itself (start-gap's
-          gap line) and handed back through the failure chain *)
+          device's wear leveler reserved for itself (start-gap's gap
+          line) and handed back through the failure chain *)
   tracer : Trace.view;  (** osal-lane events: service spans, resolutions *)
 }
 

@@ -1,18 +1,17 @@
 (** A whole PCM module: an array of pages of wearable lines, the write
-    path with failure detection, the failure buffer, and the composable
-    address-translation pipeline (paper Sec. 3.1; DESIGN.md §11).
+    path with failure detection, the failure buffer, and the address
+    translation below the physical address the cache hierarchy issues
+    (paper Sec. 3.1; DESIGN.md §11).
 
-    Reads and writes address *logical* line indices; the device folds
-    them through an ordered list of {!Translate.stage}s — the optional
-    wear-leveling permutation ({!Wear_level}) on the logical side, then
-    the per-region failure-clustering redirection maps ({!Redirect}) on
-    the physical side — exactly as the memory controller and module
-    would below the physical address the cache hierarchy issues.  When a
-    line wears out, the failure walks the same pipeline in reverse: each
-    stage maps the unusable output-domain line back to the input-domain
-    lines the OS must publish.  Data payloads are stored per line so the
-    failure-buffer forwarding and OS copy-out paths are real, not
-    mocked. *)
+    Reads and writes address *logical* line indices.  A logical line
+    goes through the optional wear leveler ({!Wear_level}, a
+    controller-side permutation) to a {e slot}, and the slot through its
+    region's failure-clustering map ({!Redirect}, inside the module) to
+    a physical line.  When a line wears out, the failure goes back up
+    the same way: the clustering map names the slots that became
+    unusable, and the leveler names the logical lines the OS must
+    publish.  Data payloads are stored per line so the failure-buffer
+    forwarding and OS copy-out paths are real, not mocked. *)
 
 open Holes_stdx
 module Trace = Holes_obs.Trace
@@ -23,8 +22,8 @@ type config = {
   clustering : int option;  (** region size in pages; [None] disables clustering *)
   buffer_capacity : int;
   wear_level : Wear_level.policy option;
-      (** leveling stage installed at boot; [None] leaves the pipeline
-          identity-above-redirect, byte-identical to the unleveled path *)
+      (** leveler installed at boot; [None] installs none, so logical
+          lines are slots *)
   caram : int option;
       (** CARAM content-store associativity installed at boot; [None]
           leaves the write path byte-identical to the content-blind
@@ -55,21 +54,17 @@ type t = {
       (** payload store: a flat arena of 64 KB chunks indexed by
           [physical / chunk_lines], committed lazily on first write *)
   buffer : Failure_buffer.t;
-  regions : Redirect.t array;  (** empty when clustering is off *)
+  regions : Redirect.t array;
+      (** slot -> physical clustering maps, one per region; empty when
+          clustering is off (slots are physical lines) *)
   region_lines : int;  (** lines per region (or whole device when off) *)
-  mutable stages : Translate.stage array;
-      (** the translation pipeline, logical side first; empty when both
-          clustering and leveling are off (identity translation) *)
-  mutable wear_stage : Wear_level.t option;  (** the leveling stage, once installed *)
-  mutable write_path : int -> int;
-      (** memoized partial evaluation of the write-path pipeline walk
-          (hooks then translation, stage by stage); rebuilt whenever
-          [stages] changes so the per-write cost of an identity or
-          redirect-only pipeline matches the pre-pipeline direct path *)
+  mutable leveler : Wear_level.t option;
+      (** logical -> slot permutation, once installed; [None]: logical
+          lines are slots *)
   unusable : Bitset.t;
       (** logical lines currently unusable (failures, clustering
-          metadata, leveling-reserved lines) — maintained incrementally
-          by the pipeline so [line_usable] is O(1) on the write path *)
+          metadata, the leveler's reserved gap) — maintained
+          incrementally so [line_usable] is O(1) on the write path *)
   mutable on_line_failed : addr:int -> unusable:int list -> unit;
       (** OS callback: the logical address whose write failed, and the
           logical line indices newly unusable (with clustering these
@@ -80,9 +75,9 @@ type t = {
   mutable writes : int;
   mutable failures : int;
   mutable caram : Caram.t option;
-      (** content-aware store consulted before the cell write; not a
-          {!Translate} stage because dedup is many-to-one, while the
-          pipeline stages must stay bijections *)
+      (** content-aware store consulted before the cell write, above
+          the translation: dedup is many-to-one, while the leveler and
+          the clustering maps are bijections *)
   tracer : Trace.view;  (** pcm-lane events: wear-outs, buffer traffic, remaps *)
 }
 
@@ -98,52 +93,51 @@ let buffer_occupancy (t : t) : int = Failure_buffer.occupancy t.buffer
 let check_line t l =
   if l < 0 || l >= t.nlines then invalid_arg "Device: line index out of range"
 
-(* logical -> physical through the whole pipeline *)
-let physical_of_logical (t : t) (logical : int) : int = Translate.translate t.stages logical
-
-(* like [physical_of_logical], but fires each stage's write hook first:
-   a triggered remap relocates the old payload before we translate, so
-   the incoming write lands at the post-move location.  [compose_write_path]
-   partially evaluates this walk for the common pipeline shapes so the
-   hot write path pays no per-stage dispatch when no stage wants hooks. *)
-let compose_write_path (stages : Translate.stage array) : int -> int =
-  match stages with
-  | [||] -> Fun.id
-  | [| s |] when s.Translate.on_write == Translate.nop_write -> s.Translate.translate
-  | _ ->
-      let n = Array.length stages in
-      fun logical ->
-        let rec go i l =
-          if i >= n then l
-          else begin
-            let s = Array.unsafe_get stages i in
-            s.Translate.on_write l;
-            go (i + 1) (s.Translate.translate l)
-          end
-        in
-        go 0 logical
-
-let translate_for_write (t : t) (logical : int) : int = t.write_path logical
-
-(* translation below the wear-leveling stage (used by its data movers):
-   slot domain -> physical, i.e. just the redirect maps *)
-let downstream (t : t) (m : int) : int =
-  if Array.length t.regions = 0 then m
+(* slot -> physical through the slot's region clustering map *)
+let redirect (t : t) (slot : int) : int =
+  if Array.length t.regions = 0 then slot
   else
-    let r = m / t.region_lines in
-    (r * t.region_lines) + Redirect.translate t.regions.(r) (m mod t.region_lines)
+    let r = slot / t.region_lines in
+    (r * t.region_lines) + Redirect.translate t.regions.(r) (slot mod t.region_lines)
 
-(* a physical line became unusable: walk the pipeline in reverse, giving
-   each stage a chance to absorb it (clustering swap, leveling freeze),
-   and collect the logical lines the OS must now publish *)
-let chain_failure (t : t) (physical : int) : int list =
-  let rec go i lines =
-    if i < 0 then lines
+(** The physical line currently backing logical line [logical]: the
+    leveler's slot, then the clustering map. *)
+let physical_of_logical (t : t) (logical : int) : int =
+  redirect t (match t.leveler with None -> logical | Some w -> Wear_level.translate w logical)
+
+(* the inverse of [physical_of_logical] *)
+let logical_of_physical (t : t) (physical : int) : int =
+  let slot =
+    if Array.length t.regions = 0 then physical
     else
-      go (i - 1)
-        (List.concat_map (fun q -> t.stages.(i).Translate.on_failure ~physical:q) lines)
+      let r = physical / t.region_lines in
+      (r * t.region_lines) + Redirect.inverse t.regions.(r) (physical mod t.region_lines)
   in
-  go (Array.length t.stages - 1) [ physical ]
+  match t.leveler with None -> slot | Some w -> Wear_level.inverse w slot
+
+(* like [physical_of_logical], but counts the write with the leveler
+   first: a move it triggers relocates the old payload, so the incoming
+   write lands at the post-move slot *)
+let physical_for_write (t : t) (logical : int) : int =
+  (match t.leveler with None -> () | Some w -> Wear_level.on_data_write w logical);
+  physical_of_logical t logical
+
+(* Physical line [physical] became unusable: the clustering map swaps it
+   to its cluster end and names the slots that became unusable, then
+   the leveler freezes each slot and names its logical line.  Returns
+   the logical lines the OS must now publish. *)
+let chain_failure (t : t) (physical : int) : int list =
+  let slots =
+    if Array.length t.regions = 0 then [ physical ]
+    else
+      let r = physical / t.region_lines in
+      let base = r * t.region_lines in
+      Redirect.record_failure t.regions.(r) ~physical:(physical - base)
+      |> List.map (fun off -> base + off)
+  in
+  match t.leveler with
+  | None -> slots
+  | Some w -> List.filter_map (fun slot -> Wear_level.on_slot_unusable w ~slot) slots
 
 (* ---- arena payload helpers ------------------------------------------- *)
 
@@ -166,21 +160,30 @@ let line_copy_in (t : t) (physical : int) (buf : Bytes.t) : unit =
     (physical mod chunk_lines * Geometry.line_bytes)
     Geometry.line_bytes
 
-(* ---- wear-leveling stage install / toggle ---------------------------- *)
+(* ---- wear leveler install / gap reservation --------------------------- *)
 
-(* reserve logical line [r] for the leveler (start-gap's gap owner):
-   published to the OS exactly like a failed line *)
-let reserve_line (t : t) (r : int) : unit =
-  Bitset.set t.unusable r;
-  if Trace.armed t.tracer then
-    Trace.instant t.tracer ~tid:Trace.tid_pcm "wl_reserve" ~args:[ ("line", float_of_int r) ]
+(* Reserve a fresh start-gap line if the leveler needs one: at install,
+   after a failure swallowed the gap, or on a switch to start-gap.  The
+   line is published unusable like a failed one; a caller on a live
+   device must also evacuate it through the failure up-call. *)
+let reserve_gap (t : t) : int option =
+  match t.leveler with
+  | None -> None
+  | Some w ->
+      let r = Wear_level.ensure_gap w in
+      Option.iter
+        (fun r ->
+          Bitset.set t.unusable r;
+          if Trace.armed t.tracer then
+            Trace.instant t.tracer ~tid:Trace.tid_pcm "wl_reserve"
+              ~args:[ ("line", float_of_int r) ])
+        r;
+      r
 
-(* Install a leveling core as the first pipeline stage.  Pre-existing
-   unusable lines are frozen into it (the fresh map is the identity, so
-   logical = slot for each).  Returns the lines the stage reserved for
-   itself; at boot the caller just publishes them, mid-run it must also
-   evacuate them through the failure up-call. *)
-let install_wear_stage (t : t) (policy : Wear_level.policy) : int list =
+(* Install a leveler above the clustering maps.  Pre-existing unusable
+   lines are frozen into it (the fresh map is the identity, so logical =
+   slot for each).  The caller then reserves its gap. *)
+let install_leveler (t : t) (policy : Wear_level.policy) : unit =
   let w = Wear_level.create ~policy ~nlines:t.nlines ~seed:(t.seed lxor 0x5747a6) () in
   Bitset.iter_set t.unusable (fun l -> Wear_level.freeze_pair w l);
   let scratch_a = Bytes.create Geometry.line_bytes in
@@ -192,7 +195,7 @@ let install_wear_stage (t : t) (policy : Wear_level.policy) : int list =
           (* one start-gap step: data moves src -> dst (the gap), wearing
              the destination; the outcome is not checked — a worn-out
              destination surfaces on the next data write to it *)
-          let ps = downstream t src and pd = downstream t dst in
+          let ps = redirect t src and pd = redirect t dst in
           line_copy_out t ps scratch_a;
           line_copy_in t pd scratch_a;
           ignore (Wear.write t.rng t.config.wear t.lines.(pd));
@@ -201,7 +204,7 @@ let install_wear_stage (t : t) (policy : Wear_level.policy) : int list =
               ~args:[ ("src", float_of_int ps); ("dst", float_of_int pd) ]);
       Wear_level.swap =
         (fun ~a ~b ->
-          let pa = downstream t a and pb = downstream t b in
+          let pa = redirect t a and pb = redirect t b in
           line_copy_out t pa scratch_a;
           line_copy_out t pb scratch_b;
           line_copy_in t pa scratch_b;
@@ -212,14 +215,7 @@ let install_wear_stage (t : t) (policy : Wear_level.policy) : int list =
             Trace.instant t.tracer ~tid:Trace.tid_pcm "wl_remap"
               ~args:[ ("a", float_of_int pa); ("b", float_of_int pb) ]);
     };
-  t.wear_stage <- Some w;
-  t.stages <- Array.append [| Translate.wear_stage w |] t.stages;
-  t.write_path <- compose_write_path t.stages;
-  match Wear_level.ensure_gap w with
-  | None -> []
-  | Some r ->
-      reserve_line t r;
-      [ r ]
+  t.leveler <- Some w
 
 let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : t =
   let nlines = config.pages * Geometry.lines_per_page in
@@ -247,11 +243,7 @@ let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : 
       buffer = Failure_buffer.create ~capacity:config.buffer_capacity ();
       regions;
       region_lines;
-      stages =
-        (if Array.length regions = 0 then [||]
-         else [| Translate.redirect_stage regions ~region_lines |]);
-      wear_stage = None;
-      write_path = Fun.id;
+      leveler = None;
       unusable = Bitset.create nlines;
       on_line_failed = (fun ~addr:_ ~unusable:_ -> ());
       reads = 0;
@@ -264,17 +256,15 @@ let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : 
       tracer;
     }
   in
-  t.write_path <- compose_write_path t.stages;
-  (match config.wear_level with
-  | None -> ()
-  | Some policy -> ignore (install_wear_stage t policy));
+  Option.iter (install_leveler t) config.wear_level;
+  ignore (reserve_gap t);
   t
 
 (** Pre-install manufacturing-time failures from a bitmap over *physical*
     lines — the boot-time state an OS scan would find.  Each failure
-    walks the pipeline in reverse (clustering swaps, leveling freezes),
-    so the logically unusable lines land exactly as if the wear process
-    had produced them.  No data is buffered and no interrupt fires:
+    takes the same walk as a wear-out (clustering swap, then leveler
+    freeze), so the logically unusable lines land exactly as if the
+    wear process had produced them.  No data is buffered and no interrupt fires:
     these lines failed before the machine booted. *)
 let preinstall_failures (t : t) (map : Bitset.t) : unit =
   if Bitset.length map > t.nlines then
@@ -286,10 +276,7 @@ let preinstall_failures (t : t) (map : Bitset.t) : unit =
      particular the clustering metadata freeze lands on region-start
      slots, and mid-device is a region start.  Re-reserve before the OS
      boot scan: nothing is written yet, so no evacuation is needed. *)
-  match t.wear_stage with
-  | None -> ()
-  | Some w -> (
-      match Wear_level.ensure_gap w with None -> () | Some r -> reserve_line t r)
+  ignore (reserve_gap t)
 
 (** Register the OS notification callback, called after a write failure
     with the failing logical address and the logical lines that became
@@ -299,7 +286,7 @@ let on_line_failed (t : t) (f : addr:int -> unusable:int list -> unit) : unit =
   t.on_line_failed <- f
 
 (** Is the logical line currently usable (not failed, not metadata, not
-    reserved by the leveler)?  O(1): the pipeline maintains the set
+    reserved by the leveler)?  O(1): the device maintains the set
     incrementally. *)
 let line_usable (t : t) (logical : int) : bool =
   check_line t logical;
@@ -351,7 +338,7 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_result =
         (* content dedup/compression: the cells never see this write *)
         Stored
     | _ ->
-    let physical = translate_for_write t logical in
+    let physical = physical_for_write t logical in
     match Wear.write t.rng t.config.wear t.lines.(physical) with
     | Wear.Ok | Wear.Corrected ->
         line_copy_in t physical payload;
@@ -374,50 +361,32 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_result =
         (* if the failure swallowed start-gap's gap, re-reserve one so
            leveling keeps running; the new reservation rides the same
            OS notification as the failure itself *)
-        let newly_unusable =
-          match t.wear_stage with
-          | None -> newly_unusable
-          | Some w -> (
-              match Wear_level.ensure_gap w with
-              | None -> newly_unusable
-              | Some r ->
-                  reserve_line t r;
-                  newly_unusable @ [ r ])
-        in
+        let newly_unusable = newly_unusable @ Option.to_list (reserve_gap t) in
         t.on_line_failed ~addr:logical ~unusable:newly_unusable;
         Write_failed
   end
 
-(** Switch the wear-leveling stage mid-run.  [None] pauses the mover
+(** Switch the wear-leveling policy mid-run.  [None] pauses the mover
     (the live permutation and every published failure stay put — tearing
     the map down would scramble both data and the OS failure view).
-    Enabling a policy installs the stage on first use; a start-gap
+    Enabling a policy installs the leveler on first use; a start-gap
     enable that needs a fresh gap reserves a line and retires it through
     the normal failure up-call, so the OS and runtime evacuate it like
     any other dying line. *)
 let set_wear_level (t : t) (p : Wear_level.policy option) : unit =
-  match t.wear_stage with
-  | Some w ->
-      Wear_level.set_policy w p;
-      (match Wear_level.ensure_gap w with
-      | None -> ()
-      | Some r ->
-          reserve_line t r;
-          t.on_line_failed ~addr:r ~unusable:[ r ])
-  | None -> (
-      match p with
-      | None -> ()
-      | Some policy ->
-          install_wear_stage t policy
-          |> List.iter (fun r -> t.on_line_failed ~addr:r ~unusable:[ r ]))
+  (match (t.leveler, p) with
+  | Some w, _ -> Wear_level.set_policy w p
+  | None, Some policy -> install_leveler t policy
+  | None, None -> ());
+  Option.iter (fun r -> t.on_line_failed ~addr:r ~unusable:[ r ]) (reserve_gap t)
 
-(** The currently configured wear-leveling policy ([None] = identity or
-    paused). *)
+(** The currently configured wear-leveling policy ([None] = none
+    installed, or paused). *)
 let wear_level (t : t) : Wear_level.policy option =
-  match t.wear_stage with None -> None | Some w -> Wear_level.policy w
+  match t.leveler with None -> None | Some w -> Wear_level.policy w
 
-(** The leveling core, for property tests. *)
-let wear_stage (t : t) : Wear_level.t option = t.wear_stage
+(** The wear leveler, for property tests. *)
+let leveler (t : t) : Wear_level.t option = t.leveler
 
 (** Switch the CARAM content store mid-run.  Disabling (or changing the
     associativity of) a live store first writes every bound line's
@@ -474,11 +443,39 @@ let unusable_lines (t : t) : int list =
   Bitset.iter_set t.unusable (fun i -> acc := i :: !acc);
   List.rev !acc
 
-(** Per-stage permutation invariants plus whole-pipeline bijectivity —
-    the translation-consistency check {!Holes.Verify} runs each phase.
-    Touches no counted path. *)
+(** The leveler's own invariant, each clustering map's permutation
+    check, then whole-device bijectivity: every logical line reaches a
+    distinct in-range physical line, and {!logical_of_physical} leads
+    back.  The translation-consistency check {!Holes.Verify} runs each
+    phase; touches no counted path. *)
 let check_translation (t : t) : (unit, string) result =
-  Translate.check t.stages ~nlines:t.nlines
+  let leveler_ok = match t.leveler with None -> Ok () | Some w -> Wear_level.check w in
+  let bad_region = ref None in
+  Array.iteri
+    (fun i r -> if !bad_region = None && not (Redirect.is_permutation r) then bad_region := Some i)
+    t.regions;
+  match (leveler_ok, !bad_region) with
+  | (Error _ as e), _ -> e
+  | Ok (), Some i -> Error (Printf.sprintf "clustering map: region %d is not a permutation" i)
+  | Ok (), None ->
+      let seen = Array.make t.nlines false in
+      let rec lines l =
+        if l >= t.nlines then Ok ()
+        else
+          let p = physical_of_logical t l in
+          if p < 0 || p >= t.nlines then
+            Error (Printf.sprintf "translation: line %d translates out of range (%d)" l p)
+          else if seen.(p) then
+            Error (Printf.sprintf "translation: physical line %d reached twice" p)
+          else if logical_of_physical t p <> l then
+            Error
+              (Printf.sprintf "translation: inverse(translate %d) = %d" l (logical_of_physical t p))
+          else begin
+            seen.(p) <- true;
+            lines (l + 1)
+          end
+      in
+      lines 0
 
 (** Coefficient of variation of per-line wear (write counts) across the
     module: ~0 under perfect leveling, large when traffic concentrates.
@@ -491,9 +488,8 @@ let wear_cov (t : t) : float =
 
 (** Accumulated write count over the physical lines currently backing
     logical page [page] — the wear signal the OS page allocator consults
-    when [Config.wear_aware_pools] orders the free perfect pool.  Walks
-    the translation pipeline per line, so a leveling stage's remaps are
-    reflected. *)
+    when [Config.wear_aware_pools] orders the free perfect pool.
+    Translates each line, so the leveler's remaps are reflected. *)
 let page_wear (t : t) (page : int) : int =
   if page < 0 || page >= t.config.pages then invalid_arg "Device.page_wear: page out of range";
   let base = page * Geometry.lines_per_page in
@@ -515,7 +511,7 @@ type stats = {
   writes : int;
   failures : int;
   buffer : Failure_buffer.stats;
-  wl : wl_stats option;  (** present once a leveling stage is installed *)
+  wl : wl_stats option;  (** present once a leveler is installed *)
   caram : Caram.stats option;  (** present while the content store is live *)
 }
 
@@ -527,7 +523,7 @@ let stats (t : t) : stats =
     buffer = Failure_buffer.stats t.buffer;
     caram = (match t.caram with None -> None | Some c -> Some (Caram.stats c));
     wl =
-      (match t.wear_stage with
+      (match t.leveler with
       | None -> None
       | Some w ->
           Some

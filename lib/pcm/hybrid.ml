@@ -17,7 +17,7 @@
       consumes cell endurance.
 
     The policy lives here in [lib/pcm] — next to {!Wear_level} and
-    {!Translate} — so both the device (caram) and the OS tier
+    {!Failure_model} — so both the device (caram) and the OS tier
     (migrate) can consume it without a dependency on [lib/core]. *)
 
 type policy = {

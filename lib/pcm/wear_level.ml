@@ -3,10 +3,10 @@
     The paper argues (Sec. 7.2, "Wear Leveling Considered Harmful") that
     uniformly wearing memory spreads failures out, fragmenting it, while
     concentrated wear keeps failures clustered and is more transparent to
-    failure-aware software.  This module provides the leveling stage of
-    the device's address-translation pipeline ({!Translate}): a live
-    logical→slot permutation plus a *mover* that perturbs it as writes
-    accrue.  Three movers are modeled:
+    failure-aware software.  This module is the device's wear leveler
+    ({!Device}): a live logical→slot permutation, above the clustering
+    maps, plus a *mover* that perturbs it as writes accrue.  Three
+    movers are modeled:
 
     - {e start-gap} (Qureshi et al., MICRO 2009 — cited as [17]): one
       slot is reserved as the gap; every [psi] writes the line adjacent
@@ -20,10 +20,10 @@
 
     All three maintain the permutation explicitly by swapping entries,
     which keeps the model honest — it is a permutation by construction —
-    at O(1) per move.  Slots that become unusable downstream (wear-outs,
-    clustering metadata) are {e frozen}: the mover never relocates data
-    onto or off them again, so the logical view of a failure stays
-    stable once the OS has published it. *)
+    at O(1) per move.  Slots that become unusable below the leveler
+    (wear-outs, clustering metadata) are {e frozen}: the mover never
+    relocates data onto or off them again, so the logical view of a
+    failure stays stable once the OS has published it. *)
 
 open Holes_stdx
 
@@ -39,11 +39,52 @@ let validate_policy = function
   | Start_gap { psi } | Random_remap { psi } | Decoder_swap { psi } ->
       if psi <= 0 then invalid_arg "Wear_level: psi must be positive"
 
+(* ---- CLI surface (mirrors Failure_model.of_cli and Hybrid.of_cli) ----- *)
+
+let default_psi = 100
+
+(** Parse a wear-level policy: [none], [startgap[:PSI]], [random[:PSI]]
+    or [decoder[:PSI]] (PSI = writes between moves, default 100). *)
+let of_cli (s : string) : (policy option, string) result =
+  let fail () =
+    Error
+      (Printf.sprintf "expected none | startgap[:PSI] | random[:PSI] | decoder[:PSI], got %S" s)
+  in
+  let parse_psi = function
+    | [] -> Ok default_psi
+    | [ p ] -> (
+        match int_of_string_opt p with
+        | Some v when v > 0 -> Ok v
+        | _ -> Error (Printf.sprintf "bad psi %S (want a positive integer)" p))
+    | _ -> Error "too many ':' fields"
+  in
+  match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
+  | [ "none" ] -> Ok None
+  | "startgap" :: rest -> Result.map (fun psi -> Some (Start_gap { psi })) (parse_psi rest)
+  | "random" :: rest -> Result.map (fun psi -> Some (Random_remap { psi })) (parse_psi rest)
+  | "decoder" :: rest -> Result.map (fun psi -> Some (Decoder_swap { psi })) (parse_psi rest)
+  | _ -> fail ()
+
+let to_cli (p : policy option) : string =
+  match p with
+  | None -> "none"
+  | Some (Start_gap { psi }) -> Printf.sprintf "startgap:%d" psi
+  | Some (Random_remap { psi }) -> Printf.sprintf "random:%d" psi
+  | Some (Decoder_swap { psi }) -> Printf.sprintf "decoder:%d" psi
+
+(** Compact policy tag for config names / file paths. *)
+let short_name (p : policy option) : string =
+  match p with
+  | None -> "none"
+  | Some (Start_gap { psi }) -> Printf.sprintf "sg%d" psi
+  | Some (Random_remap { psi }) -> Printf.sprintf "rr%d" psi
+  | Some (Decoder_swap { psi }) -> Printf.sprintf "ds%d" psi
+
 (** Data-movement callbacks supplied by the device: [copy] moves one
     line's payload between slots (charging wear at the destination),
-    [swap] exchanges two slots' payloads (charging wear at both).  Slot
-    indices are in this stage's {e output} domain; the device composes
-    the downstream stages to reach physical lines. *)
+    [swap] exchanges two slots' payloads (charging wear at both).  The
+    device maps each slot through its clustering map to reach the
+    physical line. *)
 type io = { copy : src:int -> dst:int -> unit; swap : a:int -> b:int -> unit }
 
 let null_io = { copy = (fun ~src:_ ~dst:_ -> ()); swap = (fun ~a:_ ~b:_ -> ()) }
@@ -52,7 +93,7 @@ type t = {
   n : int;  (** lines (logical and slot domains have the same size) *)
   map : int array;  (** logical line -> slot; a permutation *)
   inverse : int array;  (** slot -> logical line *)
-  frozen_slot : Bitset.t;  (** slots pinned by downstream unusability *)
+  frozen_slot : Bitset.t;  (** slots pinned by unusability below the leveler *)
   frozen_logical : Bitset.t;  (** logical ends of pinned pairs + the gap owner *)
   rng : Xrng.t;  (** partner draws for [Random_remap] *)
   mutable policy : policy option;  (** [None] = paused: permutation kept, no moves *)
@@ -107,7 +148,7 @@ let inverse (t : t) (s : int) : int =
 
 let gap_owner (t : t) : int = t.gap_owner
 
-(** Logical lines the stage has reserved for itself (unusable to
+(** Logical lines the leveler has reserved for itself (unusable to
     software): the gap owner, when one exists. *)
 let reserved (t : t) : int list = if t.gap_owner >= 0 then [ t.gap_owner ] else []
 
@@ -123,13 +164,13 @@ let swap_entries (t : t) (a : int) (b : int) : unit =
 let movable (t : t) (l : int) : bool =
   (not (Bitset.get t.frozen_logical l)) && not (Bitset.get t.frozen_slot t.map.(l))
 
-(** Pin logical line [l] and its current slot: used when the stage is
+(** Pin logical line [l] and its current slot: used when the leveler is
     installed mid-run over lines the OS already knows are unusable. *)
 let freeze_pair (t : t) (l : int) : unit =
   Bitset.set t.frozen_logical l;
   Bitset.set t.frozen_slot t.map.(l)
 
-(** Downstream reports slot [slot] unusable.  Pins the (logical, slot)
+(** The clustering map reports slot [slot] unusable.  Pins the (logical, slot)
     pair so no future move touches it and returns the logical line that
     just became unusable — or [None] when the pair was already pinned,
     or when the slot was the gap (the reserved owner was already
@@ -279,7 +320,7 @@ let is_consistent (t : t) : bool =
 
 let check (t : t) : (unit, string) result =
   if is_consistent t then Ok ()
-  else Error "wear-level stage: map/inverse permutation invariant violated"
+  else Error "wear leveler: map/inverse permutation invariant violated"
 
 (** Test-only: corrupt the map without updating [inverse], to prove the
     verifier catches translation-consistency violations. *)

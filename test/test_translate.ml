@@ -1,16 +1,17 @@
-(* Translation-pipeline tests (lib/pcm/translate.ml + the device's
-   composable write path):
+(* Address-translation tests: the device's wear leveler
+   (lib/pcm/wear_level.ml) composed above its clustering maps
+   (lib/pcm/redirect.ml) by lib/pcm/device.ml.
 
    - wear-level policy CLI round-trips and rejections;
-   - the composed pipeline stays a bijection under seeded write churn
-     with live failures, for every leveling policy;
+   - the composed logical->physical map stays a bijection under seeded
+     write churn with live failures, for every leveling policy;
    - the leveling experiment cells are bit-identical at -j 1 and -j 4
      (engine determinism through the leveler) and match the committed
      golden test/golden/wearlevel.jsonl, whose rows must keep wearing
      lines out and, when leveled, keep moving data;
    - the paranoid verifier catches a corrupted leveling map
      ([Wear_level.unsafe_poke]);
-   - the live start-gap stage reproduces the uniform-scatter failure
+   - the live start-gap leveler reproduces the uniform-scatter failure
      pattern of the retired synthetic model
      ([Wear_ablation.wear_map ~leveled:true]) under hot-spot traffic,
      while the unleveled device concentrates failures in the hot set.
@@ -23,7 +24,6 @@
 open Alcotest
 module Pcm = Holes_pcm
 module Wl = Pcm.Wear_level
-module Tr = Pcm.Translate
 module Cfg = Holes.Config
 module Vm = Holes.Vm
 
@@ -32,8 +32,8 @@ module Vm = Holes.Vm
 let test_cli_roundtrip () =
   List.iter
     (fun p ->
-      match Tr.of_cli (Tr.to_cli p) with
-      | Ok p' -> check bool (Tr.to_cli p) true (p = p')
+      match Wl.of_cli (Wl.to_cli p) with
+      | Ok p' -> check bool (Wl.to_cli p) true (p = p')
       | Error e -> fail e)
     [
       None;
@@ -41,12 +41,12 @@ let test_cli_roundtrip () =
       Some (Wl.Random_remap { psi = 7 });
       Some (Wl.Decoder_swap { psi = 250 });
     ];
-  (match Tr.of_cli "STARTGAP" with
-  | Ok (Some (Wl.Start_gap { psi })) -> check int "default psi" Tr.default_psi psi
+  (match Wl.of_cli "STARTGAP" with
+  | Ok (Some (Wl.Start_gap { psi })) -> check int "default psi" Wl.default_psi psi
   | _ -> fail "case-insensitive startgap with default psi");
   check string "short names" "none,sg100,rr7,ds250"
     (String.concat ","
-       (List.map Tr.short_name
+       (List.map Wl.short_name
           [
             None;
             Some (Wl.Start_gap { psi = 100 });
@@ -57,7 +57,7 @@ let test_cli_roundtrip () =
 let test_cli_rejects () =
   List.iter
     (fun s ->
-      match Tr.of_cli s with
+      match Wl.of_cli s with
       | Error _ -> ()
       | Ok _ -> fail (Printf.sprintf "%S should not parse" s))
     [ "bogus"; "startgap:0"; "startgap:-3"; "random:x"; "decoder:1:2"; "none:5" ]
@@ -65,7 +65,7 @@ let test_cli_rejects () =
 (* ---- permutation under churn ------------------------------------------ *)
 
 (* Hammer a clustered, low-endurance device with random writes (draining
-   each failure like the OS would) and assert the composed pipeline is
+   each failure like the OS would) and assert the composed translation is
    still a bijection every 512 writes.  Exercises gap moves, remaps,
    redirect swaps and frozen pairs together. *)
 let churn_policy (policy : Wl.policy) () =
@@ -93,9 +93,9 @@ let churn_policy (policy : Wl.policy) () =
   done;
   let s = Pcm.Device.stats dev in
   check bool "wear failures occurred" true (s.Pcm.Device.failures > 0);
-  match Pcm.Device.wear_stage dev with
-  | None -> fail "no wear stage installed"
-  | Some w -> check bool "leveling stage active" true (Wl.gap_moves w + Wl.remaps w > 0)
+  match Pcm.Device.leveler dev with
+  | None -> fail "no wear leveler installed"
+  | Some w -> check bool "leveler active" true (Wl.gap_moves w + Wl.remaps w > 0)
 
 (* ---- engine determinism and the wear-level golden -------------------- *)
 
@@ -209,11 +209,11 @@ let test_verifier_catches_poke () =
   let r = Vm.verify vm in
   check (list string) "clean before the poke" [] r.Holes.Verify.errors;
   let st = Option.get (Vm.device_state vm) in
-  let w = Option.get (Pcm.Device.wear_stage st.Holes.Memory_backend.device) in
+  let w = Option.get (Pcm.Device.leveler st.Holes.Memory_backend.device) in
   (* map two logical lines onto one slot: no longer a permutation *)
   Wl.unsafe_poke w ~logical:3 ~slot:(Wl.translate w 4);
   let r = Vm.verify vm in
-  check bool "verifier reports the corrupted pipeline" true
+  check bool "verifier reports the corrupted translation" true
     (r.Holes.Verify.errors <> [])
 
 (* ---- live start-gap vs the synthetic leveled wear map ----------------- *)
