@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-sink behaviour diff between two figures-quick output directories.
+"""Behaviour diff between two output directories: figures-quick sinks and torture logs.
 
     python3 tools/behaviour_diff.py BASE_DIR HEAD_DIR [--summary FILE] [--changed FILE]
 
@@ -13,11 +13,19 @@ compared as multisets, so a sink that emits several records per key
 still diffs exactly: a record with a counterpart on the other side is
 identical or changed, one without is missing.
 
+Every torture*.log (the output of `bin/torture.exe`) found in either
+directory is diffed seed by seed.  A seed is changed when its config,
+status, violation or any key=value field printed on both sides
+differs.  A field that only one side prints (say, a counter the head
+added to the seed line) is listed under the table but does not count
+as a change.
+
 Prints a markdown table of identical / changed / missing records per
-sink, appending it to --summary when given (CI passes
-$GITHUB_STEP_SUMMARY); --changed writes every differing record, tagged
-"base" or "head", as JSONL.  Always exits 0: a pull request may change
-behaviour on purpose, and the table is there to show whether it did.
+sink, and of seeds per torture log, appending both to --summary when
+given (CI passes $GITHUB_STEP_SUMMARY); --changed writes every
+differing record and seed, tagged "base" or "head", as JSONL.  Always
+exits 0: a pull request may change behaviour on purpose, and the
+tables are there to show whether it did.
 """
 
 import argparse
@@ -68,6 +76,88 @@ def diff_sink(base, head):
     return identical, changed, missing, differing
 
 
+def torture_logs(*dirs):
+    """Every torture*.log name in any of dirs."""
+    return sorted({os.path.basename(p) for d in dirs for p in glob.glob(os.path.join(d, "torture*.log"))})
+
+
+def load_torture(path):
+    """seed -> {field: value} from a torture log, or None if the log is absent.
+
+    A seed line reads "seed N CONFIG STATUS key=value ..."; the indented
+    violation and repro lines after it are kept as its "violation"."""
+    if not os.path.exists(path):
+        return None
+    seeds, last = {}, None
+    with open(path) as f:
+        for line in f:
+            tok = line.split()
+            if len(tok) >= 4 and tok[0] == "seed":
+                last = {"config": tok[2], "status": tok[3], "violation": ""}
+                last.update(t.split("=", 1) for t in tok[4:] if "=" in t)
+                seeds[int(tok[1])] = last
+            elif line.startswith("  ") and last is not None:
+                last["violation"] = (last["violation"] + " " + line.strip()).strip()
+    return seeds
+
+
+def diff_torture(base, head):
+    """(identical, changed, missing, one-sided fields as (side, name), differing seeds)"""
+    identical = changed = missing = 0
+    one_sided, differing = set(), []
+    for seed in sorted(set(base) | set(head)):
+        b, h = base.get(seed), head.get(seed)
+        if b is None or h is None:
+            missing += 1
+            continue
+        one_sided |= {("base", k) for k in b.keys() - h.keys()}
+        one_sided |= {("head", k) for k in h.keys() - b.keys()}
+        if all(b[k] == h[k] for k in b.keys() & h.keys()):
+            identical += 1
+        else:
+            changed += 1
+            differing += [(seed, "base", b), (seed, "head", h)]
+    return identical, changed, missing, one_sided, differing
+
+
+def torture_table(base_dir, head_dir):
+    """(markdown lines, differing seeds as dicts); no lines when neither side has a log."""
+    names = torture_logs(base_dir, head_dir)
+    if not names:
+        return [], []
+    rows, differing, one_sided, absent = [], [], set(), False
+    for log in names:
+        base, head = load_torture(os.path.join(base_dir, log)), load_torture(os.path.join(head_dir, log))
+        if base is None or head is None:
+            side = "base" if base is None else "head"
+            rows.append(f"| `{log}` | — | — | — | — | — | **absent on {side}** |")
+            absent = True
+            continue
+        identical, changed, missing, fields, diff = diff_torture(base, head)
+        one_sided |= fields
+        verdict = "identical" if changed == 0 and missing == 0 else "**differs**"
+        rows.append(f"| `{log}` | {len(base)} | {len(head)} | {identical} | {changed} | {missing} | {verdict} |")
+        differing += [dict(log=log, seed=seed, side=side, record=rec) for seed, side, rec in diff]
+    if absent:
+        outcome = "**incomplete**: a torture log is absent (did a run fail?)"
+    elif differing:
+        outcome = f"**behaviour changed**: {len(differing) // 2} differing seeds (see the behaviour-diff artifact)"
+    else:
+        outcome = "**identical per seed**"
+    lines = [
+        "### Behaviour diff: torture, base vs head",
+        "",
+        "| log | base seeds | head seeds | identical | changed | missing | verdict |",
+        "|---|---:|---:|---:|---:|---:|---|",
+        *rows,
+        "",
+    ]
+    if one_sided:
+        listed = ", ".join(f"`{name}` ({side} only)" for side, name in sorted(one_sided, key=lambda f: (f[1], f[0])))
+        lines += [f"Printed on one side only, not counted as changes: {listed}.", ""]
+    return lines + [outcome, ""], differing
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
@@ -114,7 +204,9 @@ def main():
         outcome,
         "",
     ]
-    text = "\n".join(table)
+    torture, torture_differing = torture_table(args.base, args.head)
+    differing += torture_differing
+    text = "\n".join(table + torture)
     print(text)
     if args.summary:
         with open(args.summary, "a") as f:
