@@ -291,8 +291,9 @@ let run_one ?(steps = default_steps) ~(seed : int) () : outcome =
              (* device seeds split the injection slot three ways:
                 tenant churn, toggling the wear-leveling policy, and
                 toggling the DRAM/PCM tiering policy mid-run.  The
-                wear-level toggle stresses on_failure re-translation
-                and the gap-line evacuate/re-reserve path; the hybrid
+                wear-level toggle stresses the failure walk through a
+                leveler installed mid-run and the gap-line
+                evacuate/re-reserve path; the hybrid
                 toggle stresses demote-all writeback (tiering off
                 flushes every DRAM resident home through the charged
                 path) and content-store flushes, with the paranoid

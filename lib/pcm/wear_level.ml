@@ -170,12 +170,12 @@ let freeze_pair (t : t) (l : int) : unit =
   Bitset.set t.frozen_logical l;
   Bitset.set t.frozen_slot t.map.(l)
 
-(** The clustering map reports slot [slot] unusable.  Pins the (logical, slot)
-    pair so no future move touches it and returns the logical line that
-    just became unusable — or [None] when the pair was already pinned,
-    or when the slot was the gap (the reserved owner was already
-    published unusable at reservation time; losing the gap merely pauses
-    start-gap until it is re-enabled). *)
+(** The clustering map reports slot [slot] unusable.  Pins the
+    (logical, slot) pair so no future move touches it and returns the
+    logical line that just became unusable — or [None] when the pair
+    was already pinned, or when the slot was the gap (the reserved
+    owner was already published unusable at reservation time; losing
+    the gap merely pauses start-gap until it is re-enabled). *)
 let on_slot_unusable (t : t) ~(slot : int) : int option =
   if slot < 0 || slot >= t.n then invalid_arg "Wear_level.on_slot_unusable: out of range";
   if Bitset.get t.frozen_slot slot then None
