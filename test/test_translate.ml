@@ -95,7 +95,13 @@ let churn_policy (policy : Wl.policy) () =
   check bool "wear failures occurred" true (s.Pcm.Device.failures > 0);
   match Pcm.Device.leveler dev with
   | None -> fail "no wear leveler installed"
-  | Some w -> check bool "leveler active" true (Wl.gap_moves w + Wl.remaps w > 0)
+  | Some w -> (
+      check bool "leveler active" true (Wl.gap_moves w + Wl.remaps w > 0);
+      (* wear-outs swallow the gap during this churn; the device must
+         reserve a new one each time *)
+      match policy with
+      | Wl.Start_gap _ -> check bool "start-gap still owns a gap" true (Wl.gap_owner w >= 0)
+      | Wl.Random_remap _ | Wl.Decoder_swap _ -> ())
 
 (* ---- engine determinism and the wear-level golden -------------------- *)
 
