@@ -2,7 +2,7 @@
 
    Times the kernels that dominate trial throughput (hole search, small
    allocation under failures, full collection — stop-the-world and
-   incremental — and device writes) plus
+   incremental — line retirement and device writes) plus
    the wall-clock of the reduced `figures-quick` grid, and writes the
    results as `BENCH_hotpath.json`.  The committed copy of that file is
    the perf baseline: CI reruns the kernels and fails when any of them
@@ -35,18 +35,27 @@
 
 let reps = 5
 
-(* best-of-[reps] wall-clock of [f], in ns per operation *)
-let time_ns_per_op ~(iters : int) (f : unit -> unit) : float =
-  f ();
+(* A kernel: the operations one timed run performs, and [prepare],
+   which builds a run's input outside the timed region and returns the
+   body to time. *)
+type kernel = { ops : int; prepare : unit -> unit -> unit }
+
+(* a kernel with no per-run input: every run times [body] whole *)
+let whole (ops : int) (body : unit -> unit) : kernel = { ops; prepare = (fun () -> body) }
+
+(* best-of-[reps] wall-clock of the kernel's body, in ns per operation *)
+let time_ns_per_op (k : kernel) : float =
+  (k.prepare ()) ();
   (* warmup: fill caches, trigger any lazy setup *)
   let best = ref infinity in
   for _ = 1 to reps do
+    let body = k.prepare () in
     let t0 = Unix.gettimeofday () in
-    f ();
+    body ();
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt
   done;
-  !best /. float_of_int iters *. 1e9
+  !best /. float_of_int k.ops *. 1e9
 
 (* ------------------------------------------------------------------ *)
 (* Kernels                                                             *)
@@ -59,7 +68,7 @@ let time_ns_per_op ~(iters : int) (f : unit -> unit) : float =
    the kernel covers both the overhead-bound short searches of a churning
    nursery and the long skips over dense blocks where the scan itself
    dominates. *)
-let hole_search_kernel () : int * (unit -> unit) =
+let hole_search_kernel () : kernel =
   let line_size = 64 in
   let lines_per_page = Holes_pcm.Geometry.lines_per_page in
   let make_block fill =
@@ -107,15 +116,14 @@ let hole_search_kernel () : int * (unit -> unit) =
     done
   in
   let nlines = blocks.(0).Holes_heap.Block.nlines in
-  ( walks * nlines * Array.length blocks * Array.length requests,
-    fun () ->
+  whole (walks * nlines * Array.length blocks * Array.length requests) (fun () ->
       for _ = 1 to walks do
         Array.iter (fun blk -> Array.iter (fun mb -> walk blk mb) requests) blocks
-      done )
+      done)
 
 (* alloc: the end-to-end small-allocation path over a 25%-failed heap —
    bump fast path, hole skips, recycled-block search, collections *)
-let alloc_kernel () : int * (unit -> unit) =
+let alloc_kernel () : kernel =
   let cfg =
     {
       Holes.Config.default with
@@ -124,41 +132,73 @@ let alloc_kernel () : int * (unit -> unit) =
     }
   in
   let iters = 4000 in
-  ( iters,
-    fun () ->
+  whole iters (fun () ->
       let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
       for _ = 1 to iters do
         let id = Holes.Vm.alloc vm ~size:48 () in
         Holes.Vm.kill vm id
-      done )
+      done)
 
-(* full-gc: trace + line-map rebuild + sweep over a half-dead heap *)
-let full_gc_kernel () : int * (unit -> unit) =
-  ( 1,
-    fun () ->
-      let vm = Holes.Vm.create ~cfg:Holes.Config.default ~min_heap_bytes:(1 lsl 20) () in
-      let ids = Array.init 3000 (fun _ -> Holes.Vm.alloc vm ~size:64 ()) in
-      Array.iteri (fun i id -> if i mod 2 = 0 then Holes.Vm.kill vm id) ids;
-      Holes.Vm.collect vm ~full:true )
+(* The collection kernels time [heaps_per_run] collections, each of its
+   own heap, built before the timer starts: a run times only the
+   collections, and one run is long enough for the clock. *)
+let heaps_per_run = 8
+
+let collections (make : unit -> 'heap) (collect : 'heap -> unit) : kernel =
+  {
+    ops = heaps_per_run;
+    prepare =
+      (fun () ->
+        let heaps = Array.init heaps_per_run (fun _ -> make ()) in
+        fun () -> Array.iter collect heaps);
+  }
+
+(* 3000 small objects, every other one dead *)
+let half_dead_heap (cfg : Holes.Config.t) () : Holes.Vm.t =
+  let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
+  let ids = Array.init 3000 (fun _ -> Holes.Vm.alloc vm ~size:64 ()) in
+  Array.iteri (fun i id -> if i mod 2 = 0 then Holes.Vm.kill vm id) ids;
+  vm
+
+(* full-gc: one stop-the-world collection of the half-dead heap —
+   snapshot, mark, line-map bookkeeping and sweep *)
+let full_gc_kernel () : kernel =
+  collections (half_dead_heap Holes.Config.default) (fun vm -> Holes.Vm.collect vm ~full:true)
 
 (* gc-pause: the full_gc heap collected incrementally — snapshot,
    budgeted mark slices, then sweep and defrag slices driven to
-   completion.  Wall-clocks the whole incremental cycle: a regression in
-   the slice machinery (work-queue processing, deferred line retirement,
+   completion.  Times the whole incremental cycle: a regression in the
+   slice machinery (snapshot walking, deferred line retirement,
    per-slice rebuild accounting) lands here, while full_gc above keeps
    the stop-the-world path honest. *)
-let gc_pause_kernel () : int * (unit -> unit) =
-  let cfg = { Holes.Config.default with Holes.Config.gc_slice = 64 } in
-  ( 1,
-    fun () ->
-      let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
-      let ids = Array.init 3000 (fun _ -> Holes.Vm.alloc vm ~size:64 ()) in
-      Array.iteri (fun i id -> if i mod 2 = 0 then Holes.Vm.kill vm id) ids;
-      Holes.Vm.collect vm ~full:true )
+let gc_pause_kernel () : kernel =
+  collections
+    (half_dead_heap { Holes.Config.default with Holes.Config.gc_slice = 64 })
+    (fun vm -> Holes.Vm.collect vm ~full:true)
+
+(* retire: one stop-the-world line retirement (paper Sec. 4.2) — a
+   dynamic failure under a live object, which runs a full evacuating
+   collection and then retires the line.  The heap's object table is
+   sparse: 20000 objects allocated and all but one in 40 collected,
+   then 300 more allocated, so the slot high-water mark is 25 times the
+   ~800 occupied slots, as after the churn of an aging run. *)
+let retire_kernel () : kernel =
+  (* the heap and the live object whose line fails *)
+  let sparse_heap () =
+    let vm = Holes.Vm.create ~cfg:Holes.Config.default ~min_heap_bytes:(2 lsl 20) () in
+    let ids = Array.init 20_000 (fun i -> Holes.Vm.alloc vm ~size:(16 + (i mod 48)) ()) in
+    Array.iteri (fun i id -> if i mod 40 <> 0 then Holes.Vm.kill vm id) ids;
+    Holes.Vm.collect vm ~full:true;
+    for i = 1 to 300 do
+      ignore (Holes.Vm.alloc vm ~size:(16 + (i mod 600)) ())
+    done;
+    (vm, ids.(0))
+  in
+  collections sparse_heap (fun (vm, victim) -> Holes.Vm.dynamic_failure vm ~id:victim)
 
 (* device-write: the payload-store write path (no wear-outs: endurance is
    the production 1e8, so this isolates the arena from failure handling) *)
-let device_write_kernel () : int * (unit -> unit) =
+let device_write_kernel () : kernel =
   let config =
     { Holes_pcm.Device.default_config with Holes_pcm.Device.pages = 64; wear = Holes_pcm.Wear.default_params }
   in
@@ -166,20 +206,19 @@ let device_write_kernel () : int * (unit -> unit) =
   let payload = Bytes.make Holes_pcm.Geometry.line_bytes 'w' in
   let nlines = Holes_pcm.Device.nlines dev in
   let passes = 8 in
-  ( passes * nlines,
-    fun () ->
+  whole (passes * nlines) (fun () ->
       for _ = 1 to passes do
         for l = 0 to nlines - 1 do
           ignore (Holes_pcm.Device.write dev l payload)
         done
-      done )
+      done)
 
 (* translate: Device.physical_of_logical with both mechanisms live — a
    start-gap leveling permutation over the clustering maps — after
    enough write churn that the permutation has rotated and the
    clustering maps hold recorded failures.  This is the per-access cost
    translation adds on top of the arena store. *)
-let translate_kernel () : int * (unit -> unit) =
+let translate_kernel () : kernel =
   let config =
     {
       Holes_pcm.Device.default_config with
@@ -201,15 +240,14 @@ let translate_kernel () : int * (unit -> unit) =
     done
   done;
   let passes = 64 in
-  ( passes * nlines,
-    fun () ->
+  whole (passes * nlines) (fun () ->
       let acc = ref 0 in
       for _ = 1 to passes do
         for l = 0 to nlines - 1 do
           acc := !acc + Holes_pcm.Device.physical_of_logical dev l
         done
       done;
-      ignore !acc )
+      ignore !acc)
 
 (* migrate: the DRAM/PCM tiering hot path end to end — per-page heat
    tracking on every charged line write, promotion (frame grab, Vmm
@@ -219,7 +257,7 @@ let translate_kernel () : int * (unit -> unit) =
    so the kernel times the tiering machinery rather than a settled
    resident set.  device_write and translate above stay tier-free, so
    they keep isolating the arena and pipeline costs. *)
-let migrate_kernel () : int * (unit -> unit) =
+let migrate_kernel () : kernel =
   let d = Holes.Config.default_device in
   let cfg =
     {
@@ -229,13 +267,12 @@ let migrate_kernel () : int * (unit -> unit) =
     }
   in
   let iters = 4000 in
-  ( iters,
-    fun () ->
+  whole iters (fun () ->
       let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
       for _ = 1 to iters do
         let id = Holes.Vm.alloc vm ~size:48 () in
         Holes.Vm.kill vm id
-      done )
+      done)
 
 (* dedup: the content-store stage in front of the cells — FNV
    fingerprint, set lookup, dedup refcount bump, pattern compression,
@@ -244,7 +281,7 @@ let migrate_kernel () : int * (unit -> unit) =
    write mix of shared, all-same-byte and unique payloads.
    device_write above stays content-blind, so the pair separates the
    store's cost from the arena's. *)
-let dedup_kernel () : int * (unit -> unit) =
+let dedup_kernel () : kernel =
   let config =
     {
       Holes_pcm.Device.default_config with
@@ -263,8 +300,7 @@ let dedup_kernel () : int * (unit -> unit) =
   let pattern = Bytes.make line_bytes '\xAB' in
   let unique = Bytes.make line_bytes 'u' in
   let passes = 8 in
-  ( passes * nlines,
-    fun () ->
+  whole (passes * nlines) (fun () ->
       for p = 1 to passes do
         for l = 0 to nlines - 1 do
           let payload =
@@ -277,14 +313,14 @@ let dedup_kernel () : int * (unit -> unit) =
           in
           ignore (Holes_pcm.Device.write dev l payload)
         done
-      done )
+      done)
 
 (* fleet: one small device shard end to end — open-loop Poisson
    arrivals through the virtual-clock event queue, two tenant VMs
    attached to the shared node, request service and the report merge.
    Wall-clocks the serving simulator itself (DESIGN.md §12); the
    simulated latencies inside it are virtual and deterministic. *)
-let fleet_kernel () : int * (unit -> unit) =
+let fleet_kernel () : kernel =
   let p =
     {
       Holes_fleet.Sim.default with
@@ -294,14 +330,15 @@ let fleet_kernel () : int * (unit -> unit) =
       duration_ms = 150.0;
     }
   in
-  (1, fun () -> ignore (Holes_fleet.Sim.run ~jobs:1 p))
+  whole 1 (fun () -> ignore (Holes_fleet.Sim.run ~jobs:1 p))
 
-let kernels : (string * (unit -> int * (unit -> unit))) list =
+let kernels : (string * (unit -> kernel)) list =
   [
     ("hole_search", hole_search_kernel);
     ("alloc_small", alloc_kernel);
     ("full_gc", full_gc_kernel);
     ("gc_pause", gc_pause_kernel);
+    ("retire", retire_kernel);
     ("device_write", device_write_kernel);
     ("translate", translate_kernel);
     ("migrate", migrate_kernel);
@@ -312,8 +349,7 @@ let kernels : (string * (unit -> int * (unit -> unit))) list =
 let run_kernels () : (string * float) list =
   List.map
     (fun (name, mk) ->
-      let iters, f = mk () in
-      let ns = time_ns_per_op ~iters f in
+      let ns = time_ns_per_op (mk ()) in
       Printf.printf "%-14s %12.1f ns/op\n%!" name ns;
       (name, ns))
     kernels
@@ -474,8 +510,7 @@ let check ~(path : string) ~(tolerance : float) ~(retries : int)
     List.iter
       (fun kname ->
         let _, mk = List.find (fun (n, _) -> n = kname) kernels in
-        let iters, f = mk () in
-        let ns = time_ns_per_op ~iters f in
+        let ns = time_ns_per_op (mk ()) in
         Printf.printf "%-14s %12.1f ns/op (retry)\n%!" kname ns;
         rows :=
           List.map

@@ -52,10 +52,6 @@ type t = {
           to back through [recyclable_pos] (a cursor into a flat vector
           instead of popping list cells) *)
   mutable recyclable_pos : int;
-  mark_queue : Intvec.t;
-      (** the snapshot work-list: one entry per occupied slot, in
-          ascending-id order, liveness sign-encoded (see [snapshot]) —
-          the mark phase runs over a dense int array *)
   (* bump-pointer state: main cursor *)
   mutable cur_block : int;  (** -1 = none *)
   mutable cursor : int;
@@ -78,26 +74,32 @@ type t = {
   (* full-collection cycle state.  Every full collection is one
      snapshot-at-the-beginning cycle: stop-the-world drains it inside
      one pause, a [gc_slice] budget cuts it into slices driven from the
-     allocation path.  [mark_queue] is the persistent snapshot
-     work-list: entries are slot ids, sign-encoded with liveness at
-     snapshot time (id = live, lnot id = dead). *)
+     allocation path.  The snapshot is a word copy of the object
+     table's occupancy and liveness bitmaps: each occupied slot is one
+     entry, snapshot-live or snapshot-dead. *)
   mutable gc_slice : int;
-      (** work budget per slice in mark-queue entries; 0 = stop-the-world
+      (** work budget per slice in snapshot entries; 0 = stop-the-world
           (mutable so the torture driver can toggle mid-run) *)
+  mutable snap_occupied : Bitset.t;
+      (** the snapshot's entries: the slots occupied at [snapshot] *)
+  mutable snap_alive : Bitset.t;
+      (** the entries' liveness at [snapshot]: set = snapshot-live,
+          clear = snapshot-dead *)
   satb : Remset.t;
       (** the SATB mutation log: sources of reference stores executed
           while marking is in progress and the source is already black;
           drained (and charged like remset entries) at mark end *)
   mutable inc_phase : int;  (** 0 idle / 1 mark / 2 sweep / 3 defrag *)
   mutable inc_pos : int;
-      (** resume cursor: next [mark_queue] entry (mark phase) or next
-          block-table index (sweep phase) *)
+      (** resume cursor: the slot id the mark phase resumes its walk of
+          [snap_occupied] at, or the next block-table index (sweep
+          phase) *)
   mutable inc_epoch : int;  (** current mark epoch ("black" = marked in it) *)
   inc_recyclable : Intvec.t;
       (** recyclable vector under construction by the sweep phase,
           installed wholesale when the pass completes *)
   mutable inc_candidates : int list;  (** defrag candidates (block indices) left to evacuate *)
-  mutable inc_snapshot_len : int;  (** mark-queue length at snapshot *)
+  mutable inc_snapshot_len : int;  (** snapshot entries: [snap_occupied]'s population count *)
   mutable inc_nursery_len : int;  (** nursery length at snapshot *)
   mutable inc_marked : int;  (** cycle work counter: snapshot-live processed *)
   mutable inc_released : int;  (** cycle work counter: snapshot-dead released *)
@@ -130,7 +132,6 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
     next_block_index = 0;
     recyclable = Intvec.create ();
     recyclable_pos = 0;
-    mark_queue = Intvec.create ~capacity:256 ();
     cur_block = -1;
     cursor = 0;
     limit = 0;
@@ -146,6 +147,8 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
       defrag_requested = false;
       post_gc_check = ignore;
       gc_slice = cfg.Config.gc_slice;
+      snap_occupied = Bitset.create 0;
+      snap_alive = Bitset.create 0;
       satb = Remset.create ();
       inc_phase = 0;
       inc_pos = 0;
@@ -642,9 +645,9 @@ let nursery_gc (t : t) : unit =
 (* driven from the allocation path, each its own bracket, so the       *)
 (* recorded pause is the slice, not the cycle; the charges, and their  *)
 (* order, are the same either way.  Nothing clears line marks: the     *)
-(* snapshot encodes liveness in the sign of each queue entry; live     *)
-(* entries are charged and blackened in place, dead entries have their *)
-(* lines removed and their slots released.  Per-line live counts       *)
+(* snapshot copies the object table's occupancy and liveness bitmaps;  *)
+(* live entries are charged and blackened in place, dead entries have  *)
+(* their lines removed and their slots released.  Per-line live counts *)
 (* therefore equal the coverage of all uncollected objects at every    *)
 (* instant — the exact invariant the verifier checks after each slice. *)
 (*                                                                     *)
@@ -797,16 +800,25 @@ let prepare_defrag (t : t) : int list =
   List.map (fun (b : Block.t) -> b.Block.index) candidates
 
 (* Open a cycle: charge the fixed collection cost and take the snapshot
-   — every occupied slot, liveness sign-encoded (the enqueue pass itself
-   is uncharged). *)
+   — a word copy of the object table's occupancy and liveness bitmaps
+   (uncharged), so it costs the table's words, not one step per slot
+   id ever handed out. *)
 let snapshot (t : t) : unit =
   Cost.charge t.cost (weights t).Cost.gc_fixed;
   t.inc_epoch <- t.inc_epoch + 1;
-  Intvec.clear t.mark_queue;
-  Object_table.iter_slots t.objects (fun id ->
-      Intvec.push t.mark_queue (if Object_table.is_alive t.objects id then id else lnot id));
+  let occupied = Object_table.occupied t.objects in
+  let alive = Object_table.alive t.objects in
+  if Bitset.length t.snap_occupied = Bitset.length occupied then begin
+    Bitset.blit ~src:occupied ~dst:t.snap_occupied;
+    Bitset.blit ~src:alive ~dst:t.snap_alive
+  end
+  else begin
+    (* the table grew since the last snapshot *)
+    t.snap_occupied <- Bitset.copy occupied;
+    t.snap_alive <- Bitset.copy alive
+  end;
   t.inc_pos <- 0;
-  t.inc_snapshot_len <- Intvec.length t.mark_queue;
+  t.inc_snapshot_len <- Bitset.count t.snap_occupied;
   t.inc_nursery_len <- Intvec.length t.nursery;
   t.inc_marked <- 0;
   t.inc_released <- 0;
@@ -818,54 +830,50 @@ let snapshot (t : t) : unit =
   Remset.clear t.remset;
   t.inc_phase <- inc_mark
 
+(* Process one snapshot entry: a snapshot-live one is charged and
+   blackened even if killed since the snapshot (SATB floating garbage,
+   reclaimed next cycle); a snapshot-dead one has its lines and slot
+   reclaimed.  Nothing can release a slot between snapshot and here
+   (nursery collections are suppressed during a cycle), so its lines
+   are still accounted. *)
+let mark_entry (t : t) (w : Cost.weights) (id : int) : unit =
+  if Bitset.unsafe_get t.snap_alive id then begin
+    let nrefs = Object_table.nrefs t.objects id in
+    Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
+    Object_table.set_mark t.objects id t.inc_epoch;
+    Object_table.clear_nursery_flag t.objects id;
+    t.inc_marked <- t.inc_marked + 1
+  end
+  else begin
+    let addr = Object_table.addr t.objects id in
+    if addr >= 0 then begin
+      if Object_table.is_los t.objects id then Los.free t.los ~addr
+      else
+        Block.remove_object_lines (block_of_addr t addr) ~addr
+          ~size:(Object_table.size t.objects id);
+      Object_table.release t.objects id
+    end;
+    t.inc_released <- t.inc_released + 1
+  end
+
 (* One step of the mark phase: process up to [budget] snapshot entries
-   from the persistent work-list, in ascending slot order — live ones
-   charge their mark costs, dead ones release their lines and slots. *)
+   — the set bits of [snap_occupied] from the cursor [inc_pos], in
+   ascending slot order — and move the cursor past them.  The slice
+   that processes the last entry ends the phase. *)
 let mark_slice (t : t) ~(budget : int) : unit =
   let w = weights t in
-  let q = t.mark_queue in
-  let len = Intvec.length q in
-  let budget = max 1 budget in
-  let stop = if len - t.inc_pos <= budget then len else t.inc_pos + budget in
-  let i = ref t.inc_pos in
-  while !i < stop do
-    let enc = Intvec.unsafe_get q !i in
-    if enc >= 0 then begin
-      (* snapshot-live: charged and blackened even if killed since the
-         snapshot (SATB floating garbage, reclaimed next cycle) *)
-      let id = enc in
-      let nrefs = Object_table.nrefs t.objects id in
-      Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
-      Object_table.set_mark t.objects id t.inc_epoch;
-      Object_table.clear_nursery_flag t.objects id;
-      t.inc_marked <- t.inc_marked + 1
-    end
-    else begin
-      (* snapshot-dead: reclaim.  Nothing can release the slot between
-         snapshot and here (nursery collections are suppressed during a
-         cycle), so the lines are still accounted. *)
-      let id = lnot enc in
-      let addr = Object_table.addr t.objects id in
-      if addr >= 0 then begin
-        if Object_table.is_los t.objects id then Los.free t.los ~addr
-        else
-          Block.remove_object_lines (block_of_addr t addr) ~addr
-            ~size:(Object_table.size t.objects id);
-        Object_table.release t.objects id
-      end;
-      t.inc_released <- t.inc_released + 1
-    end;
-    incr i
-  done;
-  t.inc_pos <- !i;
-  if t.inc_pos >= len then begin
+  let left = t.inc_snapshot_len - t.inc_marked - t.inc_released in
+  let n = min left (max 1 budget) in
+  t.inc_pos <-
+    Bitset.iter_set_from t.snap_occupied ~from:t.inc_pos ~count:n (fun id -> mark_entry t w id);
+  if n = left then begin
     (* mark phase complete: drain the SATB log (charged like remset
        entries — the barrier's slow-path work), select evacuation
        candidates, and hand over to the sweep *)
     Cost.charge t.cost (w.Cost.remset_entry *. float_of_int (Remset.size t.satb));
     Remset.clear t.satb;
-    Intvec.clear q;
     assert (t.inc_marked + t.inc_released = t.inc_snapshot_len);
+    assert (Bitset.next_set t.snap_occupied t.inc_pos = None);
     t.inc_candidates <- prepare_defrag t;
     Intvec.clear t.inc_recyclable;
     t.inc_phase <- inc_sweep;

@@ -20,10 +20,10 @@
     step with no budget inside one recorded pause; a [gc_slice] budget
     cuts the same steps into slices (DESIGN.md §15).  The heap-layout
     and fast-path design — the dense block table, the struct-of-arrays
-    block metadata, the bump cursors and the snapshot work-list below —
-    is documented in DESIGN.md §13.  The record is exposed for the heap
-    verifier and the adversarial failure models, which inspect cursors
-    and blocks directly. *)
+    block metadata and the bump cursors below — is documented in
+    DESIGN.md §13, the bitmap snapshot in §14.  The record is exposed
+    for the heap verifier and the adversarial failure models, which
+    inspect cursors and blocks directly. *)
 
 open Holes_stdx
 open Holes_heap
@@ -56,10 +56,6 @@ type t = {
       (** block indices with free lines, address order; consumed front
           to back through [recyclable_pos] *)
   mutable recyclable_pos : int;
-  mark_queue : Intvec.t;
-      (** the snapshot work-list: one entry per occupied slot, in
-          ascending-id order, liveness sign-encoded — the mark phase runs
-          over a dense int array *)
   mutable cur_block : int;  (** main bump cursor's block; -1 = none *)
   mutable cursor : int;
   mutable limit : int;
@@ -77,27 +73,42 @@ type t = {
   (* full-collection cycle state.  Every full collection is one
      snapshot-at-the-beginning cycle: stop-the-world drains it inside
      one pause, a [gc_slice] budget cuts it into slices driven from the
-     allocation path.  [mark_queue] is the persistent snapshot
-     work-list: entries are slot ids, sign-encoded with liveness at
-     snapshot time (id = live, [lnot id] = dead).  Exposed for the heap
-     verifier's SATB checks and the torture harness. *)
+     allocation path.  The snapshot is a word copy of the object
+     table's occupancy and liveness bitmaps
+     ({!Holes_heap.Object_table.occupied} and
+     {!Holes_heap.Object_table.alive}): each slot occupied at snapshot
+     time is one entry, live or dead as it was then.  Exposed for the
+     heap verifier's SATB checks and the torture harness. *)
   mutable gc_slice : int;
-      (** work budget per slice in mark-queue entries; 0 = stop-the-world
+      (** work budget per slice in snapshot entries; 0 = stop-the-world
           (mutable so the torture driver can toggle mid-run) *)
+  mutable snap_occupied : Bitset.t;
+      (** the snapshot's entries: bit [id] set iff slot [id] was
+          occupied at snapshot time.  Kept between cycles and re-copied
+          in place by the next snapshot (replaced when the table has
+          grown); the mark phase walks its set bits from [inc_pos] *)
+  mutable snap_alive : Bitset.t;
+      (** the entries' liveness at snapshot time: an entry whose bit is
+          set here is snapshot-live (charged and blackened), clear is
+          snapshot-dead (its lines and slot are released) *)
   satb : Remset.t;
       (** the SATB mutation log: sources of reference stores executed
           while marking is in progress and the source is already black;
           drained (and charged like remset entries) at mark end *)
   mutable inc_phase : int;  (** 0 idle / 1 mark / 2 sweep / 3 defrag *)
   mutable inc_pos : int;
-      (** resume cursor: next [mark_queue] entry (mark phase) or next
-          block-table index (sweep phase) *)
+      (** resume cursor: in the mark phase the slot id the walk of
+          [snap_occupied] resumes at (every entry below it is
+          processed); in the sweep phase the next block-table index *)
   mutable inc_epoch : int;  (** current mark epoch ("black" = marked in it) *)
   inc_recyclable : Intvec.t;
       (** recyclable vector under construction by the sweep phase,
           installed wholesale when the pass completes *)
   mutable inc_candidates : int list;  (** defrag candidates (block indices) left to evacuate *)
-  mutable inc_snapshot_len : int;  (** mark-queue length at snapshot *)
+  mutable inc_snapshot_len : int;
+      (** snapshot entries: the population count of [snap_occupied].
+          The mark phase ends in the slice that processes the last one,
+          when [inc_marked + inc_released] reaches it *)
   mutable inc_nursery_len : int;  (** nursery length at snapshot *)
   mutable inc_marked : int;  (** cycle work counter: snapshot-live processed *)
   mutable inc_released : int;  (** cycle work counter: snapshot-dead released *)

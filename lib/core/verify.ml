@@ -231,40 +231,45 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
                   b.Block.index))
       end
       else if phase = Immix.inc_mark then begin
-        let q = s.Immix.mark_queue in
-        let len = Intvec.length q in
+        let occ = s.Immix.snap_occupied and alive = s.Immix.snap_alive in
         let pos = s.Immix.inc_pos in
+        let n = Bitset.length occ in
+        let nested = Bitset.length alive = n && Bitset.subset alive occ in
         check c
-          (0 <= pos && pos <= len && len = s.Immix.inc_snapshot_len)
+          (0 <= pos && pos <= n && s.Immix.inc_snapshot_len = Bitset.count occ && nested)
           (fun () ->
-            Printf.sprintf "mark cursor %d / queue %d / snapshot %d inconsistent" pos len
-              s.Immix.inc_snapshot_len);
+            Printf.sprintf
+              "mark cursor %d / snapshot of %d slots with %d entries (popcount %d, liveness %s) \
+               inconsistent"
+              pos n s.Immix.inc_snapshot_len (Bitset.count occ)
+              (if nested then "within the entries" else "outside the entries"));
+        (* processed entries are the set bits below the cursor: the
+           work counters must match them, live and dead separately.
+           Pending dead ones must still be dead (nothing resurrects). *)
+        let snapshot_live id = id < Bitset.length alive && Bitset.get alive id in
+        let done_live = ref 0 and done_dead = ref 0 in
+        Bitset.iter_set occ (fun id ->
+            if id < pos then (if snapshot_live id then incr done_live else incr done_dead)
+            else if not (snapshot_live id) then
+              check c
+                (not (Object_table.is_alive objects id))
+                (fun () -> Printf.sprintf "snapshot-dead object %d is alive" id));
         check c
-          (s.Immix.inc_marked + s.Immix.inc_released = pos)
+          (s.Immix.inc_marked = !done_live && s.Immix.inc_released = !done_dead)
           (fun () ->
-            Printf.sprintf "mark work counters %d+%d do not cover %d processed entries"
-              s.Immix.inc_marked s.Immix.inc_released pos);
-        (* pending snapshot entries: live ones awaited, dead ones must
-           still be dead (nothing resurrects) *)
-        let pending_live = Hashtbl.create 64 in
-        for i = pos to len - 1 do
-          let enc = Intvec.unsafe_get q i in
-          if enc >= 0 then Hashtbl.replace pending_live enc ()
-          else
-            check c
-              (not (Object_table.is_alive objects (lnot enc)))
-              (fun () -> Printf.sprintf "snapshot-dead object %d is alive" (lnot enc))
-        done;
+            Printf.sprintf
+              "mark work counters %d+%d do not match the %d live + %d dead entries below cursor %d"
+              s.Immix.inc_marked s.Immix.inc_released !done_live !done_dead pos);
+        let pending_live id = id >= pos && id < n && Bitset.get occ id && snapshot_live id in
         (* the SATB tri-color invariant, oracle form: every alive object
            is black (marked in the current epoch — processed from the
-           snapshot, or allocated black) or grey (still pending in the
-           snapshot work-list).  A white alive object is precisely what
-           an unlogged black→white store would strand. *)
+           snapshot, or allocated black) or grey (a snapshot-live entry
+           at or past the cursor).  A white alive object is precisely
+           what an unlogged black→white store would strand. *)
         Object_table.iter_slots objects (fun id ->
             if Object_table.is_alive objects id then
               check c
-                (Object_table.marked objects id s.Immix.inc_epoch
-                || Hashtbl.mem pending_live id)
+                (Object_table.marked objects id s.Immix.inc_epoch || pending_live id)
                 (fun () ->
                   Printf.sprintf
                     "alive object %d neither marked in epoch %d nor pending in the snapshot" id

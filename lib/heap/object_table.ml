@@ -21,6 +21,11 @@ type t = {
           object — no list cells, and the per-object edge count the
           mark loop charges by is an O(1) read of [nref] *)
   mutable nref : int array;  (** per-object edge count (<= [max_refs]) *)
+  mutable occupied : Bitset.t;
+      (** bit [id] set iff slot [id] holds an object, alive or dead
+          awaiting collection ([addr >= 0]) — what [iter_slots] and the
+          collector's snapshot walk, a word at a time *)
+  mutable alive : Bitset.t;  (** bit [id] set iff [is_alive id] *)
   mutable cap : int;
   mutable next_fresh : int;
   free_ids : Intvec.t;
@@ -52,6 +57,8 @@ let create () : t =
     mark = Array.make cap (-1);
     ref_store = Array.make (cap * max_refs) 0;
     nref = Array.make cap 0;
+    occupied = Bitset.create cap;
+    alive = Bitset.create cap;
     cap;
     next_fresh = 0;
     free_ids = Intvec.create ();
@@ -75,6 +82,8 @@ let grow (t : t) : unit =
    Array.blit t.ref_store 0 b 0 (t.cap * max_refs);
    t.ref_store <- b);
   t.nref <- extend t.nref 0;
+  t.occupied <- Bitset.extend t.occupied cap;
+  t.alive <- Bitset.extend t.alive cap;
   t.cap <- cap
 
 let page_bytes = Holes_pcm.Geometry.page_bytes
@@ -98,8 +107,10 @@ let deindex_los_pages (t : t) ~(addr : int) ~(size : int) : unit =
     Hashtbl.remove t.los_pages p
   done
 
-(** Allocate a fresh object id (recycled where possible). *)
+(** Allocate a fresh object id (recycled where possible) at heap
+    address [addr >= 0]. *)
 let alloc (t : t) ~(addr : int) ~(size : int) ~(pinned : bool) ~(los : bool) : int =
+  if addr < 0 then invalid_arg "Object_table.alloc: negative address";
   let id =
     let id = Intvec.pop_or t.free_ids ~default:(-1) in
     if id >= 0 then id
@@ -117,6 +128,8 @@ let alloc (t : t) ~(addr : int) ~(size : int) ~(pinned : bool) ~(los : bool) : i
     lor (if los then flag_los else 0);
   t.mark.(id) <- -1;
   t.nref.(id) <- 0;
+  Bitset.unsafe_set t.occupied id;
+  Bitset.unsafe_set t.alive id;
   t.live_count <- t.live_count + 1;
   t.live_bytes <- t.live_bytes + size;
   if los then index_los_pages t ~addr ~size ~id;
@@ -145,6 +158,7 @@ let refs (t : t) (id : int) : int list =
 let kill (t : t) (id : int) : unit =
   if is_alive t id then begin
     t.flags.(id) <- t.flags.(id) land lnot flag_alive;
+    Bitset.unsafe_clear t.alive id;
     t.nref.(id) <- 0;
     t.live_count <- t.live_count - 1;
     t.live_bytes <- t.live_bytes - t.size.(id)
@@ -157,12 +171,16 @@ let release (t : t) (id : int) : unit =
   if t.addr.(id) >= 0 then begin
     if is_los t id then deindex_los_pages t ~addr:t.addr.(id) ~size:t.size.(id);
     t.addr.(id) <- -1;
+    Bitset.unsafe_clear t.occupied id;
     Intvec.push t.free_ids id
   end
 
-(** Object relocation (evacuation / nursery copy). *)
+(** Object relocation (evacuation / nursery copy) of an occupied slot to
+    heap address [new_addr >= 0]. *)
 let relocate (t : t) (id : int) ~(new_addr : int) : unit =
-  if is_los t id && t.addr.(id) >= 0 then begin
+  if new_addr < 0 || t.addr.(id) < 0 then
+    invalid_arg "Object_table.relocate: released slot or negative address";
+  if is_los t id then begin
     deindex_los_pages t ~addr:t.addr.(id) ~size:t.size.(id);
     index_los_pages t ~addr:new_addr ~size:t.size.(id) ~id
   end;
@@ -190,8 +208,9 @@ let live_count (t : t) : int = t.live_count
 let live_bytes (t : t) : int = t.live_bytes
 
 (** Iterate over every slot that currently holds an object (alive or
-    dead-awaiting-collection). *)
-let iter_slots (t : t) (f : int -> unit) : unit =
-  for id = 0 to t.next_fresh - 1 do
-    if t.addr.(id) >= 0 then f id
-  done
+    dead-awaiting-collection), ascending: the set bits of [occupied],
+    a word at a time. *)
+let iter_slots (t : t) (f : int -> unit) : unit = Bitset.iter_set t.occupied f
+
+let occupied (t : t) : Bitset.t = t.occupied
+let alive (t : t) : Bitset.t = t.alive

@@ -18,7 +18,8 @@ val max_refs : int
 val create : unit -> t
 
 val alloc : t -> addr:int -> size:int -> pinned:bool -> los:bool -> int
-(** Allocate a fresh object id (recycled where possible). *)
+(** Allocate a fresh object id (recycled where possible) at heap
+    address [addr].  Raises [Invalid_argument] on a negative address. *)
 
 val addr : t -> int -> int
 (** Heap address of the object, or [-1] once its slot was released. *)
@@ -50,7 +51,8 @@ val release : t -> int -> unit
     has been reclaimed.  Raises [Invalid_argument] on a live object. *)
 
 val relocate : t -> int -> new_addr:int -> unit
-(** Object relocation (evacuation / nursery copy). *)
+(** Object relocation (evacuation / nursery copy).  Raises
+    [Invalid_argument] on a released slot or a negative address. *)
 
 val los_object_at : t -> page:int -> int option
 (** The LOS object occupying heap page [page] (address / 4 KB), dead or
@@ -74,4 +76,20 @@ val live_bytes : t -> int
 val iter_slots : t -> (int -> unit) -> unit
 (** Iterate, in ascending id order, over every slot that currently holds
     an object (alive or dead-awaiting-collection).  This single order is
-    what keeps collection charge sequences bit-identical across runs. *)
+    what keeps collection charge sequences bit-identical across runs.
+    The walk visits the set bits of {!occupied} a word at a time, so it
+    costs the occupied slots plus one load per 63 slot ids.  [f] may
+    kill any object and release the slot it is given: each word is read
+    once, before its slots are visited, so other slots [f] releases or
+    allocates may or may not be visited. *)
+
+val occupied : t -> Holes_stdx.Bitset.t
+(** The occupancy bitmap: bit [id] is set iff slot [id] holds an object
+    (its [addr] is [>= 0]).  Set by [alloc], cleared by [release].
+    Read-only; [alloc] replaces it with a longer copy when the table
+    grows, so read it afresh after allocating. *)
+
+val alive : t -> Holes_stdx.Bitset.t
+(** The liveness bitmap: bit [id] is set iff [is_alive t id].  Set by
+    [alloc], cleared by [kill].  Read-only, and replaced on growth like
+    {!occupied}. *)

@@ -134,6 +134,20 @@ let count (t : t) : int =
 
 let copy (t : t) : t = { len = t.len; words = Array.copy t.words }
 
+(** [blit ~src ~dst] overwrites [dst] with [src] (same length
+    required): a word copy, with no allocation. *)
+let blit ~(src : t) ~(dst : t) : unit =
+  if src.len <> dst.len then invalid_arg "Bitset.blit: length mismatch";
+  Array.blit src.words 0 dst.words 0 (Array.length src.words)
+
+(** [extend t len] is a fresh set of [len >= length t] bits holding
+    [t]'s bits, the positions past [length t] clear. *)
+let extend (t : t) (len : int) : t =
+  if len < t.len then invalid_arg "Bitset.extend: shorter than the set";
+  let d = create len in
+  Array.blit t.words 0 d.words 0 (Array.length t.words);
+  d
+
 let fill (t : t) (v : bool) : unit =
   let nw = Array.length t.words in
   Array.fill t.words 0 nw (if v then word_mask else 0);
@@ -163,6 +177,39 @@ let iter_set (t : t) (f : int -> unit) : unit =
       w := !w land (!w - 1)
     done
   done
+
+(** [iter_set_from t ~from ~count f] calls [f i] for the first [count]
+    set bits at or after [from], ascending, and returns the index just
+    past the last one visited ([from] when [count <= 0]): a resumable
+    walk for work done a budget at a time.  Like [iter_set], it reads
+    each word once and skips a clear word in one compare.  Raises
+    [Invalid_argument] when fewer than [count] set bits remain. *)
+let iter_set_from (t : t) ~(from : int) ~(count : int) (f : int -> unit) : int =
+  if count <= 0 then from
+  else begin
+    let short () = invalid_arg "Bitset.iter_set_from: fewer set bits than count" in
+    let from = if from < 0 then 0 else from in
+    if from >= t.len then short ();
+    let words = t.words in
+    let nw = Array.length words in
+    let wi = ref (div63 from) in
+    (* mask off bits below [from] in its word *)
+    let w = ref (Array.unsafe_get words !wi land lnot ((1 lsl mod63 from) - 1)) in
+    let left = ref count and next = ref from in
+    while !left > 0 do
+      while !w = 0 do
+        incr wi;
+        if !wi >= nw then short ();
+        w := Array.unsafe_get words !wi
+      done;
+      let i = (!wi * bits_per_word) + ctz !w in
+      f i;
+      w := !w land (!w - 1);
+      next := i + 1;
+      decr left
+    done;
+    !next
+  end
 
 (** [group_mask t ~shift] collapses the set into groups of [2^shift]
     consecutive bit positions, returning the bitmask of groups that

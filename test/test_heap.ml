@@ -57,6 +57,76 @@ let test_object_growth () =
   done;
   check Alcotest.int "all live" 5001 (Object_table.live_count t)
 
+(* The occupancy and liveness bitmaps in lockstep with a naive model:
+   random small and LOS allocations, kills, releases and relocations on
+   a fresh table, growing it through three doublings.  After every
+   operation [iter_slots] must list exactly the ids a naive per-id scan
+   finds with [addr >= 0], ascending, and the liveness bitmap must
+   agree with [is_alive] at every position. *)
+let test_slot_bitmaps_vs_model () =
+  let rng = Xrng.of_seed 0x5107 in
+  let t = Object_table.create () in
+  let page = Holes_pcm.Geometry.page_bytes in
+  (* ids below [hw] have been handed out; addresses are fresh,
+     page-aligned and disjoint, so LOS objects never share a page *)
+  let hw = ref 0 and next_page = ref 0 in
+  let fresh_addr size =
+    let a = !next_page * page in
+    next_page := !next_page + 1 + (size / page);
+    a
+  in
+  let check_state step what =
+    let rec next_occupied id =
+      if id < !hw && Object_table.addr t id < 0 then next_occupied (id + 1) else id
+    in
+    let expect = ref (next_occupied 0) in
+    Object_table.iter_slots t (fun id ->
+        if id <> !expect then
+          Alcotest.failf "step %d (%s): iter_slots visited %d, the model expects %d" step what id
+            !expect;
+        expect := next_occupied (id + 1));
+    if !expect < !hw then
+      Alcotest.failf "step %d (%s): iter_slots missed occupied slot %d" step what !expect;
+    let alive = Object_table.alive t in
+    for id = 0 to Bitset.length alive - 1 do
+      if Bitset.get alive id <> Object_table.is_alive t id then
+        Alcotest.failf "step %d (%s): alive bit %d disagrees with is_alive" step what id
+    done
+  in
+  for step = 1 to 12_000 do
+    let pick () = Xrng.int rng (max 1 !hw) in
+    let r = Xrng.int rng 100 in
+    let what =
+      if r < 55 || !hw = 0 then begin
+        let los = Xrng.int rng 10 = 0 in
+        let size = if los then page * (1 + Xrng.int rng 3) else 16 + Xrng.int rng 240 in
+        let id =
+          Object_table.alloc t ~addr:(fresh_addr size) ~size ~pinned:(Xrng.bool rng) ~los
+        in
+        hw := max !hw (id + 1);
+        if los then "alloc los" else "alloc"
+      end
+      else if r < 75 then begin
+        Object_table.kill t (pick ());
+        "kill"
+      end
+      else if r < 90 then begin
+        let id = pick () in
+        if not (Object_table.is_alive t id) then Object_table.release t id;
+        "release"
+      end
+      else begin
+        let id = pick () in
+        if Object_table.addr t id >= 0 then
+          Object_table.relocate t id ~new_addr:(fresh_addr (Object_table.size t id));
+        "relocate"
+      end
+    in
+    check_state step what
+  done;
+  Alcotest.(check bool) "grew through three doublings" true
+    (Bitset.length (Object_table.occupied t) >= 8 * 1024)
+
 (* ------------------------- Block ------------------------- *)
 
 let empty_bitmap = Bitset.create Holes_pcm.Geometry.lines_per_page
@@ -268,6 +338,7 @@ let suite =
     ("object refs capped", `Quick, test_object_refs_capped);
     ("object release-alive rejected", `Quick, test_object_release_alive_rejected);
     ("object table growth", `Quick, test_object_growth);
+    ("slot bitmaps match a naive model", `Quick, test_slot_bitmaps_vs_model);
     ("block fresh", `Quick, test_block_fresh);
     ("block false-failure widening", `Quick, test_block_false_failure_widening);
     ("block object line accounting", `Quick, test_block_object_lines);
