@@ -2,7 +2,8 @@
 
    Times the kernels that dominate trial throughput (hole search, small
    allocation under failures, full collection — stop-the-world and
-   incremental — line retirement and device writes) plus
+   incremental — line retirement and device writes, in line order and
+   at random) plus
    the wall-clock of the reduced `figures-quick` grid, and writes the
    results as `BENCH_hotpath.json`.  The committed copy of that file is
    the perf baseline: CI reruns the kernels and fails when any of them
@@ -213,6 +214,25 @@ let device_write_kernel () : kernel =
         done
       done)
 
+(* storm: uniformly random line stores over a 750-page device (the
+   fleet's device size) at production endurance, the access pattern of
+   a fleet failure storm.  device_write sweeps 64 pages in line order,
+   which fits in cache; here each store lands on a line whose wear
+   state and payload are most likely not cached, so the kernel sees how
+   the device lays out its per-line state.  The line indices are drawn
+   once, outside the timed region. *)
+let storm_kernel () : kernel =
+  let config =
+    { Holes_pcm.Device.default_config with Holes_pcm.Device.pages = 750; wear = Holes_pcm.Wear.default_params }
+  in
+  let dev = Holes_pcm.Device.create ~config ~seed:7 () in
+  let payload = Bytes.make Holes_pcm.Geometry.line_bytes 's' in
+  let rng = Holes_stdx.Xrng.of_seed 11 in
+  let nlines = Holes_pcm.Device.nlines dev in
+  let lines = Array.init (1 lsl 18) (fun _ -> Holes_stdx.Xrng.int rng nlines) in
+  whole (Array.length lines) (fun () ->
+      Array.iter (fun l -> ignore (Holes_pcm.Device.write dev l payload)) lines)
+
 (* translate: Device.physical_of_logical with both mechanisms live — a
    start-gap leveling permutation over the clustering maps — after
    enough write churn that the permutation has rotated and the
@@ -340,6 +360,7 @@ let kernels : (string * (unit -> kernel)) list =
     ("gc_pause", gc_pause_kernel);
     ("retire", retire_kernel);
     ("device_write", device_write_kernel);
+    ("storm", storm_kernel);
     ("translate", translate_kernel);
     ("migrate", migrate_kernel);
     ("dedup", dedup_kernel);

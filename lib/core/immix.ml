@@ -1232,17 +1232,20 @@ let find_page_owner (t : t) ~(page : int) : (Block.t * int) option =
         in
         pos 0
 
-(** Stock page id and 64 B PCM line backing heap byte [addr], if the
-    address lies in an assembled block ([None] for DRAM-borrowed pages
-    and unassembled addresses). *)
-let page_backing (t : t) ~(addr : int) : (int * int) option =
+(** The 64 B PCM line backing heap byte [addr], packed as
+    [stock_page * lines_per_page + line], or -1 for DRAM-borrowed pages
+    and unassembled addresses.  Allocates nothing: it runs on every
+    charged line store. *)
+let page_backing (t : t) ~(addr : int) : int =
   match block_opt t (addr / block_bytes) with
-  | None -> None
+  | None -> -1
   | Some b ->
       let off = addr - b.Block.base in
       let pg = b.Block.pages.(off / Holes_pcm.Geometry.page_bytes) in
-      if pg < 0 then None
-      else Some (pg, off mod Holes_pcm.Geometry.page_bytes / Holes_pcm.Geometry.line_bytes)
+      if pg < 0 then -1
+      else
+        (pg * Holes_pcm.Geometry.lines_per_page)
+        + (off mod Holes_pcm.Geometry.page_bytes / Holes_pcm.Geometry.line_bytes)
 
 (** Request defragmentation at the next full collection (used by the
     VM when the LOS runs short of pages: consolidation dissolves sparse

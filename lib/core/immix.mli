@@ -230,10 +230,11 @@ val find_page_owner : t -> page:int -> (Block.t * int) option
     [page], if any — the reverse lookup the OS failure up-call needs to
     turn a page/line pair back into a heap address. *)
 
-val page_backing : t -> addr:int -> (int * int) option
-(** Stock page id and 64 B PCM line backing heap byte [addr], if the
-    address lies in an assembled block ([None] for DRAM-borrowed pages
-    and unassembled addresses). *)
+val page_backing : t -> addr:int -> int
+(** The 64 B PCM line backing heap byte [addr], packed as
+    [stock_page * lines_per_page + line], or -1 for DRAM-borrowed pages
+    and unassembled addresses.  Allocates nothing: it runs on every
+    charged line store. *)
 
 val request_defrag : t -> unit
 (** Request defragmentation at the next full collection (used by the

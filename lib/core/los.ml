@@ -111,19 +111,21 @@ let free (t : t) ~(addr : int) : unit =
       t.pages_in_use <- t.pages_in_use - npages;
       Hashtbl.remove t.entries addr
 
-(** Stock page id and 64 B PCM line backing byte [base + off] of the LOS
-    object at [base]; [None] for borrowed DRAM slots and unknown
-    addresses. *)
-let page_backing (t : t) ~(base : int) ~(off : int) : (int * int) option =
-  match Hashtbl.find_opt t.entries base with
-  | None -> None
-  | Some e ->
+(** The 64 B PCM line backing byte [base + off] of the LOS object at
+    [base], packed as [stock_page * lines_per_page + line]; -1 for
+    borrowed DRAM slots and unknown addresses.  Allocates nothing. *)
+let page_backing (t : t) ~(base : int) ~(off : int) : int =
+  match Hashtbl.find t.entries base with
+  | exception Not_found -> -1
+  | e ->
       let pb = Holes_pcm.Geometry.page_bytes in
       let i = off / pb in
-      if i < 0 || i >= Array.length e.pages then None
+      if i < 0 || i >= Array.length e.pages then -1
       else
         let pg = e.pages.(i) in
-        if pg >= 0 then Some (pg, off mod pb / Holes_pcm.Geometry.line_bytes) else None
+        if pg >= 0 then
+          (pg * Holes_pcm.Geometry.lines_per_page) + (off mod pb / Holes_pcm.Geometry.line_bytes)
+        else -1
 
 (** The LOS base address whose backing pages include stock page [page] —
     the reverse lookup for an OS-reported line failure.  Linear in the

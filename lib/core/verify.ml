@@ -23,7 +23,8 @@
       pages; [pages_in_use] matches the entry table.
     - {b Stock}: per-page failed-line counts and usable-logical counts
       match the bitmaps; the perfect/imperfect/dead pools contain
-      exactly the pages they claim to; every page is owned exactly once
+      exactly the pages they claim to, and each page's pool tag names
+      the free list it is on (if any); every page is owned exactly once
       (a pool, an assembled block, or a live LOS entry).
     - {b Accounting}: the debit–credit ledger balances
       ([total_borrowed = debt + total_repaid + total_closed]) and
@@ -359,22 +360,29 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
           Printf.sprintf "page %d usable_logical=%d stale" p.Page_stock.id
             p.Page_stock.usable_logical))
     stock.Page_stock.pages;
-  let pool_check name ids pred =
+  (* each pool's pages carry its tag; [free_listed] marks the pages on
+     a free list, so a page tagged free but on none shows below *)
+  let free_listed = Array.make npages false in
+  let pool_check name ids tag pred =
     List.iter
       (fun id ->
         claim id;
+        if tag <> Page_stock.Not_free then free_listed.(id) <- true;
+        let p = stock.Page_stock.pages.(id) in
         check c
-          (pred stock.Page_stock.pages.(id))
+          (p.Page_stock.pool = tag && pred p)
           (fun () -> Printf.sprintf "page %d misfiled in %s pool" id name))
       ids
   in
-  pool_check "perfect" stock.Page_stock.free_perfect (fun p -> p.Page_stock.failed_lines = 0);
-  pool_check "imperfect" stock.Page_stock.free_imperfect (fun p ->
+  pool_check "perfect" stock.Page_stock.free_perfect Page_stock.Free_perfect (fun p ->
+      p.Page_stock.failed_lines = 0);
+  pool_check "imperfect" stock.Page_stock.free_imperfect Page_stock.Free_imperfect (fun p ->
       p.Page_stock.failed_lines > 0 && p.Page_stock.usable_logical > 0);
-  pool_check "dead" stock.Page_stock.dead (fun p -> p.Page_stock.usable_logical = 0);
+  pool_check "dead" stock.Page_stock.dead Page_stock.Not_free (fun p ->
+      p.Page_stock.usable_logical = 0);
   (* pages surrendered to repay DRAM debt went back to the OS: they are
      legitimately owned by nobody for the rest of the run *)
-  pool_check "repaid" stock.Page_stock.repaid (fun _ -> true);
+  pool_check "repaid" stock.Page_stock.repaid Page_stock.Not_free (fun _ -> true);
   check c
     (List.length stock.Page_stock.repaid = Page_stock.repaid_pages stock)
     (fun () ->
@@ -387,9 +395,14 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
   let exact = immix <> None in
   Array.iteri
     (fun id n ->
+      let tag_ok =
+        free_listed.(id) || stock.Page_stock.pages.(id).Page_stock.pool = Page_stock.Not_free
+      in
       check c
-        (if exact then n = 1 else n <= 1)
-        (fun () -> Printf.sprintf "page %d claimed %d times" id n))
+        ((if exact then n = 1 else n <= 1) && tag_ok)
+        (fun () ->
+          if tag_ok then Printf.sprintf "page %d claimed %d times" id n
+          else Printf.sprintf "page %d tagged free but on no free list" id))
     owners;
 
   (* -- accounting ---------------------------------------------------- *)

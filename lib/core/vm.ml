@@ -159,6 +159,11 @@ let handle_line_retired (t : t) ~(stock_page : int) ~(line : int) ~(data : Bytes
           | Some base -> relocate_los_victim t ~addr:base
           | None -> ()))
 
+(* One charged 64 B store to a line packed as [page_backing] packs it. *)
+let store_line (st : Memory_backend.device_state) (backing : int) : unit =
+  let lpp = Holes_pcm.Geometry.lines_per_page in
+  ignore (Memory_backend.device_write st ~stock_page:(backing / lpp) ~line:(backing mod lpp))
+
 (* Charge the device writes behind materializing object [id]: one 64 B
    line store per line it spans.  A store may wear its line out
    mid-loop; the failure chain then retires the line (possibly
@@ -179,12 +184,9 @@ let charge_device_writes (t : t) ~(id : int) : unit =
           else
             match t.space with
             | Ix s -> Immix.page_backing s ~addr:(addr + off)
-            | Ms _ -> None
+            | Ms _ -> -1
         in
-        (match backing with
-        | None -> ()
-        | Some (stock_page, line) ->
-            ignore (Memory_backend.device_write st ~stock_page ~line));
+        if backing >= 0 then store_line st backing;
         incr i
       done
 
@@ -449,11 +451,9 @@ let write_ref (t : t) ~(src : int) ~(dst : int) : unit =
       let addr = Object_table.addr t.objects src in
       let backing =
         if Los.is_los_addr addr then Los.page_backing t.los ~base:addr ~off:0
-        else match t.space with Ix s -> Immix.page_backing s ~addr | Ms _ -> None
+        else match t.space with Ix s -> Immix.page_backing s ~addr | Ms _ -> -1
       in
-      match backing with
-      | None -> ()
-      | Some (stock_page, line) -> ignore (Memory_backend.device_write st ~stock_page ~line)));
+      if backing >= 0 then store_line st backing));
   match t.space with Ix s -> Immix.write_barrier s ~src | Ms s -> Mark_sweep.write_barrier s ~src
 
 (** The object becomes unreachable; its space is reclaimed by a later

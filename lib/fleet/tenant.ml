@@ -51,7 +51,8 @@ type t = {
   params : params;
   rng : Xrng.t;
   dist : Generator.category Dist.Discrete.t;
-  mutable session : int list;  (** live session object ids, newest first *)
+  session : Intvec.t;  (** live session object ids, oldest first *)
+  locals : Intvec.t;  (** the current request's unretained ids, oldest first *)
   mutable session_left : int;  (** requests before the session turns over *)
 }
 
@@ -60,30 +61,37 @@ let make (params : params) (rng : Xrng.t) : t =
     params;
     rng;
     dist = Generator.category_dist params.profile;
-    session = [];
+    session = Intvec.create ();
+    locals = Intvec.create ();
     session_left = 0;
   }
 
 (** Forget all VM-specific state (object ids die with the VM).  Called
     on eviction, before the tenant is re-placed on a fresh VM. *)
 let reset (t : t) : unit =
-  t.session <- [];
+  Intvec.clear t.session;
+  Intvec.clear t.locals;
   t.session_left <- 0
 
 type outcome = { service_ns : float; gc_ns : float }
 
+(* kill every id in [v], newest first *)
+let kill_all (vm : Holes.Vm.t) (v : Intvec.t) : unit =
+  for i = Intvec.length v - 1 downto 0 do
+    Holes.Vm.kill vm (Intvec.unsafe_get v i)
+  done;
+  Intvec.clear v
+
 (* Session turnover: kill the old session state, then allocate the new
    session's base working set. *)
 let begin_session (t : t) (vm : Holes.Vm.t) : unit =
-  List.iter (Holes.Vm.kill vm) t.session;
-  t.session <- [];
+  kill_all vm t.session;
   t.session_left <-
     1 + int_of_float (Dist.exponential t.rng ~mean:(float_of_int t.params.session_requests));
   let acc = ref 0 in
   while !acc < t.params.session_bytes do
     let size = Generator.sample_size t.rng t.params.profile t.dist in
-    let id = Holes.Vm.alloc vm ~size () in
-    t.session <- id :: t.session;
+    Intvec.push t.session (Holes.Vm.alloc vm ~size ());
     acc := !acc + size
   done
 
@@ -101,24 +109,21 @@ let serve (t : t) (vm : Holes.Vm.t) : (outcome, [ `Oom ]) result =
     let target =
       1 + int_of_float (Dist.exponential t.rng ~mean:(float_of_int t.params.req_bytes))
     in
-    let locals = ref [] in
-    let nsession = ref (List.length t.session) in
+    Intvec.clear t.locals;
     let acc = ref 0 in
     while !acc < target do
       let size = Generator.sample_size t.rng t.params.profile t.dist in
       let id = Holes.Vm.alloc vm ~size () in
-      if !nsession > 0 && Xrng.float t.rng < t.params.profile.Profile.mutation_rate then begin
-        let src = List.nth t.session (Xrng.int t.rng !nsession) in
+      let n = Intvec.length t.session in
+      if n > 0 && Xrng.float t.rng < t.params.profile.Profile.mutation_rate then begin
+        (* the k-th newest session id: the fleet goldens pin this pick *)
+        let src = Intvec.unsafe_get t.session (n - 1 - Xrng.int t.rng n) in
         Holes.Vm.write_ref vm ~src ~dst:id
       end;
-      if Xrng.float t.rng < t.params.retain_frac then begin
-        t.session <- id :: t.session;
-        incr nsession
-      end
-      else locals := id :: !locals;
+      Intvec.push (if Xrng.float t.rng < t.params.retain_frac then t.session else t.locals) id;
       acc := !acc + size
     done;
-    List.iter (Holes.Vm.kill vm) !locals
+    kill_all vm t.locals
   with
   | () ->
       Ok

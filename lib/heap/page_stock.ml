@@ -19,6 +19,10 @@
 
 open Holes_stdx
 
+(** The free list a page sits on.  [Not_free]: held by an allocator,
+    dead or repaid. *)
+type pool = Not_free | Free_perfect | Free_imperfect
+
 type page = {
   id : int;
   bitmap : Bitset.t;
@@ -26,6 +30,9 @@ type page = {
   mutable usable_logical : int;
       (** logical (collector-line-size) lines with no failed PCM line;
           a page with none is *dead* for this run and never circulates *)
+  mutable pool : pool;
+      (** set wherever the page enters or leaves a free list, so a
+          dynamic failure finds the page's list without searching it *)
 }
 
 type t = {
@@ -94,6 +101,7 @@ let create_of_bitmaps ?(line_size = Holes_pcm.Geometry.line_bytes)
           bitmap;
           failed_lines = Bitset.count bitmap;
           usable_logical = count_usable_logical ~line_size bitmap;
+          pool = Not_free;
         })
   in
   let perfect = ref [] and imperfect = ref [] and dead = ref [] in
@@ -101,6 +109,7 @@ let create_of_bitmaps ?(line_size = Holes_pcm.Geometry.line_bytes)
   let usable = ref 0 in
   for p = npages - 1 downto 0 do
     if pages.(p).failed_lines = 0 then begin
+      pages.(p).pool <- Free_perfect;
       perfect := p :: !perfect;
       incr n_perfect;
       usable := !usable + lines_per_page
@@ -110,6 +119,7 @@ let create_of_bitmaps ?(line_size = Holes_pcm.Geometry.line_bytes)
       incr n_dead
     end
     else begin
+      pages.(p).pool <- Free_imperfect;
       imperfect := p :: !imperfect;
       incr n_imperfect;
       usable := !usable + lines_per_page - pages.(p).failed_lines
@@ -175,6 +185,7 @@ let rec take_relaxed (t : t) : int option =
   match t.free_imperfect with
   | p :: rest ->
       t.free_imperfect <- rest;
+      t.pages.(p).pool <- Not_free;
       t.n_free_imperfect <- t.n_free_imperfect - 1;
       t.free_usable_lines <- t.free_usable_lines - (lines_per_page - t.pages.(p).failed_lines);
       Some p
@@ -183,6 +194,7 @@ let rec take_relaxed (t : t) : int option =
       | [] -> None
       | p :: rest -> (
           t.free_perfect <- rest;
+          t.pages.(p).pool <- Not_free;
           t.n_free_perfect <- t.n_free_perfect - 1;
           t.free_usable_lines <- t.free_usable_lines - lines_per_page;
           match Holes_osal.Accounting.relaxed_offer_perfect t.accounting with
@@ -205,6 +217,7 @@ let take_perfect (t : t) : perfect_grant =
   match t.free_perfect with
   | p :: rest ->
       t.free_perfect <- rest;
+      t.pages.(p).pool <- Not_free;
       t.n_free_perfect <- t.n_free_perfect - 1;
       t.free_usable_lines <- t.free_usable_lines - lines_per_page;
       Holes_osal.Accounting.fussy_request t.accounting ~pages:1 ~available:1;
@@ -228,6 +241,7 @@ let return_page (t : t) (id : int) : unit =
   let p = t.pages.(id) in
   if p.failed_lines = 0 then begin
     t.free_perfect <- id :: t.free_perfect;
+    p.pool <- Free_perfect;
     t.n_free_perfect <- t.n_free_perfect + 1;
     t.free_usable_lines <- t.free_usable_lines + lines_per_page
   end
@@ -237,6 +251,7 @@ let return_page (t : t) (id : int) : unit =
   end
   else begin
     t.free_imperfect <- id :: t.free_imperfect;
+    p.pool <- Free_imperfect;
     t.n_free_imperfect <- t.n_free_imperfect + 1;
     t.free_usable_lines <- t.free_usable_lines + (lines_per_page - p.failed_lines)
   end
@@ -262,28 +277,26 @@ let repaid_pages (t : t) : int = t.repaid_pages
 let mark_line_failed (t : t) ~(id : int) ~(line : int) : unit =
   let p = t.pages.(id) in
   if not (Bitset.get p.bitmap line) then begin
-    let was_perfect = p.failed_lines = 0 in
-    let in_perfect = was_perfect && List.mem id t.free_perfect in
-    let in_imperfect = (not was_perfect) && List.mem id t.free_imperfect in
     let old_usable = lines_per_page - p.failed_lines in
     Bitset.set p.bitmap line;
     p.failed_lines <- p.failed_lines + 1;
     p.usable_logical <- count_usable_logical ~line_size:t.line_size p.bitmap;
-    if in_perfect then begin
-      t.free_perfect <- List.filter (fun x -> x <> id) t.free_perfect;
-      t.n_free_perfect <- t.n_free_perfect - 1;
-      t.free_usable_lines <- t.free_usable_lines - old_usable;
-      (* return_page pushes it to the right pool and recredits *)
-      return_page t id
-    end
-    else if in_imperfect then begin
-      if p.usable_logical = 0 then begin
-        t.free_imperfect <- List.filter (fun x -> x <> id) t.free_imperfect;
-        t.n_free_imperfect <- t.n_free_imperfect - 1;
+    match p.pool with
+    | Not_free -> ()
+    | Free_perfect ->
+        t.free_perfect <- List.filter (fun x -> x <> id) t.free_perfect;
+        t.n_free_perfect <- t.n_free_perfect - 1;
         t.free_usable_lines <- t.free_usable_lines - old_usable;
-        t.dead <- id :: t.dead;
-        t.n_dead <- t.n_dead + 1
-      end
-      else t.free_usable_lines <- t.free_usable_lines - 1
-    end
+        (* return_page pushes it to the right pool and recredits *)
+        return_page t id
+    | Free_imperfect ->
+        if p.usable_logical = 0 then begin
+          t.free_imperfect <- List.filter (fun x -> x <> id) t.free_imperfect;
+          p.pool <- Not_free;
+          t.n_free_imperfect <- t.n_free_imperfect - 1;
+          t.free_usable_lines <- t.free_usable_lines - old_usable;
+          t.dead <- id :: t.dead;
+          t.n_dead <- t.n_dead + 1
+        end
+        else t.free_usable_lines <- t.free_usable_lines - 1
   end

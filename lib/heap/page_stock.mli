@@ -21,6 +21,10 @@
     the pool discipline and accounting from scratch; allocators go
     through the functions below. *)
 
+(** The free list a page sits on.  [Not_free]: held by an allocator,
+    dead or repaid. *)
+type pool = Not_free | Free_perfect | Free_imperfect
+
 type page = {
   id : int;
   bitmap : Holes_stdx.Bitset.t;
@@ -28,6 +32,9 @@ type page = {
   mutable usable_logical : int;
       (** logical (collector-line-size) lines with no failed PCM line;
           a page with none is {e dead} for this run and never circulates *)
+  mutable pool : pool;
+      (** set wherever the page enters or leaves a free list, so a
+          dynamic failure finds the page's list without searching it *)
 }
 
 type t = {

@@ -49,7 +49,7 @@ type t = {
   nlines : int;
   seed : int;
   rng : Xrng.t;
-  lines : Wear.line array;  (** indexed by physical line *)
+  wear : Wear.Table.t;  (** per-line wear, indexed by physical line *)
   arena : Bytes.t option array;
       (** payload store: a flat arena of 64 KB chunks indexed by
           [physical / chunk_lines], committed lazily on first write *)
@@ -198,7 +198,7 @@ let install_leveler (t : t) (policy : Wear_level.policy) : unit =
           let ps = redirect t src and pd = redirect t dst in
           line_copy_out t ps scratch_a;
           line_copy_in t pd scratch_a;
-          ignore (Wear.write t.rng t.config.wear t.lines.(pd));
+          ignore (Wear.Table.write t.rng t.config.wear t.wear pd);
           if Trace.armed t.tracer then
             Trace.instant t.tracer ~tid:Trace.tid_pcm "wl_gap_move"
               ~args:[ ("src", float_of_int ps); ("dst", float_of_int pd) ]);
@@ -209,8 +209,8 @@ let install_leveler (t : t) (policy : Wear_level.policy) : unit =
           line_copy_out t pb scratch_b;
           line_copy_in t pa scratch_b;
           line_copy_in t pb scratch_a;
-          ignore (Wear.write t.rng t.config.wear t.lines.(pa));
-          ignore (Wear.write t.rng t.config.wear t.lines.(pb));
+          ignore (Wear.Table.write t.rng t.config.wear t.wear pa);
+          ignore (Wear.Table.write t.rng t.config.wear t.wear pb);
           if Trace.armed t.tracer then
             Trace.instant t.tracer ~tid:Trace.tid_pcm "wl_remap"
               ~args:[ ("a", float_of_int pa); ("b", float_of_int pb) ]);
@@ -220,7 +220,7 @@ let install_leveler (t : t) (policy : Wear_level.policy) : unit =
 let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : t =
   let nlines = config.pages * Geometry.lines_per_page in
   let rng = Xrng.of_seed seed in
-  let lines = Array.init nlines (fun _ -> Wear.fresh_line rng config.wear) in
+  let wear = Wear.Table.create rng config.wear ~nlines in
   let regions, region_lines =
     match config.clustering with
     | None -> ([||], nlines)
@@ -238,7 +238,7 @@ let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : 
       nlines;
       seed;
       rng;
-      lines;
+      wear;
       arena = Array.make ((nlines + chunk_lines - 1) / chunk_lines) None;
       buffer = Failure_buffer.create ~capacity:config.buffer_capacity ();
       regions;
@@ -270,7 +270,7 @@ let preinstall_failures (t : t) (map : Bitset.t) : unit =
   if Bitset.length map > t.nlines then
     invalid_arg "Device.preinstall_failures: map larger than the device";
   Bitset.iter_set map (fun physical ->
-      t.lines.(physical).Wear.failed <- true;
+      Wear.Table.fail t.wear physical;
       List.iter (fun l -> Bitset.set t.unusable l) (chain_failure t physical));
   (* a boot failure can swallow start-gap's freshly reserved gap — in
      particular the clustering metadata freeze lands on region-start
@@ -339,7 +339,7 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_result =
         Stored
     | _ ->
     let physical = physical_for_write t logical in
-    match Wear.write t.rng t.config.wear t.lines.(physical) with
+    match Wear.Table.write t.rng t.config.wear t.wear physical with
     | Wear.Ok | Wear.Corrected ->
         line_copy_in t physical payload;
         Stored
@@ -483,7 +483,9 @@ let check_translation (t : t) : (unit, string) result =
     wear". *)
 let wear_cov (t : t) : float =
   let m = Holes_obs.Stats.moments () in
-  Array.iter (fun l -> Holes_obs.Stats.accumulate m (float_of_int l.Wear.writes)) t.lines;
+  for l = 0 to t.nlines - 1 do
+    Holes_obs.Stats.accumulate m (float_of_int (Wear.Table.writes t.wear l))
+  done;
   Holes_obs.Stats.cov m
 
 (** Accumulated write count over the physical lines currently backing
@@ -495,7 +497,7 @@ let page_wear (t : t) (page : int) : int =
   let base = page * Geometry.lines_per_page in
   let acc = ref 0 in
   for i = 0 to Geometry.lines_per_page - 1 do
-    acc := !acc + t.lines.(physical_of_logical t (base + i)).Wear.writes
+    acc := !acc + Wear.Table.writes t.wear (physical_of_logical t (base + i))
   done;
   !acc
 

@@ -72,6 +72,61 @@ let ecp_utilization (p : params) (l : line) : float =
   if p.ecp_entries = 0 then if l.failed then 1.0 else 0.0
   else float_of_int l.ecp_used /. float_of_int p.ecp_entries
 
+(** {2 The flat wear table}
+
+    The device keeps every line's wear in one [int array], three ints
+    per line: writes, budget, and ECP entries used, the last -1 once
+    the line has failed.  A store then touches three adjacent words
+    instead of following a pointer to a record of its own.
+    {!Table.write} is {!write} on that layout, draw for draw; the
+    record model above is the reference it is checked against in
+    lockstep. *)
+module Table = struct
+  type t = int array
+
+  (** A table of [nlines] fresh lines, budgets drawn in line order (the
+      order [Array.init nlines (fun _ -> fresh_line rng p)] draws them). *)
+  let create (rng : Holes_stdx.Xrng.t) (p : params) ~(nlines : int) : t =
+    let w = Array.make (3 * nlines) 0 in
+    for l = 0 to nlines - 1 do
+      w.((3 * l) + 1) <- draw_endurance rng p
+    done;
+    w
+
+  let writes (w : t) (l : int) : int = w.(3 * l)
+
+  let budget (w : t) (l : int) : int = w.((3 * l) + 1)
+
+  (** ECP entries used, or -1 once the line has failed. *)
+  let ecp_used (w : t) (l : int) : int = w.((3 * l) + 2)
+
+  let failed (w : t) (l : int) : bool = w.((3 * l) + 2) < 0
+
+  (** Mark line [l] failed without a write (a boot-time failure). *)
+  let fail (w : t) (l : int) : unit = w.((3 * l) + 2) <- -1
+
+  (** {!write} on line [l] of the table. *)
+  let write (rng : Holes_stdx.Xrng.t) (p : params) (w : t) (l : int) : write_outcome =
+    let i = 3 * l in
+    let ecp = w.(i + 2) in
+    if ecp < 0 then Failed
+    else begin
+      w.(i) <- w.(i) + 1;
+      let budget = w.(i + 1) - 1 in
+      w.(i + 1) <- budget;
+      if budget > 0 then Ok
+      else if ecp < p.ecp_entries then begin
+        w.(i + 2) <- ecp + 1;
+        w.(i + 1) <- max 1 (int_of_float (float_of_int (draw_endurance rng p) *. p.ecp_extension));
+        Corrected
+      end
+      else begin
+        w.(i + 2) <- -1;
+        Failed
+      end
+    end
+end
+
 (** {2 Endurance variation shapes}
 
     The paper models process variation as lognormal endurance; SoftWear-style

@@ -148,10 +148,6 @@ let inverse (t : t) (s : int) : int =
 
 let gap_owner (t : t) : int = t.gap_owner
 
-(** Logical lines the leveler has reserved for itself (unusable to
-    software): the gap owner, when one exists. *)
-let reserved (t : t) : int list = if t.gap_owner >= 0 then [ t.gap_owner ] else []
-
 let swap_entries (t : t) (a : int) (b : int) : unit =
   if a <> b then begin
     let sa = t.map.(a) and sb = t.map.(b) in

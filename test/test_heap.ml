@@ -321,6 +321,88 @@ let test_stock_dynamic_failure_migration () =
 
 (* ------------------------- Remset ------------------------- *)
 
+(* The pool tags against a List.mem model: random takes, returns and
+   dynamic failures on two stocks (a 1 KB logical line lets failures
+   kill imperfect pages).  Before each failure the model predicts the
+   free and dead lists by searching them, as the stock did before it
+   kept tags; after every operation each page's tag must agree with
+   List.mem on both free lists, and the counts with the lists. *)
+let test_stock_tags_vs_model () =
+  let lpp = Holes_pcm.Geometry.lines_per_page in
+  List.iter
+    (fun (line_size, seed) ->
+      let npages = 48 in
+      let map =
+        Holes_pcm.Failure_map.uniform (Xrng.of_seed seed) ~nlines:(npages * lpp) ~rate:0.01
+      in
+      let s = Page_stock.create ~line_size ~device_map:map ~npages () in
+      let rng = Xrng.of_seed (seed + 1) in
+      let held = ref [] in
+      let predict_failure ~id ~line =
+        let p = Page_stock.page s id in
+        let lists = (s.Page_stock.free_perfect, s.Page_stock.free_imperfect, s.Page_stock.dead) in
+        if Bitset.get p.Page_stock.bitmap line then lists
+        else begin
+          let bitmap = Bitset.copy p.Page_stock.bitmap in
+          Bitset.set bitmap line;
+          let dies = Page_stock.count_usable_logical ~line_size bitmap = 0 in
+          let perfect, imperfect, dead = lists in
+          let was_perfect = p.Page_stock.failed_lines = 0 in
+          if was_perfect && List.mem id perfect then
+            let perfect = List.filter (fun x -> x <> id) perfect in
+            if dies then (perfect, imperfect, id :: dead) else (perfect, id :: imperfect, dead)
+          else if (not was_perfect) && List.mem id imperfect && dies then
+            (perfect, List.filter (fun x -> x <> id) imperfect, id :: dead)
+          else lists
+        end
+      in
+      let check_tags step =
+        let perfect = s.Page_stock.free_perfect and imperfect = s.Page_stock.free_imperfect in
+        Array.iter
+          (fun (p : Page_stock.page) ->
+            let id = p.Page_stock.id in
+            if
+              (p.Page_stock.pool = Page_stock.Free_perfect) <> List.mem id perfect
+              || (p.Page_stock.pool = Page_stock.Free_imperfect) <> List.mem id imperfect
+            then Alcotest.failf "step %d: page %d's pool tag disagrees with the free lists" step id)
+          s.Page_stock.pages;
+        if
+          List.length perfect <> Page_stock.free_perfect_count s
+          || List.length imperfect <> Page_stock.free_imperfect_count s
+          || List.length s.Page_stock.dead <> Page_stock.dead_count s
+        then Alcotest.failf "step %d: pool counts disagree with the lists" step
+      in
+      check_tags 0;
+      for step = 1 to 4000 do
+        (match Xrng.int rng 4 with
+        | 0 -> Option.iter (fun id -> held := id :: !held) (Page_stock.take_relaxed s)
+        | 1 -> (
+            match Page_stock.take_perfect s with
+            | Page_stock.Perfect id -> held := id :: !held
+            | Page_stock.Borrowed -> Page_stock.return_borrowed s
+            | Page_stock.Exhausted -> ())
+        | 2 -> (
+            match !held with
+            | [] -> ()
+            | _ ->
+                let id = List.nth !held (Xrng.int rng (List.length !held)) in
+                held := List.filter (fun x -> x <> id) !held;
+                Page_stock.return_page s id)
+        | _ ->
+            let id = Xrng.int rng npages and line = Xrng.int rng lpp in
+            let perfect, imperfect, dead = predict_failure ~id ~line in
+            Page_stock.mark_line_failed s ~id ~line;
+            if
+              perfect <> s.Page_stock.free_perfect
+              || imperfect <> s.Page_stock.free_imperfect
+              || dead <> s.Page_stock.dead
+            then Alcotest.failf "step %d: failing line %d of page %d moved the wrong pages" step line id);
+        check_tags step
+      done;
+      if line_size > 64 && Page_stock.dead_count s = 0 then
+        Alcotest.fail "no page died: the dead path went untested")
+    [ (64, 11); (1024, 12) ]
+
 let test_remset () =
   let r = Remset.create () in
   Alcotest.(check bool) "first record" true (Remset.record r ~src:5);
@@ -352,5 +434,6 @@ let suite =
     ("stock perfect exhaustion", `Quick, test_stock_debit_credit_flow);
     ("stock borrow and repay", `Quick, test_stock_borrow_and_repay);
     ("stock dynamic failure migration", `Quick, test_stock_dynamic_failure_migration);
+    ("stock pool tags match a List.mem model", `Quick, test_stock_tags_vs_model);
     ("remset", `Quick, test_remset);
   ]

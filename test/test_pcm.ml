@@ -92,6 +92,47 @@ let test_wear_utilization () =
   let l = Wear.fresh_line rng p in
   check (Alcotest.float 1e-9) "fresh line unused ECP" 0.0 (Wear.ecp_utilization p l)
 
+(* The device's flat wear table against the record model, in lockstep:
+   two identically seeded RNGs, the same random writes, and an
+   endurance small enough that lines run through their ECP entries to
+   failure.  After every write the outcome and the line's writes,
+   budget, ECP count and failed flag must agree. *)
+let test_wear_table_vs_records () =
+  let p = { Wear.mean_endurance = 8.0; sigma = 0.5; ecp_entries = 3; ecp_extension = 0.5 } in
+  let nlines = 256 in
+  let rng_r = Xrng.of_seed 21 and rng_t = Xrng.of_seed 21 in
+  let lines = Array.init nlines (fun _ -> Wear.fresh_line rng_r p) in
+  let table = Wear.Table.create rng_t p ~nlines in
+  let agree step l =
+    let r = lines.(l) in
+    if
+      r.Wear.writes <> Wear.Table.writes table l
+      || r.Wear.budget <> Wear.Table.budget table l
+      || r.Wear.failed <> Wear.Table.failed table l
+      || Wear.Table.ecp_used table l <> if r.Wear.failed then -1 else r.Wear.ecp_used
+    then Alcotest.failf "step %d: line %d's wear state diverged from the record model" step l
+  in
+  for l = 0 to nlines - 1 do
+    agree 0 l
+  done;
+  let pick = Xrng.of_seed 22 in
+  let corrected = ref 0 and failed = ref 0 in
+  for step = 1 to 12_000 do
+    let l = Xrng.int pick nlines in
+    let a = Wear.write rng_r p lines.(l) in
+    let b = Wear.Table.write rng_t p table l in
+    if a <> b then Alcotest.failf "step %d: line %d's write outcome diverged" step l;
+    (match a with
+    | Wear.Corrected -> incr corrected
+    | Wear.Failed -> incr failed
+    | Wear.Ok -> ());
+    agree step l
+  done;
+  Alcotest.(check bool) "ECP corrections happened" true (!corrected > nlines);
+  Alcotest.(check int) "every line ran to failure" nlines
+    (Array.fold_left (fun n r -> if r.Wear.failed then n + 1 else n) 0 lines);
+  Alcotest.(check bool) "failed lines were written again" true (!failed > nlines)
+
 (* ------------------------- Failure buffer ------------------------- *)
 
 let payload c = Bytes.make Geometry.line_bytes c
@@ -391,6 +432,7 @@ let suite =
     ("wear exhaustion", `Quick, test_wear_exhaustion);
     ("wear ECP extends life", `Quick, test_wear_ecp_extends_life);
     ("wear utilization", `Quick, test_wear_utilization);
+    ("wear table matches the record model", `Quick, test_wear_table_vs_records);
     ("buffer forward+clear", `Quick, test_buffer_forward_and_clear);
     ("buffer dedup", `Quick, test_buffer_dedup);
     ("buffer FIFO order", `Quick, test_buffer_fifo_order);

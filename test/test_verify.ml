@@ -112,6 +112,38 @@ let test_catches_pool_double_claim () =
       | [] -> Alcotest.fail "no free pages to duplicate"));
   expect_violation vm "page ownership"
 
+(* a free page whose tag says it is held, and a held page whose tag
+   says it is free: each misleads [Page_stock.mark_line_failed] *)
+let test_catches_stale_pool_tag () =
+  let stale_free () =
+    let vm = make_vm () in
+    expect_clean vm;
+    let stock = Vm.stock vm in
+    match stock.Page_stock.free_imperfect @ stock.Page_stock.free_perfect with
+    | id :: _ ->
+        stock.Page_stock.pages.(id).Page_stock.pool <- Page_stock.Not_free;
+        expect_violation vm "pool tag of a free page"
+    | [] -> Alcotest.fail "no free page to mistag"
+  in
+  let stale_held () =
+    let vm = make_vm () in
+    expect_clean vm;
+    let stock = Vm.stock vm in
+    let free = stock.Page_stock.free_imperfect @ stock.Page_stock.free_perfect in
+    let on_list id = List.mem id free || List.mem id stock.Page_stock.dead in
+    match
+      List.find_opt
+        (fun (p : Page_stock.page) -> not (on_list p.Page_stock.id))
+        (Array.to_list stock.Page_stock.pages)
+    with
+    | Some p ->
+        p.Page_stock.pool <- Page_stock.Free_imperfect;
+        expect_violation vm "pool tag of a held page"
+    | None -> Alcotest.fail "no held page to mistag"
+  in
+  stale_free ();
+  stale_held ()
+
 let test_catches_accounting_imbalance () =
   let vm = make_vm () in
   expect_clean vm;
@@ -152,6 +184,7 @@ let suite =
     ("catches free-count corruption", `Quick, test_catches_free_count_corruption);
     ("catches bitmap divergence", `Quick, test_catches_bitmap_divergence);
     ("catches pool double-claim", `Quick, test_catches_pool_double_claim);
+    ("catches a stale pool tag", `Quick, test_catches_stale_pool_tag);
     ("catches accounting imbalance", `Quick, test_catches_accounting_imbalance);
     ("torture repro command", `Quick, test_repro_command_shape);
     ("torture seeds 0..3 clean", `Quick, test_torture_seeds_clean);
