@@ -29,7 +29,7 @@ let () =
       ~seed:5 ()
   in
   let vmm = Osal.Vmm.create ~dram_pages:4 ~pcm_pages:8 () in
-  let handler = Osal.Interrupts.attach ~vmm ~device ~dram_pages:4 () in
+  let handler = Osal.Interrupts.attach ~vmm ~device () in
   let proc = Osal.Vmm.spawn vmm in
   (match Osal.Vmm.mmap_imperfect vmm proc ~pages:8 with
   | Ok _ -> ()
@@ -51,12 +51,12 @@ let () =
     | Pcm.Device.Stalled ->
         (* the buffer hit its watermark: the OS must service the interrupt *)
         incr stalls;
-        ignore (Osal.Interrupts.service handler));
+        Osal.Interrupts.service handler);
     if Osal.Interrupts.has_pending handler && !writes mod 64 = 0 then
-      ignore (Osal.Interrupts.service handler);
+      Osal.Interrupts.service handler;
     incr writes
   done;
-  ignore (Osal.Interrupts.service handler);
+  Osal.Interrupts.service handler;
 
   let stats = Pcm.Device.stats device in
   Printf.printf "writes issued:        %d\n" stats.Pcm.Device.writes;

@@ -31,7 +31,6 @@ type node = {
   n_device : Pcm.Device.t;
   n_vmm : Osal.Vmm.t;
   n_interrupts : Osal.Interrupts.t;
-  n_dram_pages : int;  (** physical ids below this are DRAM frames *)
   n_seed : int;  (** the creating config's seed (per-VM derived rngs) *)
   mutable n_hybrid : Pcm.Hybrid.policy;  (** live tiering policy (DESIGN.md §17) *)
   mutable n_tier : Osal.Tier.t option;  (** hot-page migration engine, when on *)
@@ -43,7 +42,6 @@ type device_state = {
   proc : Osal.Vmm.process;
   interrupts : Osal.Interrupts.t;
   node : node;  (** the shared node (tier and policy live here) *)
-  dram_pages : int;  (** physical ids below this are DRAM frames *)
   virt_of_stock : int array;  (** stock page id -> mapped virtual page *)
   stock_of_virt : int array;  (** virtual page -> stock page id, or -1 *)
   metrics : Metrics.t;
@@ -119,41 +117,35 @@ let create_node ?(tracer = Trace.null) ~(cfg : Config.t) ~(params : Config.devic
   if cfg.Config.failure_rate > 0.0 then
     Pcm.Device.preinstall_failures device
       (physical_failure_map cfg ~rng ~nlines:(device_pages * lines_per_page));
-  let dram_pages = params.Config.dram_pages in
-  let vmm = Osal.Vmm.create ~tracer ~dram_pages ~pcm_pages:device_pages () in
+  let vmm =
+    Osal.Vmm.create ~tracer ~dram_pages:params.Config.dram_pages ~pcm_pages:device_pages ()
+  in
   (* OS boot scan: publish the device's unusable lines in the failure
-     table and page descriptors, then rebuild the free pools in one pass *)
-  let table = Osal.Vmm.failure_table vmm in
+     table, then rebuild the free pools from it in one pass *)
   let pools = Osal.Vmm.pools vmm in
   List.iter
     (fun l ->
-      let page = l / lines_per_page and line = l mod lines_per_page in
-      Osal.Failure_table.mark_failed table ~page ~line;
-      ignore (Osal.Page.mark_line_failed (Osal.Pools.page pools (dram_pages + page)) ~line))
+      Osal.Failure_table.mark_failed (Osal.Pools.table pools) ~page:(l / lines_per_page)
+        ~line:(l mod lines_per_page))
     (Pcm.Device.unusable_lines device);
   Osal.Pools.renormalize pools;
-  if params.Config.wear_aware_pools then
+  if params.Config.wear_aware_pools then begin
+    (* only PCM pages are ever ranked: the perfect pool holds no DRAM *)
+    let dram_pages = Osal.Pools.dram_pages pools in
     Osal.Pools.set_wear_rank pools
-      (Some (fun phys -> if phys < dram_pages then 0 else Pcm.Device.page_wear device (phys - dram_pages)));
-  let interrupts = Osal.Interrupts.attach ~tracer ~vmm ~device ~dram_pages () in
-  let tier =
-    match cfg.Config.hybrid.Pcm.Hybrid.migrate_epoch with
-    | None -> None
-    | Some epoch ->
-        let t = Osal.Tier.create ~tracer ~vmm ~device ~dram_pages ~epoch () in
-        (* a stalled demotion write-back drains the failure buffer the
-           same way the VM's own write path does *)
-        Osal.Tier.set_on_stall t (fun () -> ignore (Osal.Interrupts.service interrupts));
-        Some t
-  in
+      (Some (fun phys -> Pcm.Device.page_wear device (phys - dram_pages)))
+  end;
+  let interrupts = Osal.Interrupts.attach ~tracer ~vmm ~device () in
   {
     n_device = device;
     n_vmm = vmm;
     n_interrupts = interrupts;
-    n_dram_pages = dram_pages;
     n_seed = cfg.Config.seed;
     n_hybrid = cfg.Config.hybrid;
-    n_tier = tier;
+    n_tier =
+      Option.map
+        (fun epoch -> Osal.Tier.create ~tracer ~interrupts ~epoch ())
+        cfg.Config.hybrid.Pcm.Hybrid.migrate_epoch;
   }
 
 (** Spawn a failure-aware process on [node] and map an [npages]-page
@@ -178,7 +170,6 @@ let attach ~(node : node) ~(metrics : Metrics.t) ~(npages : int) () :
           proc;
           interrupts = node.n_interrupts;
           node;
-          dram_pages = node.n_dram_pages;
           virt_of_stock;
           stock_of_virt;
           metrics;
@@ -214,10 +205,8 @@ let create_device ?(tracer = Trace.null) ~(cfg : Config.t) ~(params : Config.dev
   | Error `Out_of_memory ->
       invalid_arg "Memory_backend.create_device: device cannot back the requested heap"
 
-(** Drain pending failure interrupts (OS side).  Returns the number of
-    resolutions performed. *)
-let service (st : device_state) : int =
-  List.length (Osal.Interrupts.service st.interrupts)
+(** Drain pending failure interrupts (OS side). *)
+let service (st : device_state) : unit = Osal.Interrupts.service st.interrupts
 
 (** Evict a VM from its (shared) node: drain pending interrupts, silence
     the retire hook, and unmap every heap page — the pages return to the
@@ -225,7 +214,7 @@ let service (st : device_state) : int =
     for the next placement.  The VM object must not be used afterwards;
     its remaining device writes fall into the [Skipped] path. *)
 let detach (st : device_state) : unit =
-  ignore (service st);
+  service st;
   st.line_retired <- (fun ~stock_page:_ ~line:_ ~data:_ -> ());
   (* demote this process's promoted pages first: a munmap of a page
      mapped to a DRAM frame would free the frame and leak its reserved
@@ -287,8 +276,9 @@ let device_write (st : device_state) ~(stock_page : int) ~(line : int) : write_o
     (float_of_int (Pcm.Device.buffer_occupancy st.device));
   let virt = st.virt_of_stock.(stock_page) in
   let phys = Osal.Vmm.translate st.proc ~virt in
+  let dram_pages = Osal.Pools.dram_pages (Osal.Vmm.pools st.vmm) in
   if phys < 0 then Skipped
-  else if phys < st.dram_pages then begin
+  else if phys < dram_pages then begin
     (match st.node.n_tier with
     | Some tier ->
         ignore
@@ -298,7 +288,7 @@ let device_write (st : device_state) ~(stock_page : int) ~(line : int) : write_o
     Skipped
   end
   else begin
-    let logical = ((phys - st.dram_pages) * lines_per_page) + line in
+    let logical = ((phys - dram_pages) * lines_per_page) + line in
     if not (Pcm.Device.line_usable st.device logical) then Skipped
     else begin
       let payload = content_for_write st in
@@ -306,14 +296,14 @@ let device_write (st : device_state) ~(stock_page : int) ~(line : int) : write_o
         match Pcm.Device.write st.device logical payload with
         | Pcm.Device.Stored -> Stored
         | Pcm.Device.Write_failed ->
-            ignore (service st);
+            service st;
             Line_failed
         | Pcm.Device.Stalled -> (
-            ignore (service st);
+            service st;
             match Pcm.Device.write st.device logical payload with
             | Pcm.Device.Stored -> Stored
             | Pcm.Device.Write_failed ->
-                ignore (service st);
+                service st;
                 Line_failed
             | Pcm.Device.Stalled -> Skipped)
       in
@@ -374,9 +364,9 @@ let sync_node (node : node) (m : Metrics.t) : unit =
     leveler reserves for itself is evacuated through the normal failure
     chain and resolved before this returns. *)
 let set_wear_level (st : device_state) (p : Pcm.Wear_level.policy option) : unit =
-  ignore (service st);
+  service st;
   Pcm.Device.set_wear_level st.device p;
-  ignore (service st)
+  service st
 
 (** Switch the node's tiering policy mid-run.  Pending interrupts are
     drained on both sides.  Turning migration off demotes every
@@ -385,18 +375,13 @@ let set_wear_level (st : device_state) (p : Pcm.Wear_level.policy option) : unit
     cells.  Both directions leave the data intact — only who absorbs
     future writes changes. *)
 let set_hybrid (st : device_state) (p : Pcm.Hybrid.policy) : unit =
-  ignore (service st);
+  service st;
   (match (st.node.n_tier, p.Pcm.Hybrid.migrate_epoch) with
   | Some tier, None ->
       Osal.Tier.drop_all tier ~charge_copy:st.charge_copy;
       st.node.n_tier <- None
   | None, Some epoch ->
-      let tier =
-        Osal.Tier.create ~vmm:st.vmm ~device:st.device ~dram_pages:st.dram_pages ~epoch ()
-      in
-      let interrupts = st.interrupts in
-      Osal.Tier.set_on_stall tier (fun () -> ignore (Osal.Interrupts.service interrupts));
-      st.node.n_tier <- Some tier
+      st.node.n_tier <- Some (Osal.Tier.create ~interrupts:st.interrupts ~epoch ())
   | Some _, Some _ | None, None -> ());
   Pcm.Device.set_caram st.device p.Pcm.Hybrid.caram_ways;
   (match (st.content_rng, p.Pcm.Hybrid.caram_ways) with
@@ -407,4 +392,4 @@ let set_hybrid (st : device_state) (p : Pcm.Hybrid.policy) : unit =
              (st.node.n_seed lxor 0xCA4A77 lxor (st.proc.Osal.Vmm.pid * 0x9E3779)))
   | _ -> ());
   st.node.n_hybrid <- p;
-  ignore (service st)
+  service st

@@ -446,7 +446,7 @@ let run ~(metrics : Metrics.t) ~(objects : Object_table.t) ~(stock : Page_stock.
   | Memory_backend.Static -> ()
   | Memory_backend.Device st ->
       let table = Osal.Vmm.failure_table st.Memory_backend.vmm in
-      let dram = st.Memory_backend.dram_pages in
+      let dram = Osal.Pools.dram_pages (Osal.Vmm.pools st.Memory_backend.vmm) in
       Array.iteri
         (fun stock_page virt ->
           let phys = Osal.Vmm.translate st.Memory_backend.proc ~virt in

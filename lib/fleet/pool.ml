@@ -188,9 +188,9 @@ let storm (t : t) ~(writes : int) : unit =
          | Pcm.Device.Stored | Pcm.Device.Write_failed -> ()
          | Pcm.Device.Stalled ->
              (* failure-buffer pressure: drain and drop this store *)
-             ignore (Osal.Interrupts.service irq)
+             Osal.Interrupts.service irq
      done;
-     ignore (Osal.Interrupts.service irq)
+     Osal.Interrupts.service irq
    with Holes.Vm.Out_of_memory -> ());
   sweep_oom t
 

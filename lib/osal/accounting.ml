@@ -37,14 +37,6 @@ let create () : t =
     total_closed = 0;
   }
 
-let reset (t : t) : unit =
-  t.debt <- 0;
-  t.total_borrowed <- 0;
-  t.total_repaid <- 0;
-  t.perfect_requests <- 0;
-  t.perfect_satisfied <- 0;
-  t.total_closed <- 0
-
 (** A fussy allocator requests [pages] perfect pages; [available] says how
     many real perfect pages the OS could supply.  The shortfall is
     borrowed and becomes debt. *)

@@ -6,12 +6,12 @@
 
 open Holes_stdx
 
-type t = {
-  mutable bitmaps : Bitset.t array;  (** indexed by physical PCM page id *)
-}
+(* one failure bit per line *)
+let lpp = Holes_pcm.Geometry.lines_per_page
 
-let create ~(pcm_pages : int) : t =
-  { bitmaps = Array.init pcm_pages (fun _ -> Bitset.create Page.lines_per_page) }
+type t = { bitmaps : Bitset.t array  (** indexed by PCM page *) }
+
+let create ~(pcm_pages : int) : t = { bitmaps = Array.init pcm_pages (fun _ -> Bitset.create lpp) }
 
 let npages (t : t) : int = Array.length t.bitmaps
 
@@ -26,48 +26,33 @@ let failed_lines (t : t) ~(page : int) : int = Bitset.count t.bitmaps.(page)
 let total_failed_lines (t : t) : int =
   Array.fold_left (fun acc b -> acc + Bitset.count b) 0 t.bitmaps
 
-(** Install a whole-page bitmap (used when ingesting a generated failure
-    map, or when rebuilding after an abnormal shutdown). *)
-let install (t : t) ~(page : int) (bits : Bitset.t) : unit =
-  if Bitset.length bits <> Page.lines_per_page then
-    invalid_arg "Failure_table.install: bitmap must cover one page";
-  t.bitmaps.(page) <- Bitset.copy bits
+(** Raw (uncompressed) size in bits: 64 bits per page. *)
+let raw_bits (t : t) : int = npages t * lpp
+
+(* the bitmaps concatenated, one flag per PCM line *)
+let concatenated (t : t) : bool array =
+  Array.init (raw_bits t) (fun i -> Bitset.get t.bitmaps.(i / lpp) (i mod lpp))
 
 (** Rebuild the table from a device-wide line failure map (the "eagerly
     scanning memory" recovery path of Sec. 3.2.1). *)
 let rebuild_from (t : t) (device_map : Bitset.t) : unit =
-  let lpp = Page.lines_per_page in
-  if Bitset.length device_map <> npages t * lpp then
+  if Bitset.length device_map <> raw_bits t then
     invalid_arg "Failure_table.rebuild_from: size mismatch";
-  Array.iteri
-    (fun p _ ->
-      let bits = Bitset.create lpp in
-      for i = 0 to lpp - 1 do
-        if Bitset.get device_map ((p * lpp) + i) then Bitset.set bits i
-      done;
-      t.bitmaps.(p) <- bits)
-    t.bitmaps
+  Array.iter (fun bits -> Bitset.fill bits false) t.bitmaps;
+  Bitset.iter_set device_map (fun l -> mark_failed t ~page:(l / lpp) ~line:(l mod lpp))
 
 (** Serialize the table for persistent storage across shutdowns
     (Sec. 3.2.1: "the OS may save the failed line map to persistent
     storage and restore it on system initialization").  The format is a
     simple run-length encoding of the concatenated bitmaps. *)
 let save (t : t) : string =
-  let lpp = Page.lines_per_page in
-  let bits = Array.make (npages t * lpp) false in
-  Array.iteri
-    (fun p b ->
-      for i = 0 to lpp - 1 do
-        bits.((p * lpp) + i) <- Bitset.get b i
-      done)
-    t.bitmaps;
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "holes-ft1 %d\n" (npages t));
   List.iter
     (fun r ->
       Buffer.add_string buf
         (Printf.sprintf "%c%d " (if r.Rle.value then 'F' else 'o') r.Rle.length))
-    (Rle.encode bits);
+    (Rle.encode (concatenated t));
   Buffer.contents buf
 
 (** Restore a table previously written by {!save}.  Returns [Error] on a
@@ -77,7 +62,6 @@ let load (s : string) : (t, string) result =
   try
     Scanf.sscanf s "holes-ft1 %d\n %s@!" (fun npages rest ->
         let t = create ~pcm_pages:npages in
-        let lpp = Page.lines_per_page in
         let pos = ref 0 in
         String.split_on_char ' ' rest
         |> List.iter (fun tok ->
@@ -90,25 +74,13 @@ let load (s : string) : (t, string) result =
                    done;
                  pos := !pos + len
                end);
-        if !pos <> npages * lpp then Error "truncated failure-table image" else Ok t)
+        if !pos <> raw_bits t then Error "truncated failure-table image" else Ok t)
   with _ -> Error "corrupt failure-table image"
-
-(** Raw (uncompressed) size in bits: 64 bits per page. *)
-let raw_bits (t : t) : int = npages t * Page.lines_per_page
 
 (** Size in bits under the RLE encoding of {!Holes_stdx.Rle} over the
     concatenated bitmaps — the compression statistic the paper alludes
     to. *)
-let rle_bits (t : t) : int =
-  let lpp = Page.lines_per_page in
-  let all = Array.make (raw_bits t) false in
-  Array.iteri
-    (fun p b ->
-      for i = 0 to lpp - 1 do
-        all.((p * lpp) + i) <- Bitset.get b i
-      done)
-    t.bitmaps;
-  Rle.encoded_bits (Rle.encode all)
+let rle_bits (t : t) : int = Rle.encoded_bits (Rle.encode (concatenated t))
 
 (** Fraction of the PCM pool the raw table occupies (the paper's ~1.6%:
     64 bits per 4 KB page = 8 B / 4096 B ≈ 0.2% per bitmap; with entry

@@ -16,18 +16,11 @@
 module Pcm = Holes_pcm
 module Trace = Holes_obs.Trace
 
-type resolution =
-  | Upcalled of int  (** pid whose runtime handler relocated the data *)
-  | Page_copied of { pid : int; old_phys : int; new_phys : int }
-  | Data_restored of int  (** clustering re-backed the address; data rewritten *)
-  | Unowned  (** the failing page was not mapped; only bookkeeping done *)
-
 type event = { addr : int; unusable : int list }
 
 type t = {
   vmm : Vmm.t;
   device : Pcm.Device.t;
-  dram_pages : int;
   mutable queue : event list;  (** oldest first *)
   mutable page_copies : int;
   mutable upcalls : int;
@@ -39,16 +32,13 @@ type t = {
   tracer : Trace.view;  (** osal-lane events: service spans, resolutions *)
 }
 
-(** Attach an interrupt handler to [device].  [dram_pages] is the number
-    of DRAM physical ids preceding the PCM pages in the VMM's physical
-    namespace (device page 0 is VMM physical page [dram_pages]). *)
-let attach ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Pcm.Device.t) ~(dram_pages : int) ()
-    : t =
+(** Attach an interrupt handler to [device], whose page [p] is the VMM's
+    physical page [Pools.dram_pages + p]. *)
+let attach ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Pcm.Device.t) () : t =
   let t =
     {
       vmm;
       device;
-      dram_pages;
       queue = [];
       page_copies = 0;
       upcalls = 0;
@@ -68,20 +58,18 @@ let lines_per_page = Pcm.Geometry.lines_per_page
 (* Copy all usable lines of device page [page] to a fresh perfect page and
    remap the process's virtual page (failure-unaware resolution).  The
    destination is chosen by the swap engine's To_perfect policy
-   (Sec. 3.2.3); DRAM is the last resort when the perfect pool is dry. *)
-let copy_to_perfect (t : t) ~(pid : int) ~(virt : int) ~(device_page : int) : resolution option =
+   (Sec. 3.2.3); DRAM is the last resort when the perfect pool is dry,
+   and with neither left the page stays inaccessible. *)
+let copy_to_perfect (t : t) (p : Vmm.process) ~(virt : int) ~(phys : int) ~(device_page : int) :
+    unit =
   let pools = Vmm.pools t.vmm in
-  let src_map = Failure_table.get (Vmm.failure_table t.vmm) ~page:device_page in
   let target =
-    match
-      Swap.swap_in pools ~table:(Vmm.failure_table t.vmm) ~dram_pages:t.dram_pages
-        ~policy:Swap.To_perfect ~src_map
-    with
+    match Swap.swap_in pools ~policy:Swap.To_perfect ~src_map:(Pools.failures pools phys) with
     | Some o -> Some o.Swap.dest
     | None -> Pools.alloc_dram pools
   in
   match target with
-  | None -> None
+  | None -> ()
   | Some new_phys ->
       (* Model the data movement by reading every usable line (a real OS
          would copy the bytes into the new physical frame). *)
@@ -89,36 +77,35 @@ let copy_to_perfect (t : t) ~(pid : int) ~(virt : int) ~(device_page : int) : re
         let l = (device_page * lines_per_page) + line in
         if Pcm.Device.line_usable t.device l then ignore (Pcm.Device.read t.device l)
       done;
-      let p = Option.get (Vmm.find_process t.vmm pid) in
       let old_phys = Vmm.translate p ~virt in
       Vmm.remap t.vmm p ~virt ~new_phys;
       Vmm.record_swap t.vmm;
       t.page_copies <- t.page_copies + 1;
       if Trace.armed t.tracer then
         Trace.instant t.tracer ~tid:Trace.tid_osal "os_page_copy"
-          ~args:[ ("old_phys", float_of_int old_phys); ("new_phys", float_of_int new_phys) ];
-      Some (Page_copied { pid; old_phys; new_phys })
+          ~args:[ ("old_phys", float_of_int old_phys); ("new_phys", float_of_int new_phys) ]
 
 (* Resolve one newly unusable logical line. *)
-let resolve_line (t : t) ~(line : int) ~(data : Bytes.t option) : resolution =
+let resolve_line (t : t) ~(line : int) ~(data : Bytes.t option) : unit =
+  let pools = Vmm.pools t.vmm in
   let device_page = line / lines_per_page in
   let line_in_page = line mod lines_per_page in
-  let phys = t.dram_pages + device_page in
+  let phys = Pools.dram_pages pools + device_page in
   (* 1. prevent further access before the buffer entry disappears *)
-  let owner = Vmm.reverse_translate t.vmm ~phys in
-  (match owner with
-  | Some (pid, virt) ->
-      let p = Option.get (Vmm.find_process t.vmm pid) in
-      Vmm.set_protection p ~virt Vmm.No_access
-  | None -> ());
-  (* 2. update OS failure bookkeeping *)
-  Failure_table.mark_failed (Vmm.failure_table t.vmm) ~page:device_page ~line:line_in_page;
-  ignore (Pools.mark_line_failed (Vmm.pools t.vmm) ~page:phys ~line:line_in_page);
+  let owner =
+    match Vmm.reverse_translate t.vmm ~phys with
+    | None -> None
+    | Some (pid, virt) ->
+        let p = Option.get (Vmm.find_process t.vmm pid) in
+        Vmm.set_protection p ~virt Vmm.No_access;
+        Some (p, virt)
+  in
+  (* 2. update the failure table and pools *)
+  ignore (Pools.mark_line_failed pools ~page:phys ~line:line_in_page);
   (* 3. resolve *)
   match owner with
-  | None -> Unowned
-  | Some (pid, virt) -> (
-      let p = Option.get (Vmm.find_process t.vmm pid) in
+  | None -> ()
+  | Some (p, virt) -> (
       match p.Vmm.failure_handler with
       | Some handler ->
           if Trace.armed t.tracer then
@@ -126,21 +113,15 @@ let resolve_line (t : t) ~(line : int) ~(data : Bytes.t option) : resolution =
               ~args:[ ("line", float_of_int line); ("virt", float_of_int virt) ];
           handler ~virt_page:virt ~line:line_in_page ~data;
           Vmm.set_protection p ~virt Vmm.Read_write;
-          t.upcalls <- t.upcalls + 1;
-          Upcalled pid
-      | None -> (
-          match copy_to_perfect t ~pid ~virt ~device_page with
-          | Some r -> r
-          | None ->
-              (* no perfect page left: leave the page inaccessible *)
-              Unowned))
+          t.upcalls <- t.upcalls + 1
+      | None -> copy_to_perfect t p ~virt ~phys ~device_page)
 
-(** Service the interrupt: handle every pending failure event.  Returns
-    the resolutions, oldest first. *)
-let service (t : t) : resolution list =
-  let rec drain acc =
+(** Service the interrupt: handle every pending failure event, oldest
+    first. *)
+let service (t : t) : unit =
+  let rec drain () =
     match t.queue with
-    | [] -> List.rev acc
+    | [] -> ()
     | { addr; unusable } :: rest ->
         t.queue <- rest;
         (* recover the preserved data, clearing the buffer entry (this
@@ -155,7 +136,6 @@ let service (t : t) : resolution list =
             Trace.instant t.tracer ~tid:Trace.tid_osal "os_line_evacuate"
               ~args:[ ("line", float_of_int addr) ]
         end;
-        let results = ref [] in
         (* the failing address itself: if clustering re-backed it with a
            working line, restore the in-flight data in place *)
         if (not (List.mem addr unusable)) && Pcm.Device.line_usable t.device addr then begin
@@ -165,20 +145,16 @@ let service (t : t) : resolution list =
           t.restores <- t.restores + 1;
           if Trace.armed t.tracer then
             Trace.instant t.tracer ~tid:Trace.tid_osal "os_data_restore"
-              ~args:[ ("line", float_of_int addr) ];
-          results := Data_restored addr :: !results
+              ~args:[ ("line", float_of_int addr) ]
         end;
         List.iter
-          (fun line ->
-            let line_data = if line = addr then data else None in
-            results := resolve_line t ~line ~data:line_data :: !results)
+          (fun line -> resolve_line t ~line ~data:(if line = addr then data else None))
           unusable;
-        drain (!results @ acc)
+        drain ()
   in
-  if t.queue = [] then []
-  else if Trace.armed t.tracer then
-    Trace.with_span t.tracer ~tid:Trace.tid_osal "irq_service" (fun () -> drain [])
-  else drain []
+  if t.queue <> [] then
+    if Trace.armed t.tracer then Trace.with_span t.tracer ~tid:Trace.tid_osal "irq_service" drain
+    else drain ()
 
 let upcalls (t : t) : int = t.upcalls
 

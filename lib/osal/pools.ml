@@ -1,14 +1,21 @@
 (** The three physical page pools (paper Sec. 3.2.1): DRAM, perfect PCM
-    and imperfect PCM.  All PCM pages start perfect; the first line
-    failure moves a page to the imperfect pool.  Imperfect pages are
-    handed out most-usable-first so early allocations see few holes. *)
+    and imperfect PCM.  Physical ids below [dram_pages] are DRAM frames;
+    id [dram_pages + p] is PCM device page [p].  The pools own the OS
+    failure table, one failure bitmap per PCM page, and a page's pool
+    follows from it: perfect while the table has no failed line for the
+    page, imperfect after the first.  Imperfect pages are handed out
+    most-usable-first so early allocations see few holes. *)
+
+let lines_per_page = Holes_pcm.Geometry.lines_per_page
 
 type t = {
-  pages : Page.t array;  (** all physical pages, indexed by id *)
+  dram_pages : int;  (** physical ids below this are DRAM *)
+  table : Failure_table.t;  (** indexed by PCM page: physical id - [dram_pages] *)
+  held : bool array;  (** physical id -> handed out *)
   mutable free_dram : int list;
   mutable free_perfect : int list;
+      (** exactly the PCM pages that are free and have no failed line *)
   mutable free_imperfect : int list;  (** kept sorted by usable lines, desc *)
-  mutable allocated : (int, unit) Hashtbl.t;
   mutable wear_rank : (int -> int) option;
       (** wear-aware grant ordering (Config.wear_aware_pools): maps a
           physical page id to its accumulated wear; when installed,
@@ -18,17 +25,13 @@ type t = {
 }
 
 let create ~(dram_pages : int) ~(pcm_pages : int) : t =
-  let pages =
-    Array.init (dram_pages + pcm_pages) (fun id ->
-        if id < dram_pages then Page.create ~id ~kind:Page.Dram
-        else Page.create ~id ~kind:Page.Pcm_perfect)
-  in
   {
-    pages;
+    dram_pages;
+    table = Failure_table.create ~pcm_pages;
+    held = Array.make (dram_pages + pcm_pages) false;
     free_dram = List.init dram_pages Fun.id;
     free_perfect = List.init pcm_pages (fun i -> dram_pages + i);
     free_imperfect = [];
-    allocated = Hashtbl.create 64;
     wear_rank = None;
   }
 
@@ -36,7 +39,16 @@ let create ~(dram_pages : int) ~(pcm_pages : int) : t =
     [alloc_perfect].  Deterministic: ties keep free-list order. *)
 let set_wear_rank (t : t) (rank : (int -> int) option) : unit = t.wear_rank <- rank
 
-let page (t : t) (id : int) : Page.t = t.pages.(id)
+let dram_pages (t : t) : int = t.dram_pages
+
+let table (t : t) : Failure_table.t = t.table
+
+(** The failure bitmap of PCM page [id] (the table's own, not a copy). *)
+let failures (t : t) (id : int) : Holes_stdx.Bitset.t =
+  Failure_table.get t.table ~page:(id - t.dram_pages)
+
+let usable_lines (t : t) (id : int) : int =
+  lines_per_page - Failure_table.failed_lines t.table ~page:(id - t.dram_pages)
 
 let free_dram_count (t : t) : int = List.length t.free_dram
 let free_perfect_count (t : t) : int = List.length t.free_perfect
@@ -44,7 +56,7 @@ let free_imperfect_count (t : t) : int = List.length t.free_imperfect
 
 (** Is page [id] currently handed out?  (Verifier support: a tier
     resident's PCM home must stay reserved while promoted.) *)
-let is_allocated (t : t) (id : int) : bool = Hashtbl.mem t.allocated id
+let is_allocated (t : t) (id : int) : bool = t.held.(id)
 
 let take_from lst =
   match lst with [] -> None | x :: rest -> Some (x, rest)
@@ -55,7 +67,7 @@ let alloc_dram (t : t) : int option =
   | None -> None
   | Some (id, rest) ->
       t.free_dram <- rest;
-      Hashtbl.replace t.allocated id ();
+      t.held.(id) <- true;
       Some id
 
 (** Allocate a perfect PCM page, if any remain.  With a wear rank
@@ -67,7 +79,7 @@ let alloc_perfect (t : t) : int option =
   | _, [] -> None
   | None, id :: rest ->
       t.free_perfect <- rest;
-      Hashtbl.replace t.allocated id ();
+      t.held.(id) <- true;
       Some id
   | Some rank, first :: rest ->
       let best, _ =
@@ -78,7 +90,7 @@ let alloc_perfect (t : t) : int option =
           (first, rank first) rest
       in
       t.free_perfect <- List.filter (fun x -> x <> best) t.free_perfect;
-      Hashtbl.replace t.allocated best ();
+      t.held.(best) <- true;
       Some best
 
 (** Allocate an imperfect PCM page (most usable lines first). *)
@@ -87,7 +99,7 @@ let alloc_imperfect (t : t) : int option =
   | None -> None
   | Some (id, rest) ->
       t.free_imperfect <- rest;
-      Hashtbl.replace t.allocated id ();
+      t.held.(id) <- true;
       Some id
 
 (** Allocate any PCM page, preferring imperfect (conserving the scarce
@@ -96,52 +108,52 @@ let alloc_pcm_any (t : t) : int option =
   match alloc_imperfect t with Some id -> Some id | None -> alloc_perfect t
 
 let insert_imperfect_sorted (t : t) (id : int) : unit =
-  let u = Page.usable_lines t.pages.(id) in
+  let u = usable_lines t id in
   let rec ins = function
     | [] -> [ id ]
-    | x :: rest as l -> if Page.usable_lines t.pages.(x) < u then id :: l else x :: ins rest
+    | x :: rest as l -> if usable_lines t x < u then id :: l else x :: ins rest
   in
   t.free_imperfect <- ins t.free_imperfect
 
 (** Return a page to the appropriate free pool. *)
 let free (t : t) (id : int) : unit =
-  if not (Hashtbl.mem t.allocated id) then invalid_arg "Pools.free: page not allocated";
-  Hashtbl.remove t.allocated id;
-  let p = t.pages.(id) in
-  match p.Page.kind with
-  | Page.Dram -> t.free_dram <- id :: t.free_dram
-  | Page.Pcm_perfect -> t.free_perfect <- id :: t.free_perfect
-  | Page.Pcm_imperfect -> insert_imperfect_sorted t id
+  if not t.held.(id) then invalid_arg "Pools.free: page not allocated";
+  t.held.(id) <- false;
+  if id < t.dram_pages then t.free_dram <- id :: t.free_dram
+  else if usable_lines t id = lines_per_page then t.free_perfect <- id :: t.free_perfect
+  else insert_imperfect_sorted t id
 
-(** Rebuild the free pools from the pages' current kinds — used after a
-    bulk failure import (the OS boot scan of a worn device), where the
-    incremental [mark_line_failed] migration would cost O(n²) in list
-    membership tests.  Allocated pages are untouched; the imperfect list
-    is re-sorted most-usable-first in one pass. *)
+(** Rebuild the free pools from the failure table — used after a bulk
+    failure import (the OS boot scan of a worn device marks the table
+    directly), where migrating pages one failure at a time would cost
+    O(n²) in list updates.  Allocated pages are untouched; the imperfect
+    list is re-sorted most-usable-first in one pass. *)
 let renormalize (t : t) : unit =
   let dram = ref [] and perfect = ref [] and imperfect = ref [] in
-  for id = Array.length t.pages - 1 downto 0 do
-    if not (Hashtbl.mem t.allocated id) then
-      match t.pages.(id).Page.kind with
-      | Page.Dram -> dram := id :: !dram
-      | Page.Pcm_perfect -> perfect := id :: !perfect
-      | Page.Pcm_imperfect -> imperfect := id :: !imperfect
+  for id = Array.length t.held - 1 downto 0 do
+    if not t.held.(id) then
+      if id < t.dram_pages then dram := id :: !dram
+      else if usable_lines t id = lines_per_page then perfect := id :: !perfect
+      else imperfect := id :: !imperfect
   done;
   t.free_dram <- !dram;
   t.free_perfect <- !perfect;
   t.free_imperfect <-
-    List.stable_sort
-      (fun a b -> compare (Page.usable_lines t.pages.(b)) (Page.usable_lines t.pages.(a)))
-      !imperfect
+    List.stable_sort (fun a b -> compare (usable_lines t b) (usable_lines t a)) !imperfect
 
-(** Record a line failure on page [id]; if the page was in the free
-    perfect pool it migrates to the free imperfect pool. *)
+(** Record in the failure table that line [line] of PCM page [page]
+    failed; a free perfect page migrates to the free imperfect pool.
+    Returns [true] if the line was not already marked. *)
 let mark_line_failed (t : t) ~(page : int) ~(line : int) : bool =
-  let p = t.pages.(page) in
-  let was_free_perfect = List.mem page t.free_perfect in
-  let changed = Page.mark_line_failed p ~line in
-  if changed && was_free_perfect then begin
-    t.free_perfect <- List.filter (fun x -> x <> page) t.free_perfect;
-    insert_imperfect_sorted t page
-  end;
-  changed
+  if page < t.dram_pages then invalid_arg "Pools.mark_line_failed: DRAM pages do not fail";
+  let p = page - t.dram_pages in
+  if Failure_table.is_failed t.table ~page:p ~line then false
+  else begin
+    let was_free_perfect = (not t.held.(page)) && Failure_table.failed_lines t.table ~page:p = 0 in
+    Failure_table.mark_failed t.table ~page:p ~line;
+    if was_free_perfect then begin
+      t.free_perfect <- List.filter (fun x -> x <> page) t.free_perfect;
+      insert_imperfect_sorted t page
+    end;
+    true
+  end

@@ -39,8 +39,7 @@ let compatible ~(policy : policy) ~(src_map : Bitset.t) ~(dest_map : Bitset.t) :
     a perfect page when no compatible imperfect page exists (option 2's
     "the OS can try another imperfect page or fall back to a perfect
     page").  Returns [None] when memory is exhausted. *)
-let swap_in (pools : Pools.t) ~(table : Failure_table.t) ~(dram_pages : int) ~(policy : policy)
-    ~(src_map : Bitset.t) : outcome option =
+let swap_in (pools : Pools.t) ~(policy : policy) ~(src_map : Bitset.t) : outcome option =
   let try_imperfect () =
     (* scan the imperfect free list for a compatible page *)
     let rec pick tried =
@@ -50,7 +49,7 @@ let swap_in (pools : Pools.t) ~(table : Failure_table.t) ~(dram_pages : int) ~(p
           List.iter (Pools.free pools) tried;
           None
       | Some phys ->
-          let dest_map = Failure_table.get table ~page:(phys - dram_pages) in
+          let dest_map = Pools.failures pools phys in
           if compatible ~policy ~src_map ~dest_map then begin
             List.iter (Pools.free pools) tried;
             let upcall_needed = not (Bitset.equal dest_map src_map) in
@@ -60,15 +59,10 @@ let swap_in (pools : Pools.t) ~(table : Failure_table.t) ~(dram_pages : int) ~(p
     in
     pick []
   in
+  let perfect () =
+    Option.map (fun phys -> { dest = phys; upcall_needed = false }) (Pools.alloc_perfect pools)
+  in
   match policy with
-  | To_perfect -> (
-      match Pools.alloc_perfect pools with
-      | Some phys -> Some { dest = phys; upcall_needed = false }
-      | None -> None)
+  | To_perfect -> perfect ()
   | Compatible_imperfect | Clustered_count -> (
-      match try_imperfect () with
-      | Some o -> Some o
-      | None -> (
-          match Pools.alloc_perfect pools with
-          | Some phys -> Some { dest = phys; upcall_needed = false }
-          | None -> None))
+      match try_imperfect () with Some o -> Some o | None -> perfect ())

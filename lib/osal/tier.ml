@@ -37,7 +37,7 @@ type resident = {
 type t = {
   vmm : Vmm.t;
   device : Holes_pcm.Device.t;
-  dram_pages : int;
+  interrupts : Interrupts.t;  (** drains the failure buffer when a write-back stalls *)
   epoch : int;  (** charged line writes between decay rounds *)
   promote_threshold : int;
   mutable heat : int array array;
@@ -51,9 +51,6 @@ type t = {
   mutable promote_skips : int;  (** promotions refused for lack of a frame *)
   mutable epochs : int;
   mutable writeback_failures : int;  (** demotion write-backs that wore a line out *)
-  mutable on_stall : unit -> unit;
-      (** installed by the backend: drain the device's failure buffer so
-          a stalled demotion write-back can retry *)
   tracer : Trace.view;
 }
 
@@ -67,20 +64,22 @@ type stats = {
   s_resident : int;
 }
 
-let create ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Holes_pcm.Device.t)
-    ~(dram_pages : int) ~(epoch : int) () : t =
+(** A tier over the VMM and device [interrupts] serves; its residents
+    occupy the VMM's DRAM frames. *)
+let create ?(tracer = Trace.null) ~(interrupts : Interrupts.t) ~(epoch : int) () : t =
   if epoch <= 0 then invalid_arg "Tier.create: epoch must be positive";
+  let vmm = interrupts.Interrupts.vmm in
   {
     vmm;
-    device;
-    dram_pages;
+    device = interrupts.Interrupts.device;
+    interrupts;
     epoch;
     (* hot enough to matter within one decay window: 1/256th of the
        epoch's writes on a single page, floored so tiny epochs still
        demand repeated traffic *)
     promote_threshold = max 4 (epoch / 256);
     heat = [||];
-    by_frame = Array.make dram_pages None;
+    by_frame = Array.make (Pools.dram_pages (Vmm.pools vmm)) None;
     tick = 0;
     promotes = 0;
     demotes = 0;
@@ -88,11 +87,8 @@ let create ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Holes_pcm.Device.t)
     promote_skips = 0;
     epochs = 0;
     writeback_failures = 0;
-    on_stall = (fun () -> ());
     tracer;
   }
-
-let set_on_stall (t : t) (f : unit -> unit) : unit = t.on_stall <- f
 
 (* the residents satisfying [p], ascending by frame *)
 let residents_where (t : t) (p : resident -> bool) : resident list =
@@ -126,14 +122,14 @@ let residents (t : t) : (int * int * int * int) list =
 let scratch : Bytes.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Bytes.create Geometry.line_bytes)
 
-(* write one dirty line back to the PCM home, retrying once across a
-   buffer stall (the backend's [on_stall] drains the buffer) *)
+(* write one dirty line back to the PCM home, retrying once after
+   servicing the interrupts across a buffer stall *)
 let write_back (t : t) (logical : int) (data : Bytes.t) : unit =
   match Holes_pcm.Device.write t.device logical data with
   | Holes_pcm.Device.Stored -> ()
   | Holes_pcm.Device.Write_failed -> t.writeback_failures <- t.writeback_failures + 1
   | Holes_pcm.Device.Stalled -> (
-      t.on_stall ();
+      Interrupts.service t.interrupts;
       match Holes_pcm.Device.write t.device logical data with
       | Holes_pcm.Device.Stored -> ()
       | Holes_pcm.Device.Write_failed | Holes_pcm.Device.Stalled ->
@@ -144,7 +140,7 @@ let demote (t : t) (r : resident) ~(charge_copy : bytes:int -> unit) : unit =
   | None -> ()  (* process raced away; drop_process handles live exits *)
   | Some proc ->
       Vmm.migrate t.vmm proc ~virt:r.r_virt ~new_phys:r.r_pcm_phys;
-      let device_page = r.r_pcm_phys - t.dram_pages in
+      let device_page = r.r_pcm_phys - Pools.dram_pages (Vmm.pools t.vmm) in
       let written = ref 0 in
       Bitset.iter_set r.dirty (fun line ->
           let logical = (device_page * Geometry.lines_per_page) + line in
@@ -287,7 +283,7 @@ let unsafe_poke (t : t) : unit =
         {
           r_pid = -1;
           r_virt = -1;
-          r_pcm_phys = t.dram_pages;
+          r_pcm_phys = Pools.dram_pages (Vmm.pools t.vmm);
           r_dram_phys = 0;
           dirty = Bitset.create Geometry.lines_per_page;
           content = Bytes.make Geometry.page_bytes '\000';

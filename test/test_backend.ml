@@ -136,11 +136,7 @@ let test_clustering_boundary_in_map_failures () =
   List.iter
     (fun l ->
       Osal.Failure_table.mark_failed (Osal.Vmm.failure_table vmm) ~page:(l / lpp)
-        ~line:(l mod lpp);
-      ignore
-        (Osal.Page.mark_line_failed
-           (Osal.Pools.page (Osal.Vmm.pools vmm) (dram + (l / lpp)))
-           ~line:(l mod lpp)))
+        ~line:(l mod lpp))
     unusable;
   Osal.Pools.renormalize (Osal.Vmm.pools vmm);
   let proc = Osal.Vmm.spawn vmm in

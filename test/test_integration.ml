@@ -36,18 +36,18 @@ let test_aged_device_feeds_runtime () =
       ~seed:3 ()
   in
   let vmm = Osal.Vmm.create ~dram_pages:2 ~pcm_pages:pages () in
-  let handler = Osal.Interrupts.attach ~vmm ~device ~dram_pages:2 () in
+  let handler = Osal.Interrupts.attach ~vmm ~device () in
   let rng = Xrng.of_seed 17 in
   let zipf = Holes_stdx.Dist.zipf_sampler ~n:(Pcm.Device.nlines device) ~s:0.9 in
   let payload = Bytes.make Pcm.Geometry.line_bytes 'w' in
   let writes = ref 0 in
   while List.length (Pcm.Device.unusable_lines device) < 256 && !writes < 3_000_000 do
     (match Pcm.Device.write device (zipf rng - 1) payload with
-    | Pcm.Device.Stalled -> ignore (Osal.Interrupts.service handler)
+    | Pcm.Device.Stalled -> Osal.Interrupts.service handler
     | _ -> ());
     incr writes
   done;
-  ignore (Osal.Interrupts.service handler);
+  Osal.Interrupts.service handler;
   (* export the OS failure table into a device-wide map *)
   let table = Osal.Vmm.failure_table vmm in
   let nlines = pages * Pcm.Geometry.lines_per_page in
