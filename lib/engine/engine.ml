@@ -1,6 +1,6 @@
 (** The experiment engine: plans a (configuration × profile × seed)
-    grid, shards it across a {!Pool} of worker domains, and streams each
-    completed trial to a {!Sink}.
+    grid, fans it out over worker domains ({!Pool.run_all}), and streams
+    each completed trial to a {!Sink}.
 
     Determinism contract: a trial's result is a function of its
     {!Job.spec} alone — the seed comes from {!Job.seed}, every trial owns
@@ -39,11 +39,11 @@ let plan ~(cfgs : Holes.Config.t list) ~(profiles : Holes_workload.Profile.t lis
     ~pairs:(List.concat_map (fun cfg -> List.map (fun p -> (cfg, p)) profiles) cfgs)
     ~scale ~seeds
 
-(** Run every spec through [f] on [jobs] worker domains ([jobs <= 1]
-    runs inline on the calling domain — no spawn, same capture).  Each
-    finished trial is recorded to [sink] as it completes, with [metrics]
-    and [outcome_label] supplying the record's payload for successful
-    jobs (failed jobs record outcome ["error"] and no metrics). *)
+(** Run every spec through [f] on [jobs] domains, the caller included
+    ({!Pool.run_all}).  Each finished trial is recorded to [sink] as it
+    completes, with [metrics] and [outcome_label] supplying the record's
+    payload for successful jobs (failed jobs record outcome ["error"] and
+    no metrics). *)
 let run ?(jobs = default_jobs ()) ?(sink : Sink.t option)
     ?(metrics : ('a -> (string * float) list) option)
     ?(outcome_label : ('a -> string) option) ~(f : Job.spec -> seed:int -> 'a)
@@ -67,40 +67,12 @@ let run ?(jobs = default_jobs ()) ?(sink : Sink.t option)
           ~seed_index:spec.Job.seed_index ~worker:r.Pool.worker ~duration_s:r.Pool.duration_s
           ~outcome ~metrics
   in
-  let job i =
-    let spec = specs.(i) in
-    f spec ~seed:(Job.seed spec)
-  in
-  let results =
-    if n = 0 then [||]
-    else if jobs <= 1 || n = 1 then
-      (* inline: same per-job capture and sink protocol, no domains *)
-      Array.init n (fun i ->
-          let t0 = Unix.gettimeofday () in
-          let value =
-            match job i with
-            | v -> Pool.Done v
-            | exception e ->
-                Pool.Failed
-                  { exn = Printexc.to_string e; backtrace = Printexc.get_backtrace () }
-          in
-          let r = { Pool.value; worker = 0; duration_s = Unix.gettimeofday () -. t0 } in
-          to_sink i r;
-          r)
-    else begin
-      let pool = Pool.create ~domains:(min jobs n) () in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Pool.run_all ~on_done:to_sink pool ~n ~f:job)
-    end
-  in
-  Array.mapi
-    (fun i (r : 'a Pool.result) ->
-      {
-        spec = specs.(i);
-        seed = Job.seed specs.(i);
-        outcome = r.Pool.value;
-        worker = r.Pool.worker;
-        duration_s = r.Pool.duration_s;
-      })
-    results
+  Pool.run_all ~on_done:to_sink ~domains:jobs ~n (fun i -> f specs.(i) ~seed:(Job.seed specs.(i)))
+  |> Array.mapi (fun i (r : 'a Pool.result) ->
+         {
+           spec = specs.(i);
+           seed = Job.seed specs.(i);
+           outcome = r.Pool.value;
+           worker = r.Pool.worker;
+           duration_s = r.Pool.duration_s;
+         })

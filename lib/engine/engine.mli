@@ -1,6 +1,6 @@
 (** The experiment engine: plans a (configuration × profile × seed)
-    grid, shards it across a {!Pool} of worker domains, and streams each
-    completed trial to a {!Sink}.
+    grid, fans it out over worker domains ({!Pool.run_all}), and streams
+    each completed trial to a {!Sink}.
 
     {b Determinism contract.}  A trial's result is a function of its
     {!Job.spec} alone — the seed comes from {!Job.seed}, every trial
@@ -52,9 +52,9 @@ val run :
   f:(Job.spec -> seed:int -> 'a) ->
   Job.spec array ->
   'a trial array
-(** [run ~f specs] executes every spec through [f] on [jobs] worker
-    domains (default {!default_jobs}; [jobs <= 1] runs inline on the
-    calling domain — no spawn, same capture).  Each finished trial is
-    recorded to [sink] as it completes, with [metrics] and
-    [outcome_label] supplying the record's payload for successful jobs
-    (failed jobs record outcome ["error"] and no metrics). *)
+(** [run ~f specs] executes every spec through [f] on [jobs] domains,
+    the caller included (default {!default_jobs}; [jobs <= 1] spawns
+    none, and every [jobs] takes the same path, {!Pool.run_all}).  Each
+    finished trial is recorded to [sink] as it completes, with [metrics]
+    and [outcome_label] supplying the record's payload for successful
+    jobs (failed jobs record outcome ["error"] and no metrics). *)

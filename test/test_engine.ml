@@ -1,4 +1,4 @@
-(* Tests for the parallel experiment engine: domain pool scheduling and
+(* Tests for the parallel experiment engine: the fan-out's scheduling and
    exception isolation, deterministic job seeds, the JSONL sink, and the
    -j-independence contract (parallel outcomes bit-identical to
    sequential ones). *)
@@ -20,50 +20,49 @@ let contains (haystack : string) (needle : string) : bool =
 (* ---- pool ------------------------------------------------------------ *)
 
 let test_pool_runs_all () =
-  let pool = Pool.create ~domains:3 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      check Alcotest.int "pool size" 3 (Pool.domains pool);
-      let n = 25 in
-      let results = Pool.run_all pool ~n ~f:(fun i -> i * i) in
-      check Alcotest.int "one result per job" n (Array.length results);
-      Array.iteri
-        (fun i r ->
-          match r.Pool.value with
-          | Pool.Done v -> check Alcotest.int "result indexed by job" (i * i) v
-          | Pool.Failed { exn; _ } -> Alcotest.failf "job %d failed: %s" i exn)
-        results;
-      Array.iter
-        (fun r ->
-          Alcotest.(check bool) "worker id in range" true (r.Pool.worker >= 0 && r.Pool.worker < 3))
-        results)
+  let n = 25 in
+  let results = Pool.run_all ~domains:3 ~n (fun i -> i * i) in
+  check Alcotest.int "one result per job" n (Array.length results);
+  Array.iteri
+    (fun i r ->
+      match r.Pool.value with
+      | Pool.Done v -> check Alcotest.int "result indexed by job" (i * i) v
+      | Pool.Failed { exn; _ } -> Alcotest.failf "job %d failed: %s" i exn)
+    results;
+  Array.iter
+    (fun r ->
+      Alcotest.(check bool) "worker id in range" true (r.Pool.worker >= 0 && r.Pool.worker < 3))
+    results;
+  let inline = Pool.run_all ~domains:1 ~n:4 (fun i -> i) in
+  Array.iter
+    (fun r -> check Alcotest.int "one domain: the caller runs every job" 0 r.Pool.worker)
+    inline
 
 let test_pool_captures_exceptions () =
-  let pool = Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let results =
-        Pool.run_all pool ~n:8 ~f:(fun i -> if i = 5 then failwith "trial crashed" else i)
-      in
-      Array.iteri
-        (fun i r ->
-          match (i, r.Pool.value) with
-          | 5, Pool.Failed { exn; _ } ->
-              Alcotest.(check bool) "exception text captured" true (contains exn "trial crashed")
-          | 5, Pool.Done _ -> Alcotest.fail "job 5 should have failed"
-          | _, Pool.Done v -> check Alcotest.int "other jobs unaffected" i v
-          | _, Pool.Failed { exn; _ } -> Alcotest.failf "job %d failed: %s" i exn)
-        results;
-      (* the failure must not poison the pool for later batches *)
-      let again = Pool.run_all pool ~n:4 ~f:(fun i -> i + 100) in
-      Array.iteri
-        (fun i r ->
-          match r.Pool.value with
-          | Pool.Done v -> check Alcotest.int "pool usable after failure" (i + 100) v
-          | Pool.Failed { exn; _ } -> Alcotest.failf "post-failure job failed: %s" exn)
-        again)
+  let results =
+    Pool.run_all ~domains:2 ~n:8 (fun i -> if i = 5 then failwith "trial crashed" else i)
+  in
+  Array.iteri
+    (fun i r ->
+      match (i, r.Pool.value) with
+      | 5, Pool.Failed { exn; _ } ->
+          Alcotest.(check bool) "exception text captured" true (contains exn "trial crashed")
+      | 5, Pool.Done _ -> Alcotest.fail "job 5 should have failed"
+      | _, Pool.Done v -> check Alcotest.int "other jobs unaffected" i v
+      | _, Pool.Failed { exn; _ } -> Alcotest.failf "job %d failed: %s" i exn)
+    results;
+  (* an [on_done] that raises stops its own worker only: the others run
+     every remaining job, and the exception surfaces after the join *)
+  let ran = Atomic.make 0 in
+  match
+    Pool.run_all ~domains:2 ~n:8
+      ~on_done:(fun i _ -> if i = 0 then failwith "sink broke")
+      (fun _ -> Atomic.incr ran)
+  with
+  | _ -> Alcotest.fail "on_done's exception should be re-raised"
+  | exception Failure msg ->
+      check Alcotest.string "on_done's exception re-raised" "sink broke" msg;
+      check Alcotest.int "every job ran before the re-raise" 8 (Atomic.get ran)
 
 (* ---- job seeds ------------------------------------------------------- *)
 
