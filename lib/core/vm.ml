@@ -162,7 +162,7 @@ let handle_line_retired (t : t) ~(stock_page : int) ~(line : int) ~(data : Bytes
 (* One charged 64 B store to a line packed as [page_backing] packs it. *)
 let store_line (st : Memory_backend.device_state) (backing : int) : unit =
   let lpp = Holes_pcm.Geometry.lines_per_page in
-  ignore (Memory_backend.device_write st ~stock_page:(backing / lpp) ~line:(backing mod lpp))
+  Memory_backend.device_write st ~stock_page:(backing / lpp) ~line:(backing mod lpp)
 
 (* Charge the device writes behind materializing object [id]: one 64 B
    line store per line it spans.  A store may wear its line out

@@ -1,11 +1,4 @@
-(* Cheap counters and log2-bucket histograms.  See stats.mli. *)
-
-type counter = { mutable n : int }
-
-let counter () : counter = { n = 0 }
-let incr (c : counter) : unit = c.n <- c.n + 1
-let add (c : counter) (k : int) : unit = c.n <- c.n + k
-let value (c : counter) : int = c.n
+(* Cheap log2-bucket histograms.  See stats.mli. *)
 
 let nbuckets = 64
 

@@ -1,4 +1,4 @@
-(** Cheap counters and log{_2}-bucket histograms.
+(** Cheap log{_2}-bucket histograms.
 
     The observability layer needs distribution summaries (pause times,
     lines examined per hole search, failure-buffer occupancy) that are
@@ -10,23 +10,6 @@
     Histograms are plain mutable records (no closures), so structural
     equality — used by the engine's [-j 1] = [-j N] determinism tests —
     works on any record embedding them. *)
-
-(** {1 Counters} *)
-
-(** A mutable event counter. *)
-type counter
-
-val counter : unit -> counter
-(** A fresh counter at zero. *)
-
-val incr : counter -> unit
-(** Add one. *)
-
-val add : counter -> int -> unit
-(** Add [k]. *)
-
-val value : counter -> int
-(** Current count. *)
 
 (** {1 Histograms} *)
 

@@ -25,10 +25,6 @@ type t = {
   mutable page_copies : int;
   mutable upcalls : int;
   mutable restores : int;
-  mutable evacuations : int;
-      (** retires that arrived with no buffered payload: lines the
-          device's wear leveler reserved for itself (start-gap's gap
-          line) and handed back through the failure chain *)
   tracer : Trace.view;  (** osal-lane events: service spans, resolutions *)
 }
 
@@ -43,7 +39,6 @@ let attach ?(tracer = Trace.null) ~(vmm : Vmm.t) ~(device : Pcm.Device.t) () : t
       page_copies = 0;
       upcalls = 0;
       restores = 0;
-      evacuations = 0;
       tracer;
     }
   in
@@ -130,12 +125,9 @@ let service (t : t) : unit =
         (* no buffered payload + the address retiring itself = a pipeline
            reservation (e.g. a start-gap enable evacuating its gap line),
            not a wear failure: same resolution path, tracked apart *)
-        if data = None && List.mem addr unusable then begin
-          t.evacuations <- t.evacuations + 1;
-          if Trace.armed t.tracer then
-            Trace.instant t.tracer ~tid:Trace.tid_osal "os_line_evacuate"
-              ~args:[ ("line", float_of_int addr) ]
-        end;
+        if data = None && List.mem addr unusable && Trace.armed t.tracer then
+          Trace.instant t.tracer ~tid:Trace.tid_osal "os_line_evacuate"
+            ~args:[ ("line", float_of_int addr) ];
         (* the failing address itself: if clustering re-backed it with a
            working line, restore the in-flight data in place *)
         if (not (List.mem addr unusable)) && Pcm.Device.line_usable t.device addr then begin
@@ -161,5 +153,3 @@ let upcalls (t : t) : int = t.upcalls
 let page_copies (t : t) : int = t.page_copies
 
 let restores (t : t) : int = t.restores
-
-let evacuations (t : t) : int = t.evacuations

@@ -6,22 +6,19 @@
     buffer in parallel with the array and the buffer's entry wins, so the
     failed write's data survives until the OS drains it.  An earlier entry
     with the same address is invalidated.  When occupancy crosses a high
-    watermark (enough slots reserved to drain outstanding writes), a
-    second interrupt fires and the device stops accepting writes until the
-    OS clears at least one entry — preventing deadlock and data loss. *)
+    watermark (enough slots reserved to drain outstanding writes), the
+    device stops accepting writes until the OS clears at least one entry
+    — preventing deadlock and data loss.  The interrupts themselves are
+    the device's failure callback ([Device.on_line_failed]) and its
+    [Stalled] write result. *)
 
 type entry = { addr : int;  (** physical line index *) data : Bytes.t }
-
-type interrupt =
-  | Failure_pending  (** at least one failure awaits OS handling *)
-  | Buffer_pressure  (** occupancy crossed the watermark; writes stalled *)
 
 type t = {
   capacity : int;
   watermark : int;
   mutable entries : entry list;  (** oldest first *)
   mutable stalled : bool;
-  mutable raise_interrupt : interrupt -> unit;
   (* statistics *)
   mutable total_insertions : int;
   mutable total_invalidations : int;
@@ -38,15 +35,11 @@ let create ?(capacity = 32) ?(watermark : int option) () : t =
     watermark;
     entries = [];
     stalled = false;
-    raise_interrupt = (fun _ -> ());
     total_insertions = 0;
     total_invalidations = 0;
     max_occupancy = 0;
     stall_events = 0;
   }
-
-(** Register the processor-side interrupt line. *)
-let on_interrupt (t : t) (f : interrupt -> unit) : unit = t.raise_interrupt <- f
 
 let occupancy (t : t) : int = List.length t.entries
 
@@ -67,11 +60,9 @@ let insert (t : t) ~(addr : int) ~(data : Bytes.t) : bool =
     t.total_insertions <- t.total_insertions + 1;
     let occ = occupancy t in
     if occ > t.max_occupancy then t.max_occupancy <- occ;
-    t.raise_interrupt Failure_pending;
     if occ >= t.watermark && not t.stalled then begin
       t.stalled <- true;
-      t.stall_events <- t.stall_events + 1;
-      t.raise_interrupt Buffer_pressure
+      t.stall_events <- t.stall_events + 1
     end;
     true
   end

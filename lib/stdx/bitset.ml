@@ -122,8 +122,6 @@ let clear (t : t) (i : int) : unit =
   check t i;
   unsafe_clear t i
 
-let assign (t : t) (i : int) (v : bool) : unit = if v then set t i else clear t i
-
 (** Number of set bits. *)
 let count (t : t) : int =
   let n = ref 0 in

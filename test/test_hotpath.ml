@@ -88,7 +88,7 @@ let test_bitset_vs_naive () =
       let i = Rng.int rng len in
       let v = Rng.bool rng in
       a.(i) <- v;
-      B.assign t i v
+      if v then B.set t i else B.clear t i
     done;
     let from = Rng.int rng (len + 3) - 1 in
     let min_len = 1 + Rng.int rng 130 in

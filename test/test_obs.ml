@@ -21,15 +21,8 @@ let traced_spec () : Job.spec =
   { Job.cfg = device_cfg (); profile = Holes_workload.Dacapo.pmd; scale = 0.2; seed_index = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Stats: counters and log2-bucket histograms                          *)
+(* Stats: log2-bucket histograms                                       *)
 (* ------------------------------------------------------------------ *)
-
-let test_counter () =
-  let c = Stats.counter () in
-  check Alcotest.int "fresh counter" 0 (Stats.value c);
-  Stats.incr c;
-  Stats.add c 41;
-  check Alcotest.int "incr + add" 42 (Stats.value c)
 
 (* Bucket b (for b >= 1) covers [2^(b-1), 2^b); bucket 0 is v < 1. *)
 let test_hist_buckets () =
@@ -387,7 +380,6 @@ let test_disabled_tracing_bit_identical () =
 
 let suite =
   [
-    Alcotest.test_case "counter basics" `Quick test_counter;
     Alcotest.test_case "hist bucket boundaries" `Quick test_hist_buckets;
     Alcotest.test_case "hist observe/count/mean" `Quick test_hist_observe;
     Alcotest.test_case "hist quantile clamps" `Quick test_hist_quantile;
