@@ -46,7 +46,7 @@ let () =
   while List.length (Pcm.Device.unusable_lines device) < 64 && !writes < 2_000_000 do
     let line = zipf rng - 1 in
     (match Pcm.Device.write device line (payload !writes) with
-    | Pcm.Device.Stored -> ()
+    | Pcm.Device.Stored | Pcm.Device.Unusable -> ()
     | Pcm.Device.Write_failed -> incr failures
     | Pcm.Device.Stalled ->
         (* the buffer hit its watermark: the OS must service the interrupt *)

@@ -183,12 +183,11 @@ let storm (t : t) ~(writes : int) : unit =
          Bytes.set_int64_le payload 0 (Int64.of_int t.storm_stamp);
          Bytes.set_int64_le payload 8 (Int64.of_int l)
        end;
-       if Pcm.Device.line_usable dev l then
-         match Pcm.Device.write dev l payload with
-         | Pcm.Device.Stored | Pcm.Device.Write_failed -> ()
-         | Pcm.Device.Stalled ->
-             (* failure-buffer pressure: drain and drop this store *)
-             Osal.Interrupts.service irq
+       match Pcm.Device.write dev l payload with
+       | Pcm.Device.Stored | Pcm.Device.Write_failed | Pcm.Device.Unusable -> ()
+       | Pcm.Device.Stalled ->
+           (* failure-buffer pressure: drain and drop this store *)
+           Osal.Interrupts.service irq
      done;
      Osal.Interrupts.service irq
    with Holes.Vm.Out_of_memory -> ());

@@ -321,16 +321,21 @@ type write_result =
   | Stored  (** write succeeded (possibly via an ECP correction) *)
   | Write_failed  (** line permanently failed; data preserved in the buffer *)
   | Stalled  (** device is refusing writes until the OS drains the buffer *)
+  | Unusable  (** the line is already unusable: nothing written or counted *)
 
 (** Write a 64 B payload to logical line [l], advancing the wear model.
     On a permanent failure the data goes to the failure buffer, the OS
     callback fires with the newly unusable logical lines, and the result
-    is [Write_failed]. *)
+    is [Write_failed].  A line that is already unusable is refused
+    before anything else, stall included, with no side effect: wearing
+    its dead cells again would count another failure and raise another
+    interrupt with no newly unusable line. *)
 let write (t : t) (logical : int) (payload : Bytes.t) : write_result =
   check_line t logical;
   if Bytes.length payload <> Geometry.line_bytes then
     invalid_arg "Device.write: payload must be exactly one line";
-  if Failure_buffer.is_stalled t.buffer then Stalled
+  if Bitset.get t.unusable logical then Unusable
+  else if Failure_buffer.is_stalled t.buffer then Stalled
   else begin
     t.writes <- t.writes + 1;
     match t.caram with
@@ -398,8 +403,7 @@ let set_caram (t : t) (ways : int option) : unit =
   let flush c =
     t.caram <- None;
     List.iter
-      (fun (logical, data) ->
-        if not (Bitset.get t.unusable logical) then ignore (write t logical data))
+      (fun (logical, data) -> ignore (write t logical data))
       (Caram.flush c ~line_bytes:Geometry.line_bytes)
   in
   match (t.caram, ways) with
