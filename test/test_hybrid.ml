@@ -366,6 +366,35 @@ let test_verifier_catches_caram_poke () =
   check bool "verifier reports the corrupted content store" true
     (r.Holes.Verify.errors <> [])
 
+(* ---- a demotion lets nothing in halfway ------------------------------- *)
+
+(* A demotion's write-back can stall the device; servicing the stall
+   up-calls the runtime, which may retire a line through a full
+   collection whose verifier checks the tier, and whose writes reach the
+   page through its current mapping.  The residency map, the mapping and
+   the pools must agree whenever that can happen.  The hybrid table's
+   32-frame migrate cell, verified after every collection, reaches such
+   a stall within eight rounds of pmd. *)
+let test_demotion_consistent_under_upcall () =
+  let cfg =
+    {
+      (Holes_exp.Hybrid_figure.cell_cfg
+         ~hybrid:{ Hy.migrate_epoch = Some 512; caram_ways = None }
+         ~dram_pages:32)
+      with
+      Cfg.verify = true;
+    }
+  in
+  let o =
+    Holes_exp.Wear_policies.lifetime_run ~cfg ~profile:Holes_workload.Dacapo.pmd ~scale:0.05
+      ~max_rounds:8
+  in
+  let m = o.Holes_exp.Wear_policies.m in
+  check bool "pages were demoted" true (m.Holes.Metrics.hyb_demotes > 0);
+  check bool "lines wore out" true (m.Holes.Metrics.device_line_failures > 0);
+  check bool "the device stalled" true (m.Holes.Metrics.fbuf_stall_events > 0);
+  check bool "the verifier ran" true (m.Holes.Metrics.verify_passes > 0)
+
 (* ---- hybrid=none leaves the record shape untouched -------------------- *)
 
 (* The none policy must be invisible in every serialized surface: no
@@ -413,4 +442,6 @@ let suite =
     ("verifier catches a corrupted residency map", `Quick, test_verifier_catches_tier_poke);
     ("verifier catches a corrupted content store", `Quick, test_verifier_catches_caram_poke);
     ("hybrid=none leaves record shape and names untouched", `Quick, test_none_invisible);
+    ("demotion stays consistent when its write-back up-calls", `Quick,
+      test_demotion_consistent_under_upcall);
   ]
