@@ -60,7 +60,9 @@ bench-check:
 # artifacts.  The trace is -j-independent (virtual timestamps).  The
 # wear-leveling ablation, the fleet and hybrid figures and the
 # wear-lifetime sweep stream to their own derived sinks
-# (results-wearlevel.jsonl / -fleet / -hybrid / -wearlife).
+# (results-wearlevel.jsonl / -fleet / -hybrid / -wearlife).  --verify
+# runs the paranoid heap verifier in every trial except the fleet
+# figure's, whose verified serving would take ten minutes, not one.
 figures-quick:
 	dune exec bench/main.exe -- figures-quick -j 2 --verify --out results.jsonl --trace trace.json
 

@@ -14,8 +14,9 @@
                               executed trial (Perfetto-loadable; virtual
                               timestamps, bit-identical at any -j)
      main.exe --verify        run the paranoid heap verifier after every
-                              GC phase of every trial (slower; changes
-                              no serialized result)
+                              GC phase of every trial except the fleet
+                              figure's (slower; changes no serialized
+                              result)
      main.exe fig3 … fig10    a single figure
      main.exe pauses          the Sec. 4.2 pause-time table
      main.exe headline        the Sec. 8 headline overheads

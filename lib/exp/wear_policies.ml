@@ -95,9 +95,11 @@ type outcome = {
     can report time-per-round (the GC-overhead signal) next to lifetime.
     Both are virtual quantities — deterministic for a given config at
     any [-j].  The one aging loop behind the wearlevel, wearlife and
-    hybrid tables. *)
+    hybrid tables; like [Runner.run_trial], it turns the paranoid
+    verifier on when [--verify] set [Runner.verify_all]. *)
 let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : float)
     ~(max_rounds : int) : outcome =
+  let cfg = { cfg with Cfg.verify = cfg.Cfg.verify || !Runner.verify_all } in
   let profile = Holes_workload.Profile.scaled profile scale in
   let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(Holes_workload.Profile.min_heap profile) () in
   let rounds = ref 0 in
