@@ -304,7 +304,7 @@ let read (t : t) (logical : int) : Bytes.t =
   match
     match t.caram with
     | None -> None
-    | Some c -> Caram.read c logical ~line_bytes:Geometry.line_bytes
+    | Some c -> Caram.read c logical
   with
   | Some data -> data
   | None -> (
@@ -404,7 +404,7 @@ let set_caram (t : t) (ways : int option) : unit =
     t.caram <- None;
     List.iter
       (fun (logical, data) -> ignore (write t logical data))
-      (Caram.flush c ~line_bytes:Geometry.line_bytes)
+      (Caram.flush c)
   in
   match (t.caram, ways) with
   | None, None -> ()

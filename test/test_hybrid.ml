@@ -5,10 +5,13 @@
    - content-store round-trip: deduplicated and pattern-compressed
      lines read back bit-exact, survive a flush through the cells, and
      keep the store internally consistent;
-   - content-store lockstep: the store's flat binding array and
-     in-place entry buffers agree with a naive Hashtbl model after every
-     random write, overwrite, flush and resize, and every line reads
-     back its last payload;
+   - content-store lockstep: the store's flat binding and slot arrays,
+     read through its accessors, agree with a naive Hashtbl model after
+     every random write, overwrite, flush and resize, and every line
+     reads back its last payload;
+   - the fingerprint equals a byte-at-a-time native-int FNV-1a (the
+     lockstep model calls [Caram.fingerprint] itself, so only this
+     check sees a changed hash);
    - the hybrid figure cells are bit-identical at -j 1 and -j 4
      (engine determinism through the tier and the content store) and
      match the committed golden test/golden/hybrid.jsonl, whose rows
@@ -137,7 +140,7 @@ let test_caram_roundtrip () =
 
 (* The CARAM policy restated naively, over a Hashtbl of bindings and
    entries whose contents are fresh copies: the reference the store's
-   flat binding array and in-place entry buffers are checked against. *)
+   flat binding and slot arrays are checked against. *)
 type model_binding = M_slot of int | M_pattern of char
 
 type model_entry = { mutable m_data : Bytes.t; mutable m_refs : int; mutable m_valid : bool }
@@ -196,15 +199,15 @@ let agree_with_model ~(tag : string) (c : Pcm.Caram.t) (m : model) : unit =
       in
       if got <> Hashtbl.find_opt m.m_bound l then failf "%s: line %d binding disagrees" tag l)
     c.Pcm.Caram.bound;
+  if Pcm.Caram.slots c <> Array.length m.m_table then failf "%s: slot count disagrees" tag;
   Array.iteri
-    (fun i (e : Pcm.Caram.entry) ->
-      let me = m.m_table.(i) in
+    (fun i me ->
       if
-        e.Pcm.Caram.valid <> me.m_valid
-        || e.Pcm.Caram.refs <> me.m_refs
-        || (me.m_valid && not (Bytes.equal e.Pcm.Caram.data me.m_data))
+        Pcm.Caram.slot_valid c i <> me.m_valid
+        || Pcm.Caram.slot_refs c i <> me.m_refs
+        || (me.m_valid && not (Bytes.equal (Pcm.Caram.slot_content c i) me.m_data))
       then failf "%s: slot %d disagrees" tag i)
-    c.Pcm.Caram.table
+    m.m_table
 
 (* Random writes and overwrites of pattern, recurring and unique
    payloads, with the store flushed, re-created or resized every so
@@ -366,6 +369,44 @@ let test_verifier_catches_caram_poke () =
   check bool "verifier reports the corrupted content store" true
     (r.Holes.Verify.errors <> [])
 
+(* ---- the fingerprint against a byte-at-a-time reference --------------- *)
+
+(* FNV-1a a byte at a time on native ints, the fold [Caram.fingerprint]
+   computes on an unboxed Int64.  The lockstep model above calls
+   [Caram.fingerprint] itself, so it cannot see a changed hash. *)
+let naive_fingerprint (b : Bytes.t) : int =
+  let h = ref 0x3bf29ce484222325 in
+  Bytes.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) b;
+  !h land max_int
+
+(* Random payloads of every length up to two lines, then the
+   synthesizer's three content classes (zero, recurring, unique) as a
+   live device backend draws them. *)
+let test_fingerprint_matches_reference () =
+  let agree tag b =
+    if Pcm.Caram.fingerprint b <> naive_fingerprint b then failf "%s: fingerprint disagrees" tag
+  in
+  let rng = Holes_stdx.Xrng.of_seed 3 in
+  for k = 1 to 4000 do
+    let len = if k <= 129 then k - 1 else Pcm.Geometry.line_bytes in
+    agree
+      (Printf.sprintf "random payload %d" k)
+      (Bytes.init len (fun _ -> Char.chr (Holes_stdx.Xrng.int rng 256)))
+  done;
+  let st = Option.get (Vm.device_state (device_vm ~hybrid:{ Hy.migrate_epoch = None; caram_ways = Some 8 })) in
+  let classes = Array.make 3 0 in
+  for k = 1 to 2000 do
+    let b = Holes.Memory_backend.content_for_write st in
+    let c =
+      if Bytes.for_all (fun x -> x = '\000') b then 0
+      else if Bytes.get b (Bytes.length b - 1) = '\xAB' then 2
+      else 1
+    in
+    classes.(c) <- classes.(c) + 1;
+    agree (Printf.sprintf "synthesized payload %d" k) b
+  done;
+  Array.iteri (fun c n -> if n = 0 then failf "content class %d never drawn" c) classes
+
 (* ---- a demotion lets nothing in halfway ------------------------------- *)
 
 (* A demotion's write-back can stall the device; servicing the stall
@@ -438,6 +479,7 @@ let suite =
     ("hybrid policy CLI rejections", `Quick, test_cli_rejects);
     ("content store round-trips dedup/compressed lines", `Quick, test_caram_roundtrip);
     ("content store matches a reference model", `Quick, test_caram_matches_model);
+    ("fingerprint matches a byte-at-a-time FNV-1a", `Quick, test_fingerprint_matches_reference);
     ("hybrid figure cells bit-identical at -j 1/-j 4", `Quick, test_engine_determinism);
     ("verifier catches a corrupted residency map", `Quick, test_verifier_catches_tier_poke);
     ("verifier catches a corrupted content store", `Quick, test_verifier_catches_caram_poke);
