@@ -227,6 +227,12 @@ let detach (st : device_state) : unit =
     (fun virt -> if Osal.Vmm.translate st.proc ~virt >= 0 then Osal.Vmm.munmap st.vmm st.proc ~virt)
     st.virt_of_stock
 
+(* The synthesizer's twelve recurring contents, one line each: byte [i]
+   of pattern [k] is [(k * 37 + i * 11) land 0xff]. *)
+let recurring =
+  let lb = Pcm.Geometry.line_bytes in
+  Bytes.init (12 * lb) (fun j -> Char.unsafe_chr ((((j / lb) * 37) + (j mod lb * 11)) land 0xff))
+
 (* Synthesize the line content for a charged write.  The scrub payload
    is a constant, which would make content-aware dedup trivially
    perfect; with caram live each write instead draws a content class
@@ -240,12 +246,9 @@ let content_for_write (st : device_state) : Bytes.t =
   | Some rng ->
       let r = Xrng.int rng 100 in
       if r < 30 then Bytes.fill st.payload 0 (Bytes.length st.payload) '\x00'
-      else if r < 45 then begin
-        let k = Xrng.int rng 12 in
-        for i = 0 to Bytes.length st.payload - 1 do
-          Bytes.unsafe_set st.payload i (Char.unsafe_chr (((k * 37) + (i * 11)) land 0xff))
-        done
-      end
+      else if r < 45 then
+        Bytes.blit recurring (Xrng.int rng 12 * Bytes.length st.payload) st.payload 0
+          (Bytes.length st.payload)
       else begin
         (* unique content: a counter stamp over the scrub pattern *)
         Bytes.fill st.payload 0 (Bytes.length st.payload) '\xAB';
@@ -257,6 +260,22 @@ let content_for_write (st : device_state) : Bytes.t =
       end);
   st.payload
 
+(* Write [payload] to [logical]; true when the write reached the cells
+   (the failure chain, up-call included, has run when it wore the line
+   out).  A stall is serviced and the write retried once; servicing can
+   retire the line itself, which the retry then finds unusable. *)
+let rec write_reached (st : device_state) (logical : int) (payload : Bytes.t) ~(retry : bool) :
+    bool =
+  match Pcm.Device.write st.device logical payload with
+  | Pcm.Device.Stored -> true
+  | Pcm.Device.Write_failed ->
+      service st;
+      true
+  | Pcm.Device.Stalled when retry ->
+      service st;
+      write_reached st logical payload ~retry:false
+  | Pcm.Device.Stalled | Pcm.Device.Unusable -> false
+
 (** Charge one 64 B line store on [stock_page]/[line] through the device
     write path.  A wear failure fires the device callback, and the
     interrupt is serviced immediately — by the time this returns, the
@@ -265,7 +284,9 @@ let content_for_write (st : device_state) : Bytes.t =
     retried once.  With tiering on, writes whose translation lands on
     a promoted DRAM frame are absorbed by the tier (dirty-line
     tracking, no device write), and PCM writes that reach the device
-    feed the tier's hot-page counters once the failure chain has run. *)
+    feed the tier's hot-page counters once the failure chain has run.
+    Apart from the occupancy sample, a store that neither promotes nor
+    demotes a page allocates nothing. *)
 let device_write (st : device_state) ~(stock_page : int) ~(line : int) : unit =
   Stats.observe st.metrics.Metrics.fbuf_occupancy_hist
     (float_of_int (Pcm.Device.buffer_occupancy st.device));
@@ -273,37 +294,23 @@ let device_write (st : device_state) ~(stock_page : int) ~(line : int) : unit =
   let phys = Osal.Vmm.translate st.proc ~virt in
   let dram_pages = Osal.Pools.dram_pages (Osal.Vmm.pools st.vmm) in
   if phys < 0 then ()
-  else if phys < dram_pages then
-    Option.iter
-      (fun tier ->
+  else if phys < dram_pages then begin
+    match st.node.n_tier with
+    | None -> ()
+    | Some tier ->
         Osal.Tier.note_dram_write tier ~phys ~line ~payload:(content_for_write st)
-          ~charge_copy:st.charge_copy)
-      st.node.n_tier
+          ~charge_copy:st.charge_copy
+  end
   else begin
     let logical = ((phys - dram_pages) * lines_per_page) + line in
-    if Pcm.Device.line_usable st.device logical then begin
-      let payload = content_for_write st in
-      (* whether the write reached the cells (the failure chain, up-call
-         included, has run when it wore the line out); servicing a stall
-         can retire the line itself, which the retry then finds unusable *)
-      let rec reached ~retry =
-        match Pcm.Device.write st.device logical payload with
-        | Pcm.Device.Stored -> true
-        | Pcm.Device.Write_failed ->
-            service st;
-            true
-        | Pcm.Device.Stalled when retry ->
-            service st;
-            reached ~retry:false
-        | Pcm.Device.Stalled | Pcm.Device.Unusable -> false
-      in
-      if reached ~retry:true then
-        Option.iter
-          (fun tier ->
-            Osal.Tier.note_pcm_write tier st.proc ~virt ~pcm_phys:phys
-              ~charge_copy:st.charge_copy)
-          st.node.n_tier
-    end
+    if
+      Pcm.Device.line_usable st.device logical
+      && write_reached st logical (content_for_write st) ~retry:true
+    then
+      match st.node.n_tier with
+      | None -> ()
+      | Some tier ->
+          Osal.Tier.note_pcm_write tier st.proc ~virt ~pcm_phys:phys ~charge_copy:st.charge_copy
   end
 
 (** Copy the node's device, OS, tier and content-store counters into

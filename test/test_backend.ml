@@ -1,8 +1,9 @@
 (* Memory-backend seam tests: the device backend's cooperative pipeline
    (wear -> failure buffer -> interrupt -> VMM up-call -> runtime
    retirement), failure-buffer overflow behavior, clustering boundary
-   redirection as seen through [Vmm.map_failures], and static/device
-   backend agreement on the heap invariants. *)
+   redirection as seen through [Vmm.map_failures], static/device
+   backend agreement on the heap invariants, and a charged line store
+   that allocates nothing beyond its occupancy sample. *)
 
 module Cfg = Holes.Config
 module Vm = Holes.Vm
@@ -189,6 +190,79 @@ let test_backends_agree_on_invariants () =
         (Vm.metrics vm_d).Metrics.objects_allocated)
     [ (Holes_workload.Dacapo.pmd, 0.25); (Holes_workload.Dacapo.xalan, 0.10) ]
 
+(* ------------------------------------------------------------------ *)
+(* A charged line store allocates only its occupancy sample            *)
+(* ------------------------------------------------------------------ *)
+
+(* 200k stores through [Memory_backend.device_write] at the production
+   endurance (nothing wears out or stalls), under each tiering policy,
+   after a warm-up pass of the same stores.  The stores visit 64 heap
+   pages round robin, so each epoch of 512 writes gives every page 8:
+   the 31 promotable DRAM frames keep their residents and the measured
+   pass neither promotes nor demotes.  A store may allocate no more
+   minor words than one [Stats.observe] of its occupancy sample,
+   measured here on the same expression, which holds the bound in the
+   dev profile (where the sample's float is boxed across the module
+   boundary) and the release profile alike. *)
+let test_store_allocates_only_its_sample () =
+  let stores = 200_000 and pages = 64 in
+  let rng = Xrng.of_seed 5 in
+  let lines = Array.init stores (fun _ -> Xrng.int rng Pcm.Geometry.lines_per_page) in
+  let words_per_op (f : unit -> unit) : float =
+    let w0 = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. w0) /. float_of_int stores
+  in
+  List.iter
+    (fun hybrid ->
+      let tag = Pcm.Hybrid.to_cli hybrid in
+      let d = Cfg.default_device in
+      let cfg =
+        {
+          Cfg.default with
+          Cfg.backend = Cfg.Device { d with Cfg.wear = Pcm.Wear.default_params; dram_pages = 32 };
+          failure_rate = 0.0;
+          hybrid;
+        }
+      in
+      let vm = Vm.create ~cfg ~min_heap_bytes:(pages * Pcm.Geometry.page_bytes) () in
+      let st = Option.get (Vm.device_state vm) in
+      if Array.length st.Holes.Memory_backend.virt_of_stock < pages then
+        Alcotest.failf "%s: heap smaller than %d pages" tag pages;
+      let store_all () =
+        for i = 0 to stores - 1 do
+          Holes.Memory_backend.device_write st ~stock_page:(i mod pages) ~line:lines.(i)
+        done
+      in
+      let tier_moves () =
+        match st.Holes.Memory_backend.node.Holes.Memory_backend.n_tier with
+        | None -> (0, 0)
+        | Some t ->
+            let s = Osal.Tier.stats t in
+            (s.Osal.Tier.s_promotes, s.Osal.Tier.s_demotes)
+      in
+      store_all ();
+      let moves = tier_moves () in
+      let per_store = words_per_op store_all in
+      check Alcotest.(pair int int) (tag ^ ": the measured pass moves no page") moves (tier_moves ());
+      let hist = st.Holes.Memory_backend.metrics.Metrics.fbuf_occupancy_hist in
+      let per_sample =
+        words_per_op (fun () ->
+            for _ = 1 to stores do
+              Holes_obs.Stats.observe hist
+                (float_of_int (Pcm.Device.buffer_occupancy st.Holes.Memory_backend.device))
+            done)
+      in
+      if per_store > per_sample then
+        Alcotest.failf "%s: %.2f minor words per store, more than the %.2f of its sample" tag
+          per_store per_sample)
+    [
+      Pcm.Hybrid.none;
+      { Pcm.Hybrid.migrate_epoch = None; caram_ways = Some 8 };
+      { Pcm.Hybrid.migrate_epoch = Some 512; caram_ways = None };
+      { Pcm.Hybrid.migrate_epoch = Some 512; caram_ways = Some 8 };
+    ]
+
 let suite =
   [
     Alcotest.test_case "wear up-call reaches runtime" `Quick test_upcall_reaches_runtime;
@@ -196,4 +270,6 @@ let suite =
     Alcotest.test_case "clustering boundary in map_failures" `Quick
       test_clustering_boundary_in_map_failures;
     Alcotest.test_case "backends agree on invariants" `Quick test_backends_agree_on_invariants;
+    Alcotest.test_case "a store allocates only its occupancy sample" `Quick
+      test_store_allocates_only_its_sample;
   ]

@@ -1,5 +1,6 @@
 (* Tests for the OS abstraction layer: pools, failure table, VMM,
-   interrupt handling, swap policies and debit-credit accounting. *)
+   interrupt handling, DRAM frame reuse by the tier, swap policies and
+   debit-credit accounting. *)
 
 open Holes_osal
 module Pcm = Holes_pcm
@@ -502,6 +503,55 @@ let test_interrupt_promoted_home_upcall () =
     Alcotest.(list (pair int int))
     "the owner gets the home's failed line" [ (virt, 3) ] !upcalls
 
+(* A DRAM frame's content buffer outlives its resident: the next
+   resident of the frame finds the previous one's lines in it, and its
+   demotion must write back only the lines it dirtied itself. *)
+let test_tier_frame_reuse_writes_back_own_lines () =
+  let vmm = Vmm.create ~dram_pages:2 ~pcm_pages:4 () in
+  let device =
+    Pcm.Device.create
+      ~config:
+        { Pcm.Device.default_config with Pcm.Device.pages = 4; wear = Pcm.Wear.default_params; clustering = None }
+      ~seed:5 ()
+  in
+  let tier = Tier.create ~interrupts:(Interrupts.attach ~vmm ~device ()) ~epoch:512 () in
+  let p = Vmm.spawn vmm in
+  let virts = Result.get_ok (Vmm.mmap_imperfect vmm p ~pages:4) in
+  let a = List.nth virts 0 and b = List.nth virts 1 in
+  let home_a = Vmm.translate p ~virt:a and home_b = Vmm.translate p ~virt:b in
+  let charges = ref [] in
+  let charge_copy ~bytes = charges := bytes :: !charges in
+  let promote virt home =
+    for _ = 1 to 8 do
+      Tier.note_pcm_write tier p ~virt ~pcm_phys:home ~charge_copy
+    done;
+    let frame = Vmm.translate p ~virt in
+    Alcotest.(check bool) "promoted to a DRAM frame" true (frame >= 0 && frame < 2);
+    frame
+  in
+  let dirty frame line c =
+    Tier.note_dram_write tier ~phys:frame ~line ~payload:(Bytes.make Pcm.Geometry.line_bytes c)
+      ~charge_copy
+  in
+  let frame_a = promote a home_a in
+  dirty frame_a 1 'A';
+  dirty frame_a 2 'A';
+  Tier.drop_process tier ~pid:p.Vmm.pid ~charge_copy;
+  check Alcotest.int "page A back home" home_a (Vmm.translate p ~virt:a);
+  check Alcotest.int "page B takes A's frame" frame_a (promote b home_b);
+  dirty frame_a 5 'B';
+  Tier.drop_process tier ~pid:p.Vmm.pid ~charge_copy;
+  check Alcotest.int "page B back home" home_b (Vmm.translate p ~virt:b);
+  check Alcotest.int "the demotion charges one line" Pcm.Geometry.line_bytes (List.hd !charges);
+  let home_line virt_home line =
+    Bytes.to_string (Pcm.Device.read device (((virt_home - 2) * Pcm.Geometry.lines_per_page) + line))
+  in
+  let line c = String.make Pcm.Geometry.line_bytes c in
+  check Alcotest.string "A's home holds A's line 1" (line 'A') (home_line home_a 1);
+  check Alcotest.string "B's home holds B's line 5" (line 'B') (home_line home_b 5);
+  check Alcotest.string "B's line 1 never reached its home" (line '\000') (home_line home_b 1);
+  check Alcotest.string "B's line 2 never reached its home" (line '\000') (home_line home_b 2)
+
 (* ------------------------- Swap ------------------------- *)
 
 let test_swap_policies () =
@@ -557,6 +607,8 @@ let suite =
     ("interrupt upcall path", `Quick, test_interrupt_upcall);
     ("interrupt page-copy fallback", `Quick, test_interrupt_page_copy_fallback);
     ("interrupt on a promoted page's home", `Quick, test_interrupt_promoted_home_upcall);
+    ("a reused DRAM frame writes back only its resident's lines", `Quick,
+      test_tier_frame_reuse_writes_back_own_lines);
     ("swap policies", `Quick, test_swap_policies);
     ("swap clustered count", `Quick, test_swap_clustered_count);
   ]
