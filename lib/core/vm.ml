@@ -460,11 +460,13 @@ let write_ref (t : t) ~(src : int) ~(dst : int) : unit =
     collection.  Killing an arraylet spine kills its pieces. *)
 let kill (t : t) (id : int) : unit =
   Object_table.kill t.objects id;
-  match Hashtbl.find_opt t.arraylet_spines id with
-  | None -> ()
-  | Some pieces ->
-      List.iter (Object_table.kill t.objects) pieces;
-      Hashtbl.remove t.arraylet_spines id
+  (* the table stays empty unless arraylets are on: skip the hash *)
+  if Hashtbl.length t.arraylet_spines > 0 then
+    match Hashtbl.find_opt t.arraylet_spines id with
+    | None -> ()
+    | Some pieces ->
+        List.iter (Object_table.kill t.objects) pieces;
+        Hashtbl.remove t.arraylet_spines id
 
 (** Inject a dynamic PCM line failure at the heap address of object
     [id] (or an arbitrary address via [dynamic_failure_at]).  LOS
