@@ -2,8 +2,8 @@
 
    Times the kernels that dominate trial throughput (hole search, small
    allocation under failures, full collection — stop-the-world and
-   incremental — line retirement and device writes, in line order and
-   at random) plus
+   incremental — line retirement, device writes, in line order and at
+   random, and the hybrid tier's charged line store) plus
    the wall-clock of the reduced `figures-quick` grid, and writes the
    results as `BENCH_hotpath.json`.  The committed copy of that file is
    the perf baseline: CI reruns the kernels and fails when any of them
@@ -335,6 +335,38 @@ let dedup_kernel () : kernel =
         done
       done)
 
+(* store: one charged line store, [Memory_backend.device_write], at the
+   hybrid-aging benchmark's node configuration (hot-page migration with
+   a 512-write epoch and an 8-way content store, 32 DRAM frames,
+   start-gap leveling with psi 64) at production endurance, so nothing
+   wears out: the occupancy sample, the page-table lookup, the content
+   synthesizer, then either the tier's dirty-line copy or the content
+   store's probe, the cell write and the tier's heat count.  Pages and
+   lines are drawn uniformly over a 128-page heap before the timer
+   starts, so a page takes about four of an epoch's stores and the
+   tier keeps promoting and demoting. *)
+let store_kernel () : kernel =
+  let d = Holes.Config.default_device in
+  let cfg =
+    {
+      Holes.Config.default with
+      Holes.Config.backend =
+        Holes.Config.Device { d with Holes.Config.wear = Holes_pcm.Wear.default_params; dram_pages = 32 };
+      wear_level = Some (Holes_pcm.Wear_level.Start_gap { psi = 64 });
+      hybrid = { Holes_pcm.Hybrid.migrate_epoch = Some 512; caram_ways = Some 8 };
+    }
+  in
+  let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(128 * Holes_pcm.Geometry.page_bytes) () in
+  let st = Option.get (Holes.Vm.device_state vm) in
+  let rng = Holes_stdx.Xrng.of_seed 17 in
+  let n = 1 lsl 17 in
+  let pages = Array.init n (fun _ -> Holes_stdx.Xrng.int rng 128) in
+  let lines = Array.init n (fun _ -> Holes_stdx.Xrng.int rng Holes_pcm.Geometry.lines_per_page) in
+  whole n (fun () ->
+      for i = 0 to n - 1 do
+        Holes.Memory_backend.device_write st ~stock_page:pages.(i) ~line:lines.(i)
+      done)
+
 (* fleet: one small device shard end to end — open-loop Poisson
    arrivals through the virtual-clock event queue, two tenant VMs
    attached to the shared node, request service and the report merge.
@@ -364,6 +396,7 @@ let kernels : (string * (unit -> kernel)) list =
     ("translate", translate_kernel);
     ("migrate", migrate_kernel);
     ("dedup", dedup_kernel);
+    ("store", store_kernel);
     ("fleet", fleet_kernel);
   ]
 
