@@ -56,13 +56,15 @@ bench-check:
 	dune exec --profile release bench/microbench.exe -- --check BENCH_hotpath.json --tolerance 0.15 --retry 2
 
 # Reduced figure grid on 2 worker domains, streaming one JSONL record
-# per trial plus a Chrome trace of every trial: the CI perf-trajectory
-# artifacts.  The trace is -j-independent (virtual timestamps).  The
-# wear-leveling ablation, the fleet and hybrid figures and the
-# wear-lifetime sweep stream to their own derived sinks
-# (results-wearlevel.jsonl / -fleet / -hybrid / -wearlife).  --verify
-# runs the paranoid heap verifier in every trial except the fleet
-# figure's, whose verified serving would take ten minutes, not one.
+# per trial plus a Chrome trace: the CI perf-trajectory artifacts.  The
+# trace covers the fig4 and headline trials only, with virtual
+# timestamps; it overflows its 2^18-event ring, so which events it keeps
+# depends on scheduling.  The wear-leveling ablation, the fleet and
+# hybrid figures and the wear-lifetime sweep stream to their own
+# derived sinks (results-wearlevel.jsonl / -fleet / -hybrid /
+# -wearlife).  --verify runs the paranoid heap verifier in every trial
+# except the fleet figure's, whose verified serving would take ten
+# minutes, not one.
 figures-quick:
 	dune exec bench/main.exe -- figures-quick -j 2 --verify --out results.jsonl --trace trace.json
 

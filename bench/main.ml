@@ -11,8 +11,13 @@
                               bit-identical at any -j
      main.exe --out F.jsonl   stream one JSONL record per trial to F
      main.exe --trace F.json  write a Chrome trace_event JSON of every
-                              executed trial (Perfetto-loadable; virtual
-                              timestamps, bit-identical at any -j)
+                              trial of fig3 … fig10, pauses, headline,
+                              sensitivity and ablation (not of the
+                              wearlevel, wearlife, hybrid or fleet
+                              tables; Perfetto-loadable; virtual
+                              timestamps).  Identical at any -j until
+                              its 2^18-event ring overflows; then the
+                              events it keeps depend on scheduling
      main.exe --verify        run the paranoid heap verifier after every
                               GC phase of every trial except the fleet
                               figure's (slower; changes no serialized
@@ -53,22 +58,15 @@ let figures : (string * (params:Holes_exp.Runner.params -> Holes_stdx.Table.t)) 
     ("ablation", fun ~params -> Holes_exp.Figures.ablation ~params ());
   ]
 
-(* ------------------------------------------------------------------ *)
-(* The reduced grid used by `figures-quick` (CI) and `speedup`: two
-   substantial figures at a small scale, enough trials to exercise the
-   engine without paper-grade wall-clock.                              *)
-
-let quick_grid_params ~jobs = { Holes_exp.Runner.scale = 0.1; seeds = 2; jobs }
-
-(* The device and fleet tables joined the CI grid later than the
-   original figures; each streams its trials to a *separate* sink file
-   next to --out (results-wearlevel.jsonl, results-fleet.jsonl, ...) so
-   the long-standing results.jsonl stream stays record-for-record
+(* `figures-quick` (CI): the reduced grid, then the device and fleet
+   tables at its operating point.  Those joined the CI grid later than
+   the original figures; each streams its trials to a *separate* sink
+   file next to --out (results-wearlevel.jsonl, results-fleet.jsonl,
+   ...) so the long-standing results.jsonl stream stays record-for-record
    comparable across releases. *)
-let run_quick_grid ~params ~out =
-  Holes_stdx.Table.print (Holes_exp.Figures.fig4 ~params ());
-  Holes_stdx.Table.print (Holes_exp.Figures.headline ~params ());
-  let saved = Holes_exp.Runner.current_sink () in
+let run_quick_grid ~(params : Holes_exp.Runner.params) ~out =
+  List.iter Holes_stdx.Table.print (Holes_exp.Figures.quick_grid params);
+  let params = Holes_exp.Figures.quick_params params in
   let derived_path tag =
     Option.map
       (fun p ->
@@ -76,35 +74,29 @@ let run_quick_grid ~params ~out =
         Filename.remove_extension p ^ "-" ^ tag ^ ext)
       out
   in
-  let print_to_own_sink tag table =
-    let path = derived_path tag in
-    let sink =
-      if path <> None || params.Holes_exp.Runner.jobs > 1 then
-        Some (Holes_engine.Sink.create ?path ())
-      else None
-    in
-    Holes_exp.Runner.set_sink sink;
-    Fun.protect
-      ~finally:(fun () ->
-        (match sink with Some s -> Holes_engine.Sink.close s | None -> ());
-        Holes_exp.Runner.set_sink saved)
-      (fun () -> Holes_stdx.Table.print (table ()))
-  in
-  print_to_own_sink "wearlevel" (fun () -> Holes_exp.Wear_policies.table ~params ());
-  print_to_own_sink "fleet" (fun () -> Holes_exp.Fleet_figure.table ~params ());
-  print_to_own_sink "hybrid" (fun () -> Holes_exp.Hybrid_figure.table ~params ());
-  print_to_own_sink "wearlife" (fun () -> Holes_exp.Wear_lifetime.table ~params ())
+  List.iter
+    (fun tag ->
+      let path = derived_path tag in
+      let sink =
+        if path <> None || params.Holes_exp.Runner.jobs > 1 then
+          Some (Holes_engine.Sink.create ?path ())
+        else None
+      in
+      Fun.protect
+        ~finally:(fun () -> Option.iter Holes_engine.Sink.close sink)
+        (fun () ->
+          Holes_stdx.Table.print
+            ((List.assoc tag figures) ~params:{ params with Holes_exp.Runner.sink })))
+    [ "wearlevel"; "fleet"; "hybrid"; "wearlife" ]
 
 (* `speedup`: measure the parallelism win instead of asserting it — the
-   same reduced grid, wall-clocked at -j 1 and -j max from a cold memo
-   cache each time. *)
-let run_speedup () =
+   reduced grid, wall-clocked at -j 1 and -j max from a cold memo cache
+   each time. *)
+let run_speedup ~(params : Holes_exp.Runner.params) =
   let time_with jobs =
     Holes_exp.Runner.clear_cache ();
-    let params = quick_grid_params ~jobs in
     let t0 = Unix.gettimeofday () in
-    ignore (Holes_exp.Figures.fig4 ~params ());
-    ignore (Holes_exp.Figures.headline ~params ());
+    ignore (Holes_exp.Figures.quick_grid { params with Holes_exp.Runner.jobs });
     Unix.gettimeofday () -. t0
   in
   let jmax = Holes_engine.Engine.default_jobs () in
@@ -142,19 +134,16 @@ let () =
       List.iter (Printf.eprintf "unknown target or flag %s\n") bad;
       Printf.eprintf "valid targets: %s\n" (String.concat " " targets);
       exit 2);
-  Holes_exp.Runner.set_verify verify;
-  let params =
-    let p = if fullp then Holes_exp.Runner.full else Holes_exp.Runner.quick in
-    { p with Holes_exp.Runner.jobs }
-  in
   (* stream trials to --out; show live progress whenever domains run *)
   let sink =
     if out <> None || jobs > 1 then Some (Holes_engine.Sink.create ?path:out ())
     else None
   in
-  Holes_exp.Runner.set_sink sink;
   let tracer = Option.map (fun _ -> Holes_obs.Trace.create ()) trace in
-  Holes_exp.Runner.set_tracer tracer;
+  let params =
+    let p = if fullp then Holes_exp.Runner.full else Holes_exp.Runner.quick in
+    { p with Holes_exp.Runner.jobs; sink; tracer; verify }
+  in
   let finish () =
     (match (tracer, trace) with
     | Some tr, Some path ->
@@ -164,14 +153,12 @@ let () =
           (let d = Holes_obs.Trace.dropped tr in
            if d = 0 then "" else Printf.sprintf ", %d dropped" d)
     | _ -> ());
-    Holes_exp.Runner.set_tracer None;
-    (match sink with Some s -> Holes_engine.Sink.close s | None -> ());
-    Holes_exp.Runner.set_sink None
+    Option.iter Holes_engine.Sink.close sink
   in
   Fun.protect ~finally:finish (fun () ->
       let run_one = function
-        | "figures-quick" -> run_quick_grid ~params:(quick_grid_params ~jobs) ~out
-        | "speedup" -> run_speedup ()
+        | "figures-quick" -> run_quick_grid ~params ~out
+        | "speedup" -> run_speedup ~params
         | name ->
             let t0 = Unix.gettimeofday () in
             Holes_stdx.Table.print ((List.assoc name figures) ~params);

@@ -411,10 +411,8 @@ let run_kernels () : (string * float) list =
 (* the fixed reduced grid (`figures-quick`), timed cold at -j 1 *)
 let grid_wall_s () : float =
   Holes_exp.Runner.clear_cache ();
-  let params = { Holes_exp.Runner.scale = 0.1; seeds = 2; jobs = 1 } in
   let t0 = Unix.gettimeofday () in
-  ignore (Holes_exp.Figures.fig4 ~params ());
-  ignore (Holes_exp.Figures.headline ~params ());
+  ignore (Holes_exp.Figures.quick_grid Holes_exp.Runner.quick);
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf "%-14s %12.2f s (figures-quick grid, -j 1, cold cache)\n%!" "grid" dt;
   dt

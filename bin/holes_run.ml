@@ -150,9 +150,7 @@ let run list_benches bench collector line_size rate dist model compensate arrayl
             (* multi-seed (or JSONL-streaming / tracing) mode: through
                the engine, so trace pids come from job specs *)
             let sink = Option.map (fun path -> Holes_engine.Sink.create ~path ()) out in
-            Holes_exp.Runner.set_sink sink;
             let tracer = Option.map (fun _ -> Holes_obs.Trace.create ()) trace in
-            Holes_exp.Runner.set_tracer tracer;
             Fun.protect
               ~finally:(fun () ->
                 (match (tracer, trace) with
@@ -163,11 +161,11 @@ let run list_benches bench collector line_size rate dist model compensate arrayl
                       (let d = Holes_obs.Trace.dropped tr in
                        if d = 0 then "" else Printf.sprintf ", %d dropped" d)
                 | _ -> ());
-                Holes_exp.Runner.set_tracer None;
-                (match sink with Some s -> Holes_engine.Sink.close s | None -> ());
-                Holes_exp.Runner.set_sink None)
+                Option.iter Holes_engine.Sink.close sink)
               (fun () ->
-                let params = { Holes_exp.Runner.scale; seeds = trials; jobs } in
+                let params =
+                  { Holes_exp.Runner.quick with scale; seeds = trials; jobs; sink; tracer }
+                in
                 let o = Holes_exp.Runner.run ~params ~cfg ~profile () in
                 let code = print_outcome profile cfg ~heap ~jobs o in
                 if stats then

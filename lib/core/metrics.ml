@@ -138,8 +138,6 @@ let create () : t =
     fbuf_occupancy_hist = Holes_obs.Stats.hist ();
   }
 
-let gcs (t : t) : int = t.full_gcs + t.nursery_gcs
-
 (** Record one full-heap pause (a whole stop-the-world collection, or one
     slice of a budgeted one) in its histogram — the single recording
     path every collector uses. *)

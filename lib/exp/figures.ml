@@ -23,14 +23,6 @@ let base_six = { Cfg.default with Cfg.collector = Cfg.Sticky_immix; line_size = 
 
 let fmt_ratio = function None -> "DNF" | Some r -> Printf.sprintf "%.3f" r
 
-(* per-benchmark normalized time of cfg vs base; None on DNF *)
-let ratio ~params ~cfg ~base profile =
-  let o = Runner.run ~params ~cfg ~profile () in
-  let b = Runner.run ~params ~cfg:base ~profile () in
-  match (Runner.time_if_all_completed o, Runner.time_if_all_completed b) with
-  | Some t, Some tb when tb > 0.0 -> Some (t /. tb)
-  | _ -> None
-
 let geo ~params ~cfg ~base profiles =
   Runner.geomean_normalized ~params ~cfg ~base ~profiles ()
 
@@ -79,7 +71,9 @@ let fig4 ?(params = Runner.quick) () : Table.t =
   prefetch ~params ~profiles:suite_buggy (base_six :: List.map cfg_at rates);
   List.iter
     (fun p ->
-      let cells = List.map (fun f -> fmt_ratio (ratio ~params ~cfg:(cfg_at f) ~base:base_six p)) rates in
+      let cells =
+        List.map (fun f -> fmt_ratio (Runner.ratio ~params ~cfg:(cfg_at f) ~base:base_six p)) rates
+      in
       let name = p.W.Profile.name in
       let name = if name = "lusearch" then "lusearch (buggy)" else name in
       Table.add_row t (name :: cells))
@@ -283,7 +277,9 @@ let fig10 ?(params = Runner.quick) () : Table.t =
   prefetch ~params
     (base_six
     :: List.concat_map (fun pages -> List.map (cell_cfg pages) [ 0.10; 0.25; 0.50 ]) [ 1; 2 ]);
-  let cell pages f p = fmt_ratio (ratio ~params ~cfg:(cell_cfg pages f) ~base:base_six p) in
+  let cell pages f p =
+    fmt_ratio (Runner.ratio ~params ~cfg:(cell_cfg pages f) ~base:base_six p)
+  in
   List.iter
     (fun p ->
       Table.add_row t
@@ -420,8 +416,14 @@ let ablation ?(params = Runner.quick) () : Table.t =
     rows;
   t
 
-(** All figures in order. *)
-let all ?(params = Runner.quick) () : Table.t list =
-  [ fig3 ~params (); fig4 ~params (); fig5 ~params (); fig6a ~params (); fig6b ~params ();
-    fig7 ~params (); fig8 ~params (); fig9a ~params (); fig9b ~params (); fig10 ~params ();
-    pauses ~params (); headline ~params () ]
+(** [ctx] at the reduced grid's operating point, scale 0.1 and two
+    seeds; its jobs, sink, tracer and verifier setting are kept. *)
+let quick_params (ctx : Runner.params) : Runner.params = { ctx with Runner.scale = 0.1; seeds = 2 }
+
+(** The reduced grid that [figures-quick], [speedup] and the
+    microbenchmarks' grid timer run: fig4, then the headline, at
+    {!quick_params}. *)
+let quick_grid (ctx : Runner.params) : Table.t list =
+  let params = quick_params ctx in
+  let f4 = fig4 ~params () in
+  [ f4; headline ~params () ]

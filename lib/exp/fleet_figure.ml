@@ -18,8 +18,8 @@
     tenants are evicted, but goodput never collapses to zero.
 
     One engine job per device shard, so each row is bit-identical at any
-    [-j]; rows run sequentially and stream per-device records to the
-    current sink. *)
+    [-j]; rows run sequentially and stream per-device records to
+    [params.sink]. *)
 
 open Holes_stdx
 module Cfg = Holes.Config
@@ -116,9 +116,15 @@ let table ?(params = Runner.quick) () : Table.t =
   List.iter
     (fun (name, policy, wear_aware, gc_slice) ->
       let p = fleet_params ~tenants ~devices ~policy ~wear_aware ~gc_slice in
-      let r =
-        Fleet_sim.run ~jobs:params.Runner.jobs ?sink:(Runner.current_sink ()) p
-      in
+      (* [params.verify] and [params.tracer] reach no fleet row.  The
+         verifier re-checks the whole heap, OS and device after every GC
+         slice: on a 2-vCPU guest it took the quick [none] row from 1.38
+         to 11.65 s and [none + inc] from 1.35 to 475.5 s (ROADMAP.md, "A
+         verifier the fleet can afford").  Traced through
+         [Fleet_sim.run]'s collector, the quick figure drops 978,992
+         events from the 2^18-event ring, evicting every traced
+         {!Runner} trial. *)
+      let r = Fleet_sim.run ~jobs:params.Runner.jobs ?sink:params.Runner.sink p in
       let epoch_p99 (h : Stats.hist) = Stats.quantile h 0.99 /. 1e6 in
       let young = epoch_p99 r.Report.epoch.(0) in
       let old_ = epoch_p99 r.Report.epoch.(Array.length r.Report.epoch - 1) in

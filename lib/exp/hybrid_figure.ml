@@ -46,12 +46,9 @@ let policies : (string * Hybrid.policy) list =
 let dram_levels : int list = [ 8; 32 ]
 
 let cell_cfg ~(hybrid : Hybrid.policy) ~(dram_pages : int) : Cfg.t =
-  let d = Cfg.default_device in
-  let wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance = 12.0 } in
   {
-    Figures.base_six with
-    Cfg.backend = Cfg.Device { d with Cfg.wear; clustering = Some 2; dram_pages };
-    failure_rate = 0.10;
+    Wear_policies.aging_cfg with
+    Cfg.backend = Cfg.Device { Wear_policies.aging_device with Cfg.dram_pages };
     hybrid;
   }
 
@@ -63,8 +60,7 @@ let absorption (m : Holes.Metrics.t) : float =
 
 (** One row per policy: lifetime rounds at each provisioning level,
     then absorption and the write-extension factor at the provisioned
-    (32-frame) level.  One engine job per cell, each a pure function of
-    its config — bit-identical at any [-j]. *)
+    (32-frame) level. *)
 let table ?(params = Runner.quick) () : Holes_stdx.Table.t =
   let t =
     Holes_stdx.Table.create
@@ -79,76 +75,51 @@ let table ?(params = Runner.quick) () : Holes_stdx.Table.t =
         ]
       ()
   in
-  let profile = Holes_workload.Dacapo.pmd in
   let max_rounds = if Runner.is_full params then 40 else 8 in
-  let grid =
-    List.concat_map
-      (fun (_, hybrid) -> List.map (fun dram -> (hybrid, dram)) dram_levels)
-      policies
-  in
-  let specs =
-    Array.of_list
-      (List.map
-         (fun (hybrid, dram_pages) ->
-           {
-             Holes_engine.Job.cfg = cell_cfg ~hybrid ~dram_pages;
-             profile;
-             (* fixed scale, like the wearlevel table: the wear operating
-                point must match between quick and full runs *)
-             scale = 0.125;
-             seed_index = 0;
-           })
-         grid)
-  in
-  let results =
-    Holes_engine.Engine.run ~jobs:params.Runner.jobs
-      ?sink:(Runner.current_sink ())
-      ~metrics:(fun (o : Wear_policies.outcome) ->
+  let cells =
+    Wear_policies.run_cells ~params
+      (* fixed scale, like the wearlevel table: the wear operating point
+         must match between quick and full runs *)
+      ~scale:0.125 ~max_rounds
+      ~fields:(fun (o : Wear_policies.outcome) ->
+        let m = o.Wear_policies.m in
         [
           ("rounds", float_of_int o.Wear_policies.rounds);
           ("round_ms", o.Wear_policies.elapsed_ms);
           ("dead_lines", float_of_int o.Wear_policies.dead_lines);
-          ("device_writes", float_of_int o.Wear_policies.m.Holes.Metrics.device_writes);
-          ( "device_line_failures",
-            float_of_int o.Wear_policies.m.Holes.Metrics.device_line_failures );
-          ("hyb_promotes", float_of_int o.Wear_policies.m.Holes.Metrics.hyb_promotes);
-          ("hyb_demotes", float_of_int o.Wear_policies.m.Holes.Metrics.hyb_demotes);
-          ("hyb_dram_writes", float_of_int o.Wear_policies.m.Holes.Metrics.hyb_dram_writes);
-          ("hyb_dedup_hits", float_of_int o.Wear_policies.m.Holes.Metrics.hyb_dedup_hits);
-          ("hyb_compressed", float_of_int o.Wear_policies.m.Holes.Metrics.hyb_compressed);
-          ("hyb_absorption", absorption o.Wear_policies.m);
+          ("device_writes", float_of_int m.Holes.Metrics.device_writes);
+          ("device_line_failures", float_of_int m.Holes.Metrics.device_line_failures);
+          ("hyb_promotes", float_of_int m.Holes.Metrics.hyb_promotes);
+          ("hyb_demotes", float_of_int m.Holes.Metrics.hyb_demotes);
+          ("hyb_dram_writes", float_of_int m.Holes.Metrics.hyb_dram_writes);
+          ("hyb_dedup_hits", float_of_int m.Holes.Metrics.hyb_dedup_hits);
+          ("hyb_compressed", float_of_int m.Holes.Metrics.hyb_compressed);
+          ("hyb_absorption", absorption m);
         ])
-      ~f:(fun spec ~seed:_ ->
-        Wear_policies.lifetime_run ~cfg:spec.Holes_engine.Job.cfg
-          ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale
-          ~max_rounds)
-      specs
-  in
-  let cell_of i : Wear_policies.outcome option =
-    match results.(i).Holes_engine.Engine.outcome with
-    | Holes_engine.Pool.Done o -> Some o
-    | Holes_engine.Pool.Failed _ -> None
+      (List.concat_map
+         (fun (_, hybrid) -> List.map (fun dram_pages -> cell_cfg ~hybrid ~dram_pages) dram_levels)
+         policies)
   in
   let nlevels = List.length dram_levels in
   List.iteri
     (fun pi (pname, _) ->
       let fmt_rounds li =
-        match cell_of ((pi * nlevels) + li) with
-        | Some o when o.Wear_policies.rounds >= max_rounds ->
+        match cells.((pi * nlevels) + li) with
+        | Ok o when o.Wear_policies.rounds >= max_rounds ->
             Printf.sprintf ">=%d rd" o.Wear_policies.rounds
-        | Some o -> Printf.sprintf "%d rd" o.Wear_policies.rounds
-        | None -> "DNF"
+        | Ok o -> Printf.sprintf "%d rd" o.Wear_policies.rounds
+        | Error _ -> "DNF"
       in
       (* absorption / extension / promotion activity at the provisioned
          (last) DRAM level *)
       let abs_s, ext_s, promotes_s =
-        match cell_of ((pi * nlevels) + nlevels - 1) with
-        | Some o ->
+        match cells.((pi * nlevels) + nlevels - 1) with
+        | Ok o ->
             let a = absorption o.Wear_policies.m in
             ( Printf.sprintf "%.1f%%" (100.0 *. a),
               (if a < 1.0 then Printf.sprintf "%.2fx" (1.0 /. (1.0 -. a)) else "inf"),
               string_of_int o.Wear_policies.m.Holes.Metrics.hyb_promotes )
-        | None -> ("-", "-", "-")
+        | Error _ -> ("-", "-", "-")
       in
       Holes_stdx.Table.add_row t
         [ pname; fmt_rounds 0; fmt_rounds 1; abs_s; ext_s; promotes_s ])

@@ -23,10 +23,21 @@ type params = {
   scale : float;  (** workload volume scale (1.0 = full) *)
   seeds : int;  (** trials per configuration *)
   jobs : int;  (** worker domains; <= 1 runs inline on the caller *)
+  sink : Sink.t option;
+      (** [--out]: every executed trial streams here as one JSONL record.
+          Memoized groups run once, so each trial of a sweep appears
+          once. *)
+  tracer : Otrace.t option;
+      (** [--trace]: every trial {!trial_of_spec} runs is traced here *)
+  verify : bool;
+      (** [--verify]: every trial runs the paranoid heap verifier,
+          whatever its config says ({!verified}) *)
 }
+(** The run context every figure and table takes.  It holds a sink and a
+    trace buffer, so it is never compared with [=]. *)
 
-let quick = { scale = 0.25; seeds = 2; jobs = 1 }
-let full = { scale = 0.6; seeds = 5; jobs = 1 }
+let quick = { scale = 0.25; seeds = 2; jobs = 1; sink = None; tracer = None; verify = false }
+let full = { quick with scale = 0.6; seeds = 5 }
 
 (** Whether [p] asks for paper-grade volume.  Structural on purpose: the
     CLI rebuilds the preset record to set [jobs], so physical equality
@@ -65,31 +76,11 @@ let with_cache (f : unit -> 'a) : 'a =
 (** Drop every memoized outcome (tests; speedup measurement reruns). *)
 let clear_cache () : unit = with_cache (fun () -> Hashtbl.reset cache)
 
-(* results sink: when set (bench/bin [--out]), every executed trial is
-   streamed as one JSONL record.  Memoized groups run once, so each
-   trial of a sweep appears exactly once. *)
-let sink : Sink.t option ref = ref None
-
-let set_sink (s : Sink.t option) : unit = sink := s
-let current_sink () : Sink.t option = !sink
-
-(* trace buffer: when set ([--trace FILE]), every executed trial runs
-   under a tracer view whose pid is derived from the job spec — like the
-   seed, scheduling-independent — so the merged trace is identical for
-   any [-j].  Timestamps come from each trial's cost model (virtual
-   nanoseconds), not the host clock. *)
-let tracer : Otrace.t option ref = ref None
-
-let set_tracer (t : Otrace.t option) : unit = tracer := t
-
-(* verifier override: when set ([--verify] in bench/bin), every trial
-   runs with the paranoid heap verifier on regardless of per-config
-   settings.  Changes no serialized result — only the non-serialized
-   verify counters and wall-clock.  Set before trials start; worker
-   domains read it but never write it. *)
-let verify_all : bool ref = ref false
-
-let set_verify (b : bool) : unit = verify_all := b
+(** [cfg] as a trial under [p] runs it.  [p.verify] changes no
+    serialized result, only the non-serialized verify counters and
+    wall-clock. *)
+let verified (p : params) (cfg : Holes.Config.t) : Holes.Config.t =
+  { cfg with Holes.Config.verify = cfg.Holes.Config.verify || p.verify }
 
 (* [Config.name] is lossy by design (it names result rows, not points of
    the configuration space), so the key spells out every axis the name
@@ -118,7 +109,7 @@ let cache_key (cfg : Holes.Config.t) (profile : Holes_workload.Profile.t) (p : p
   Printf.sprintf "%s|h%.3f|d%b|o%.3f|n%b|v%b|%s|%s|s%.4f|n%d|seed%d" (Holes.Config.name cfg)
     cfg.Holes.Config.heap_factor cfg.Holes.Config.defrag cfg.Holes.Config.defrag_occupancy
     cfg.Holes.Config.nursery_copy
-    (cfg.Holes.Config.verify || !verify_all)
+    (cfg.Holes.Config.verify || p.verify)
     (device_key cfg) profile.Holes_workload.Profile.name p.scale p.seeds
     cfg.Holes.Config.seed
 
@@ -132,13 +123,7 @@ type raw_trial = {
 
 let run_trial ?(tracer = Otrace.null) ~(cfg : Holes.Config.t)
     ~(profile : Holes_workload.Profile.t) ~(scale : float) ~(seed : int) () : raw_trial =
-  let cfg =
-    {
-      cfg with
-      Holes.Config.seed;
-      verify = cfg.Holes.Config.verify || !verify_all;
-    }
-  in
+  let cfg = { cfg with Holes.Config.seed } in
   let profile = Holes_workload.Profile.scaled profile scale in
   let vm =
     Holes.Vm.create ~cfg ~tracer ~min_heap_bytes:(Holes_workload.Profile.min_heap profile) ()
@@ -154,14 +139,18 @@ let run_trial ?(tracer = Otrace.null) ~(cfg : Holes.Config.t)
     r_perfect_requests = Holes_osal.Accounting.perfect_requests acct;
   }
 
-(* the engine job body: spec → raw trial, seeded from the spec.  Under a
-   tracer each trial is one trace "process": pid from the spec hash, a
-   [trial] span on the engine lane bracketing the whole run. *)
-let trial_of_spec (spec : Job.spec) ~(seed : int) : raw_trial =
+(* the engine job body: spec → raw trial, seeded from the spec.  Under
+   [params.tracer] each trial is one trace "process" whose pid derives
+   from the spec hash — like the seed, scheduling-independent — with a
+   [trial] span on the engine lane bracketing the whole run.  Timestamps
+   come from the trial's cost model (virtual nanoseconds), not the host
+   clock. *)
+let trial_of_spec ~(params : params) (spec : Job.spec) ~(seed : int) : raw_trial =
   let run tracer =
-    run_trial ~tracer ~cfg:spec.Job.cfg ~profile:spec.Job.profile ~scale:spec.Job.scale ~seed ()
+    run_trial ~tracer ~cfg:(verified params spec.Job.cfg) ~profile:spec.Job.profile
+      ~scale:spec.Job.scale ~seed ()
   in
-  match !tracer with
+  match params.tracer with
   | None -> run Otrace.null
   | Some tr ->
       let v = Otrace.view tr ~pid:(1 + (Job.seed spec land 0x3FFFFFFF)) in
@@ -218,8 +207,8 @@ let run_specs_into_cache ~(params : params)
     ~(pairs : (Holes.Config.t * Holes_workload.Profile.t) list) : unit =
   let specs = Engine.plan_pairs ~pairs ~scale:params.scale ~seeds:params.seeds in
   let results =
-    Engine.run ~jobs:params.jobs ?sink:!sink ~metrics:sink_metrics ~outcome_label:sink_outcome
-      ~f:trial_of_spec specs
+    Engine.run ~jobs:params.jobs ?sink:params.sink ~metrics:sink_metrics
+      ~outcome_label:sink_outcome ~f:(trial_of_spec ~params) specs
   in
   List.iteri
     (fun gi (cfg, profile) ->
@@ -269,20 +258,19 @@ let run ?(params = quick) ~(cfg : Holes.Config.t) ~(profile : Holes_workload.Pro
 let time_if_all_completed (o : outcome) : float option =
   if o.completed = o.trials then Option.map (fun s -> s.Stats.mean) o.time_ms else None
 
-(** Geometric-mean normalized time of [cfgf cfg_base] over [profiles],
-    each benchmark normalized to its own [base] outcome.  None when any
+(** [cfg]'s mean time on [profile] normalized to [base]'s; None when
+    either DNFs. *)
+let ratio ?(params = quick) ~(cfg : Holes.Config.t) ~(base : Holes.Config.t)
+    (profile : Holes_workload.Profile.t) : float option =
+  let o = run ~params ~cfg ~profile () in
+  let b = run ~params ~cfg:base ~profile () in
+  match (time_if_all_completed o, time_if_all_completed b) with
+  | Some t, Some tb when tb > 0.0 -> Some (t /. tb)
+  | _ -> None
+
+(** Geometric mean of {!ratio} over [profiles].  None when any
     benchmark DNFs (curve termination). *)
 let geomean_normalized ?(params = quick) ~(cfg : Holes.Config.t) ~(base : Holes.Config.t)
     ~(profiles : Holes_workload.Profile.t list) () : float option =
-  let ratios =
-    List.map
-      (fun p ->
-        let o = run ~params ~cfg ~profile:p () in
-        let b = run ~params ~cfg:base ~profile:p () in
-        match (time_if_all_completed o, time_if_all_completed b) with
-        | Some t, Some tb when tb > 0.0 -> Some (t /. tb)
-        | _ -> None)
-      profiles
-  in
-  if List.exists (fun r -> r = None) ratios then None
-  else Some (Stats.geomean (List.map Option.get ratios))
+  let ratios = List.map (ratio ~params ~cfg ~base) profiles in
+  if List.mem None ratios then None else Some (Stats.geomean (List.filter_map Fun.id ratios))

@@ -25,10 +25,7 @@ let device_cfg ~(endurance : float) : Cfg.t =
 
 (** Rounds survived and pipeline activity across a mean-endurance sweep:
     the lifetime the cooperative pipeline buys as endurance shrinks.
-    Each endurance point is one engine job — the whole sweep shards
-    across [params.jobs] domains, each point owning its device and VM
-    outright.  A point's result depends only on its config, so the table
-    is identical at any [-j]. *)
+    Each endurance point is one {!Wear_policies.run_cells} cell. *)
 let table ?(params = Runner.quick) () : Table.t =
   let t =
     Table.create
@@ -38,43 +35,24 @@ let table ?(params = Runner.quick) () : Table.t =
       ~headers:[ "mean endurance"; "rounds"; "device writes"; "wear failures"; "up-calls" ]
       ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ] ()
   in
-  let profile = Holes_workload.Dacapo.pmd in
   let max_rounds = if Runner.is_full params then 12 else 6 in
   let endurances = [ 200.0; 50.0; 20.0; 10.0; 5.0 ] in
-  let specs =
-    Array.of_list
-      (List.map
-         (fun endurance ->
-           {
-             Holes_engine.Job.cfg = device_cfg ~endurance;
-             profile;
-             scale = params.Runner.scale /. 2.0;
-             seed_index = 0;
-           })
-         endurances)
-  in
-  let results =
-    Holes_engine.Engine.run ~jobs:params.Runner.jobs
-      ?sink:(Runner.current_sink ())
-      ~metrics:(fun (o : Wear_policies.outcome) ->
+  let cells =
+    Wear_policies.run_cells ~params ~scale:(params.Runner.scale /. 2.0) ~max_rounds
+      ~fields:(fun (o : Wear_policies.outcome) ->
+        let m = o.Wear_policies.m in
         [
-          ("rounds", float_of_int o.rounds);
-          ("device_writes", float_of_int o.m.Holes.Metrics.device_writes);
-          ("device_line_failures", float_of_int o.m.Holes.Metrics.device_line_failures);
-          ("os_upcalls", float_of_int o.m.Holes.Metrics.os_upcalls);
+          ("rounds", float_of_int o.Wear_policies.rounds);
+          ("device_writes", float_of_int m.Holes.Metrics.device_writes);
+          ("device_line_failures", float_of_int m.Holes.Metrics.device_line_failures);
+          ("os_upcalls", float_of_int m.Holes.Metrics.os_upcalls);
         ])
-      ~f:(fun spec ~seed:_ ->
-        (* wear-out is a property of the aging device, not of trial
-           noise: the round RNG derives from cfg.seed so the point is a
-           pure function of its spec *)
-        Wear_policies.lifetime_run ~cfg:spec.Holes_engine.Job.cfg
-          ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale ~max_rounds)
-      specs
+      (List.map (fun endurance -> device_cfg ~endurance) endurances)
   in
   List.iteri
     (fun i endurance ->
-      match results.(i).Holes_engine.Engine.outcome with
-      | Holes_engine.Pool.Done { Wear_policies.rounds; m; _ } ->
+      match cells.(i) with
+      | Ok { Wear_policies.rounds; m; _ } ->
           Table.add_row t
             [
               Printf.sprintf "%.0f" endurance;
@@ -84,7 +62,7 @@ let table ?(params = Runner.quick) () : Table.t =
               string_of_int m.Holes.Metrics.device_line_failures;
               string_of_int m.Holes.Metrics.os_upcalls;
             ]
-      | Holes_engine.Pool.Failed { exn; _ } ->
+      | Error exn ->
           Table.add_row t [ Printf.sprintf "%.0f" endurance; "error: " ^ exn; "-"; "-"; "-" ])
     endurances;
   t

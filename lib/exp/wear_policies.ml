@@ -57,19 +57,24 @@ let models : (string * Cfg.failure_model) list =
     ("variation", Cfg.Model (Fm.Variation { cov = 0.3; shape = Holes_pcm.Wear.Lognormal }));
   ]
 
-let cell_cfg ~(model : Cfg.failure_model) ~(policy : Wl.policy option) : Cfg.t =
+(** The aging operating point the wearlevel and hybrid tables share:
+    S-IX L256 on the device backend with 10% boot failures, endurance
+    low enough that lines die mid-run, and clustering on (the paper's
+    proposed hardware), so the clustering maps are live and a leveler or
+    tier sits above them. *)
+let aging_device : Cfg.device_params =
   let d = Cfg.default_device in
-  (* endurance low enough that lines die mid-run; clustering on (the
-     paper's proposed hardware), so the clustering maps are live and
-     the leveler sits above them *)
-  let wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance = 12.0 } in
   {
-    Figures.base_six with
-    Cfg.backend = Cfg.Device { d with Cfg.wear; clustering = Some 2 };
-    failure_rate = 0.10;
-    failure_model = model;
-    wear_level = policy;
+    d with
+    Cfg.wear = { d.Cfg.wear with Holes_pcm.Wear.mean_endurance = 12.0 };
+    clustering = Some 2;
   }
+
+let aging_cfg : Cfg.t =
+  { Figures.base_six with Cfg.backend = Cfg.Device aging_device; failure_rate = 0.10 }
+
+let cell_cfg ~(model : Cfg.failure_model) ~(policy : Wl.policy option) : Cfg.t =
+  { aging_cfg with Cfg.failure_model = model; wear_level = policy }
 
 exception Worn_out
 
@@ -95,11 +100,9 @@ type outcome = {
     can report time-per-round (the GC-overhead signal) next to lifetime.
     Both are virtual quantities — deterministic for a given config at
     any [-j].  The one aging loop behind the wearlevel, wearlife and
-    hybrid tables; like [Runner.run_trial], it turns the paranoid
-    verifier on when [--verify] set [Runner.verify_all]. *)
+    hybrid tables. *)
 let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : float)
     ~(max_rounds : int) : outcome =
-  let cfg = { cfg with Cfg.verify = cfg.Cfg.verify || !Runner.verify_all } in
   let profile = Holes_workload.Profile.scaled profile scale in
   let vm = Holes.Vm.create ~cfg ~min_heap_bytes:(Holes_workload.Profile.min_heap profile) () in
   let rounds = ref 0 in
@@ -138,17 +141,36 @@ let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : 
     m = Holes.Vm.metrics vm;
   }
 
-type cell = {
-  rounds : int;
-  ms_per_round : float option;
-  frag : float option;  (** mean contiguous dead-run length *)
-  m : Holes.Metrics.t option;
-}
+(** Run one pmd cell per config of [cfgs] through {!lifetime_run} at
+    [scale] for at most [max_rounds] rounds, on [params.jobs] workers,
+    streaming each to [params.sink] with [fields] as its metrics.
+    Returns, in [cfgs] order, each cell's outcome or the text of the
+    exception it raised.  A cell is a pure function of its config (the
+    round RNG derives from [cfg.seed]), so the results are bit-identical
+    at any [-j].  [params.verify] reaches every cell.  [params.tracer]
+    reaches none: a cell runs hundreds of collections, and tracing the
+    quick wearlevel table alone drops 2,497,363 events from the
+    2^18-event ring, evicting every traced {!Runner} trial. *)
+let run_cells ~(params : Runner.params) ~(scale : float) ~(max_rounds : int)
+    ~(fields : outcome -> (string * float) list) (cfgs : Cfg.t list) :
+    (outcome, string) result array =
+  let profile = Holes_workload.Dacapo.pmd in
+  let specs =
+    Array.of_list
+      (List.map (fun cfg -> { Holes_engine.Job.cfg; profile; scale; seed_index = 0 }) cfgs)
+  in
+  Holes_engine.Engine.run ~jobs:params.Runner.jobs ?sink:params.Runner.sink ~metrics:fields
+    ~f:(fun spec ~seed:_ ->
+      lifetime_run ~cfg:(Runner.verified params spec.Holes_engine.Job.cfg) ~profile ~scale
+        ~max_rounds)
+    specs
+  |> Array.map (fun r ->
+         match r.Holes_engine.Engine.outcome with
+         | Holes_engine.Pool.Done o -> Ok o
+         | Holes_engine.Pool.Failed { exn; _ } -> Error exn)
 
 (** Rounds survived and time-per-round for every policy × model cell,
-    plus the leveler's own activity under the uniform model.
-    One engine job per cell; a cell depends only on its config, so the
-    table is bit-identical at any [-j]. *)
+    plus the leveler's own activity under the uniform model. *)
 let table ?(params = Runner.quick) () : Table.t =
   let t =
     Table.create
@@ -164,96 +186,64 @@ let table ?(params = Runner.quick) () : Table.t =
         ]
       ()
   in
-  let profile = Holes_workload.Dacapo.pmd in
   (* full runs every cell to device end-of-life (the remapping policies
      take ~5x longer to die than [none]); quick caps the rounds for CI *)
   let max_rounds = if Runner.is_full params then 40 else 8 in
-  let grid =
-    List.concat_map
-      (fun (_, policy) -> List.map (fun (_, model) -> (policy, model)) models)
-      policies
-  in
-  let specs =
-    Array.of_list
-      (List.map
-         (fun (policy, model) ->
-           {
-             Holes_engine.Job.cfg = cell_cfg ~model ~policy;
-             profile;
-             (* fixed scale: the wear operating point (endurance versus
-                per-round traffic) must be the same in quick and full
-                runs — full only extends the round cap to end-of-life *)
-             scale = 0.125;
-             seed_index = 0;
-           })
-         grid)
-  in
-  let results =
-    Holes_engine.Engine.run ~jobs:params.Runner.jobs
-      ?sink:(Runner.current_sink ())
-      ~metrics:(fun (o : outcome) ->
+  let cells =
+    run_cells ~params
+      (* fixed scale: the wear operating point (endurance versus
+         per-round traffic) must be the same in quick and full runs —
+         full only extends the round cap to end-of-life *)
+      ~scale:0.125 ~max_rounds
+      ~fields:(fun (o : outcome) ->
+        let m = o.m in
         [
           ("rounds", float_of_int o.rounds);
           ("round_ms", o.elapsed_ms);
           ("dead_lines", float_of_int o.dead_lines);
           ("dead_runs", float_of_int o.dead_runs);
-          ("device_writes", float_of_int o.m.Holes.Metrics.device_writes);
-          ("device_line_failures", float_of_int o.m.Holes.Metrics.device_line_failures);
-          ("wear_cov", o.m.Holes.Metrics.wear_cov);
-          ("wl_gap_moves", float_of_int o.m.Holes.Metrics.wl_gap_moves);
-          ("wl_remaps", float_of_int o.m.Holes.Metrics.wl_remaps);
+          ("device_writes", float_of_int m.Holes.Metrics.device_writes);
+          ("device_line_failures", float_of_int m.Holes.Metrics.device_line_failures);
+          ("wear_cov", m.Holes.Metrics.wear_cov);
+          ("wl_gap_moves", float_of_int m.Holes.Metrics.wl_gap_moves);
+          ("wl_remaps", float_of_int m.Holes.Metrics.wl_remaps);
         ])
-      ~f:(fun spec ~seed:_ ->
-        (* the round RNG derives from cfg.seed, so a cell is a pure
-           function of its spec *)
-        lifetime_run ~cfg:spec.Holes_engine.Job.cfg ~profile:spec.Holes_engine.Job.profile
-          ~scale:spec.Holes_engine.Job.scale ~max_rounds)
-      specs
+      (List.concat_map
+         (fun (_, policy) -> List.map (fun (_, model) -> cell_cfg ~model ~policy) models)
+         policies)
   in
-  let cell_of i =
-    match results.(i).Holes_engine.Engine.outcome with
-    | Holes_engine.Pool.Done o ->
-        {
-          rounds = o.rounds;
-          ms_per_round =
-            (if o.rounds > 0 then Some (o.elapsed_ms /. float_of_int o.rounds) else None);
-          frag =
-            (if o.dead_runs > 0 then
-               Some (float_of_int o.dead_lines /. float_of_int o.dead_runs)
-             else None);
-          m = Some o.m;
-        }
-    | Holes_engine.Pool.Failed _ ->
-        { rounds = 0; ms_per_round = None; frag = None; m = None }
+  let ms_per_round = function
+    | Ok o when o.rounds > 0 -> Some (o.elapsed_ms /. float_of_int o.rounds)
+    | Ok _ | Error _ -> None
   in
   let nmodels = List.length models in
-  let cells = Array.init (Array.length specs) cell_of in
   (* time-per-round baselines: the [none] row, per model *)
-  let base = Array.init nmodels (fun mi -> cells.(mi).ms_per_round) in
+  let base = Array.init nmodels (fun mi -> ms_per_round cells.(mi)) in
   List.iteri
     (fun pi (pname, _) ->
       let fmt_cell mi =
         let c = cells.((pi * nmodels) + mi) in
+        let rounds = match c with Ok o -> o.rounds | Error _ -> 0 in
         let rounds =
-          if c.rounds >= max_rounds then Printf.sprintf ">=%d" c.rounds
-          else string_of_int c.rounds
+          if rounds >= max_rounds then Printf.sprintf ">=%d" rounds else string_of_int rounds
         in
-        match (c.ms_per_round, base.(mi)) with
+        match (ms_per_round c, base.(mi)) with
         | Some ms, Some b when b > 0.0 -> Printf.sprintf "%s rd @ %.2fx" rounds (ms /. b)
         | Some _, _ -> Printf.sprintf "%s rd" rounds
         | None, _ -> "DNF"
       in
       (* fragmentation + pipeline activity from the uniform-model cell *)
-      let u = cells.(pi * nmodels) in
-      let frag = match u.frag with Some f -> Printf.sprintf "%.1f" f | None -> "-" in
-      let cov, activity =
-        match u.m with
-        | Some m ->
-            ( Printf.sprintf "%.3f" m.Holes.Metrics.wear_cov,
+      let frag, cov, activity =
+        match cells.(pi * nmodels) with
+        | Ok o ->
+            let m = o.m in
+            ( (if o.dead_runs > 0 then
+                 Printf.sprintf "%.1f" (float_of_int o.dead_lines /. float_of_int o.dead_runs)
+               else "-"),
+              Printf.sprintf "%.3f" m.Holes.Metrics.wear_cov,
               string_of_int (m.Holes.Metrics.wl_remaps + m.Holes.Metrics.wl_gap_moves) )
-        | None -> ("-", "-")
+        | Error _ -> ("-", "-", "-")
       in
-      Table.add_row t
-        [ pname; fmt_cell 0; fmt_cell 1; fmt_cell 2; frag; cov; activity ])
+      Table.add_row t [ pname; fmt_cell 0; fmt_cell 1; fmt_cell 2; frag; cov; activity ])
     policies;
   t

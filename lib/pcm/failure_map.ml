@@ -109,10 +109,6 @@ let cluster_transform ?(include_metadata = false) (map : Bitset.t) ~(region_page
   done;
   out
 
-(** Count of failed lines in [map] — preserved by {!cluster_transform}
-    when [include_metadata] is false (a property test checks this). *)
-let failed_lines (map : Bitset.t) : int = Bitset.count map
-
 (** Failure rate of [map]. *)
 let rate (map : Bitset.t) : float =
   if Bitset.length map = 0 then 0.0

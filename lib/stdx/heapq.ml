@@ -16,8 +16,6 @@ let create ~(dummy : 'a) : 'a t =
 
 let length (t : 'a t) : int = t.size
 
-let is_empty (t : 'a t) : bool = t.size = 0
-
 let grow (t : 'a t) : unit =
   let cap = Array.length t.keys in
   let keys = Array.make (cap * 2) 0 in

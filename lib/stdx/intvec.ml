@@ -8,8 +8,6 @@ let create ?(capacity = 16) () : t = { data = Array.make (max 1 capacity) 0; len
 
 let length (t : t) : int = t.len
 
-let is_empty (t : t) : bool = t.len = 0
-
 let clear (t : t) : unit = t.len <- 0
 
 let push (t : t) (x : int) : unit =
@@ -29,16 +27,9 @@ let set (t : t) (i : int) (x : int) : unit =
   if i < 0 || i >= t.len then invalid_arg "Intvec.set: out of bounds";
   t.data.(i) <- x
 
-let pop (t : t) : int option =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    Some t.data.(t.len)
-  end
-
 (** [pop_or t ~default] removes and returns the last element, or
-    [default] when empty — the allocation-free pop for hot paths (no
-    option box). *)
+    [default] when empty.  Allocates nothing, unlike an option-returning
+    pop. *)
 let[@inline] pop_or (t : t) ~(default : int) : int =
   if t.len = 0 then default
   else begin

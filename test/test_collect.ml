@@ -17,7 +17,6 @@ module Cost = Holes.Cost
 module Xrng = Holes_stdx.Xrng
 module OT = Holes_heap.Object_table
 module R = Holes_exp.Runner
-module Sink = Holes_engine.Sink
 module Dacapo = Holes_workload.Dacapo
 module Stats = Holes_obs.Stats
 module Bitset = Holes_stdx.Bitset
@@ -45,25 +44,15 @@ let grid : (float * Cfg.t list * Holes_workload.Profile.t list) list =
   ]
 
 let grid_lines ~(jobs : int) : string list =
-  let path = Filename.temp_file "holes_collect" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      R.clear_cache ();
-      let sink = Sink.create ~path ~progress:false () in
-      R.set_sink (Some sink);
-      Fun.protect
-        ~finally:(fun () ->
-          R.set_sink None;
-          Sink.close sink;
-          R.clear_cache ())
-        (fun () ->
-          List.iter
-            (fun (scale, cfgs, profiles) ->
-              let params = { R.scale; seeds = 2; jobs } in
-              R.prefetch ~params ~cfgs ~profiles ())
-            grid);
-      Test_hotpath.read_lines path |> List.map Test_hotpath.strip_schedule |> List.sort compare)
+  R.clear_cache ();
+  Fun.protect ~finally:R.clear_cache (fun () ->
+      snd
+        (Test_hotpath.with_temp_sink (fun sink ->
+             List.iter
+               (fun (scale, cfgs, profiles) ->
+                 let params = { R.quick with R.scale; jobs; sink = Some sink } in
+                 R.prefetch ~params ~cfgs ~profiles ())
+               grid)))
 
 (* the numeric value of ["key":N] in a JSONL record *)
 let field (line : string) (key : string) : float =

@@ -153,7 +153,7 @@ let test_parallel_equals_sequential () =
   let cfgs = [ Cfg.default; { Cfg.default with Cfg.failure_rate = 0.25 } ] in
   let outcomes jobs =
     R.clear_cache ();
-    let params = { R.scale = 0.05; seeds = 2; jobs } in
+    let params = { R.quick with R.scale = 0.05; jobs } in
     R.prefetch ~params ~cfgs ~profiles ();
     List.concat_map
       (fun cfg -> List.map (fun profile -> R.run ~params ~cfg ~profile ()) profiles)

@@ -8,7 +8,7 @@ module Bitset = Holes_stdx.Bitset
 
 let check = Alcotest.check
 
-let tiny = { R.scale = 0.05; seeds = 2; jobs = 1 }
+let tiny = { R.quick with R.scale = 0.05 }
 
 let test_runner_basic () =
   let o = R.run ~params:tiny ~cfg:Cfg.default ~profile:Holes_workload.Dacapo.luindex () in
@@ -25,7 +25,7 @@ let test_runner_memoizes () =
 
 let test_runner_seed_variation () =
   (* different seeds produce (at least slightly) different times *)
-  let o = R.run ~params:{ R.scale = 0.05; seeds = 3; jobs = 1 } ~cfg:Cfg.default
+  let o = R.run ~params:{ tiny with R.seeds = 3 } ~cfg:Cfg.default
       ~profile:Holes_workload.Dacapo.bloat () in
   match o.R.time_ms with
   | Some s -> Alcotest.(check bool) "variance across seeds" true (s.Holes_stdx.Stats.max > s.Holes_stdx.Stats.min)
@@ -69,6 +69,38 @@ let test_pauses_figure_smoke () =
   let s = Holes_stdx.Table.render t in
   Alcotest.(check bool) "row per benchmark" true (contains s "hsqldb" && contains s "xalan")
 
+(* [params.verify] reaches a Runner cell and an aging cell: each
+   verifies exactly when the context asks it to, and its sink records
+   are the same either way. *)
+let test_verify_reaches_cells () =
+  let runner_cell verify =
+    R.clear_cache ();
+    Test_hotpath.with_temp_sink (fun sink ->
+        let params = { tiny with R.sink = Some sink; verify } in
+        (R.run ~params ~cfg:Cfg.default ~profile:Holes_workload.Dacapo.pmd ())
+          .R.mean_verify_passes)
+  in
+  let aging_cell verify =
+    Test_hotpath.with_temp_sink (fun sink ->
+        let module W = Holes_exp.Wear_policies in
+        match
+          W.run_cells ~params:{ R.quick with R.sink = Some sink; verify } ~scale:0.04
+            ~max_rounds:2
+            ~fields:(fun o -> Holes.Metrics.to_fields o.W.m)
+            [ W.cell_cfg ~model:Cfg.From_dist ~policy:None ]
+        with
+        | [| Ok o |] -> float_of_int o.W.m.Holes.Metrics.verify_passes
+        | _ -> Alcotest.fail "the aging cell raised")
+  in
+  List.iter
+    (fun (name, cell) ->
+      let on, on_records = cell true in
+      let off, off_records = cell false in
+      Alcotest.(check bool) (name ^ ": verified") true (on > 0.0);
+      check (Alcotest.float 0.0) (name ^ ": not verified") 0.0 off;
+      check Alcotest.(list string) (name ^ ": same records") off_records on_records)
+    [ ("runner cell", runner_cell); ("aging cell", aging_cell) ]
+
 let suite =
   [
     ("runner basic", `Quick, test_runner_basic);
@@ -78,4 +110,5 @@ let suite =
     ("wear map properties", `Quick, test_wear_map_properties);
     ("headline figure smoke", `Slow, test_headline_figure_smoke);
     ("pauses figure smoke", `Slow, test_pauses_figure_smoke);
+    ("verify reaches runner and aging cells", `Quick, test_verify_reaches_cells);
   ]

@@ -473,29 +473,30 @@ let check_golden (name : string) (lines : string list) : unit =
         Alcotest.(list string)
         "matches committed golden" (read_lines (Filename.concat "golden" name)) lines
 
-let grid_lines ~(jobs : int) : string list =
-  let path = Filename.temp_file "holes_golden" ".jsonl" in
+(* Run [f] with a sink streaming to a temp file: [f]'s value, and the
+   sink's records with their scheduling fields stripped, sorted. *)
+let with_temp_sink (f : Sink.t -> 'a) : 'a * string list =
+  let path = Filename.temp_file "holes_sink" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      R.clear_cache ();
       let sink = Sink.create ~path ~progress:false () in
-      R.set_sink (Some sink);
-      Fun.protect
-        ~finally:(fun () ->
-          R.set_sink None;
-          Sink.close sink;
-          R.clear_cache ())
-        (fun () ->
-          let params = { R.scale = 0.05; seeds = 2; jobs } in
-          R.prefetch ~params ~cfgs:grid_cfgs ~profiles:grid_profiles ();
-          List.iter
-            (fun cfg ->
-              List.iter
-                (fun profile -> ignore (R.run ~params ~cfg ~profile ()))
-                grid_profiles)
-            grid_cfgs);
-      read_lines path |> List.map strip_schedule |> List.sort compare)
+      let v = Fun.protect ~finally:(fun () -> Sink.close sink) (fun () -> f sink) in
+      (v, read_lines path |> List.map strip_schedule |> List.sort compare))
+
+let grid_lines ~(jobs : int) : string list =
+  R.clear_cache ();
+  Fun.protect ~finally:R.clear_cache (fun () ->
+      snd
+        (with_temp_sink (fun sink ->
+             let params = { R.quick with R.scale = 0.05; jobs; sink = Some sink } in
+             R.prefetch ~params ~cfgs:grid_cfgs ~profiles:grid_profiles ();
+             List.iter
+               (fun cfg ->
+                 List.iter
+                   (fun profile -> ignore (R.run ~params ~cfg ~profile ()))
+                   grid_profiles)
+               grid_cfgs)))
 
 let test_golden_determinism () =
   let j1 = grid_lines ~jobs:1 in

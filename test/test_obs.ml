@@ -257,16 +257,12 @@ let validate_json (s : string) : unit =
    as [holes_run --trace] drives it. *)
 let traced_events () : Trace.t * Trace.event list =
   let tr = Trace.create () in
-  Runner.set_tracer (Some tr);
-  Runner.clear_cache ();
-  Fun.protect
-    ~finally:(fun () ->
-      Runner.set_tracer None;
-      Runner.clear_cache ())
-    (fun () ->
-      let spec = traced_spec () in
-      let (_ : Runner.raw_trial) = Runner.trial_of_spec spec ~seed:(Job.seed spec) in
-      (tr, Trace.events tr))
+  let spec = traced_spec () in
+  let (_ : Runner.raw_trial) =
+    Runner.trial_of_spec ~params:{ Runner.quick with Runner.tracer = Some tr } spec
+      ~seed:(Job.seed spec)
+  in
+  (tr, Trace.events tr)
 
 let test_trace_layers () =
   let tr, evs = traced_events () in
@@ -353,20 +349,10 @@ let test_trace_ring_drops_oldest () =
 let test_disabled_tracing_bit_identical () =
   let spec = traced_spec () in
   let seed = Job.seed spec in
-  let plain =
-    Runner.set_tracer None;
-    Runner.clear_cache ();
-    Runner.trial_of_spec spec ~seed
-  in
+  let plain = Runner.trial_of_spec ~params:Runner.quick spec ~seed in
   let traced =
-    let tr = Trace.create () in
-    Runner.set_tracer (Some tr);
-    Runner.clear_cache ();
-    Fun.protect
-      ~finally:(fun () ->
-        Runner.set_tracer None;
-        Runner.clear_cache ())
-      (fun () -> Runner.trial_of_spec spec ~seed)
+    Runner.trial_of_spec ~params:{ Runner.quick with Runner.tracer = Some (Trace.create ()) } spec
+      ~seed
   in
   check Alcotest.bool "completion agrees" plain.Runner.r_completed traced.Runner.r_completed;
   check Alcotest.bool "metrics bit-identical" true

@@ -26,6 +26,7 @@ module Pcm = Holes_pcm
 module Wl = Pcm.Wear_level
 module Cfg = Holes.Config
 module Vm = Holes.Vm
+module W = Holes_exp.Wear_policies
 
 (* ---- CLI ------------------------------------------------------------- *)
 
@@ -106,53 +107,28 @@ let churn_policy (policy : Wl.policy) () =
 (* ---- engine determinism and the wear-level golden -------------------- *)
 
 (* Run one pmd cell (scale 0.04) per config through
-   [Wear_policies.lifetime_run] on the engine at [jobs] workers.
-   Returns the exact ([%h]) outcome strings in cell order, and the
-   sorted sink records, whose metrics are [fields] of each outcome. *)
-let lifetime_runs ~(jobs : int) ~(max_rounds : int)
-    ~(fields : Holes_exp.Wear_policies.outcome -> (string * float) list) (cfgs : Cfg.t list) :
-    string list * string list =
-  let specs =
-    Array.of_list
-      (List.map
-         (fun cfg ->
-           { Holes_engine.Job.cfg; profile = Holes_workload.Dacapo.pmd; scale = 0.04; seed_index = 0 })
-         cfgs)
+   [Wear_policies.run_cells] at [jobs] workers.  Returns the exact
+   ([%h]) outcome strings in cell order, and the sorted sink records,
+   whose metrics are [fields] of each outcome. *)
+let lifetime_runs ~(jobs : int) ~(max_rounds : int) ~(fields : W.outcome -> (string * float) list)
+    (cfgs : Cfg.t list) : string list * string list =
+  let cells, records =
+    Test_hotpath.with_temp_sink (fun sink ->
+        W.run_cells
+          ~params:{ Holes_exp.Runner.quick with jobs; sink = Some sink }
+          ~scale:0.04 ~max_rounds ~fields cfgs)
   in
-  let path = Filename.temp_file "holes_lifetime" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let sink = Holes_engine.Sink.create ~path ~progress:false () in
-      let results =
-        Fun.protect
-          ~finally:(fun () -> Holes_engine.Sink.close sink)
-          (fun () ->
-            Holes_engine.Engine.run ~jobs ~sink ~metrics:fields
-              ~f:(fun spec ~seed:_ ->
-                Holes_exp.Wear_policies.lifetime_run ~cfg:spec.Holes_engine.Job.cfg
-                  ~profile:spec.Holes_engine.Job.profile ~scale:spec.Holes_engine.Job.scale
-                  ~max_rounds)
-              specs)
-      in
-      let exact =
-        Array.to_list results
-        |> List.map (fun r ->
-               match r.Holes_engine.Engine.outcome with
-               | Holes_engine.Pool.Done (o : Holes_exp.Wear_policies.outcome) ->
-                   Printf.sprintf "%d|%d|%d|%.6f|%s" o.Holes_exp.Wear_policies.rounds
-                     o.Holes_exp.Wear_policies.dead_lines o.Holes_exp.Wear_policies.dead_runs
-                     o.Holes_exp.Wear_policies.elapsed_ms
-                     (String.concat ";"
-                        (List.map
-                           (fun (k, v) -> Printf.sprintf "%s=%h" k v)
-                           (Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)))
-               | Holes_engine.Pool.Failed { exn; _ } -> "failed: " ^ exn)
-      in
-      ( exact,
-        Test_hotpath.read_lines path
-        |> List.map Test_hotpath.strip_schedule
-        |> List.sort compare ))
+  ( Array.to_list cells
+    |> List.map (function
+         | Ok (o : W.outcome) ->
+             Printf.sprintf "%d|%d|%d|%.6f|%s" o.W.rounds o.W.dead_lines o.W.dead_runs
+               o.W.elapsed_ms
+               (String.concat ";"
+                  (List.map
+                     (fun (k, v) -> Printf.sprintf "%s=%h" k v)
+                     (Holes.Metrics.to_fields o.W.m)))
+         | Error exn -> "failed: " ^ exn),
+    records )
 
 (* One experiment cell per policy (uniform boot failures, device
    backend, 2-page clustering), run at -j 1 and -j 4 for six rounds:
@@ -164,15 +140,13 @@ let lifetime_runs ~(jobs : int) ~(max_rounds : int)
 let test_engine_determinism () =
   let runs ~jobs =
     lifetime_runs ~jobs ~max_rounds:6
-      ~fields:(fun (o : Holes_exp.Wear_policies.outcome) ->
-        ("rounds", float_of_int o.Holes_exp.Wear_policies.rounds)
-        :: ("dead_lines", float_of_int o.Holes_exp.Wear_policies.dead_lines)
-        :: ("dead_runs", float_of_int o.Holes_exp.Wear_policies.dead_runs)
-        :: ("elapsed_ms", o.Holes_exp.Wear_policies.elapsed_ms)
-        :: Holes.Metrics.to_fields o.Holes_exp.Wear_policies.m)
-      (List.map
-         (fun (_, policy) -> Holes_exp.Wear_policies.cell_cfg ~model:Cfg.From_dist ~policy)
-         Holes_exp.Wear_policies.policies)
+      ~fields:(fun (o : W.outcome) ->
+        ("rounds", float_of_int o.W.rounds)
+        :: ("dead_lines", float_of_int o.W.dead_lines)
+        :: ("dead_runs", float_of_int o.W.dead_runs)
+        :: ("elapsed_ms", o.W.elapsed_ms)
+        :: Holes.Metrics.to_fields o.W.m)
+      (List.map (fun (_, policy) -> W.cell_cfg ~model:Cfg.From_dist ~policy) W.policies)
   in
   let exact1, j1 = runs ~jobs:1 in
   let exact4, j4 = runs ~jobs:4 in
@@ -180,8 +154,7 @@ let test_engine_determinism () =
   check (list string) "-j 4 sink records identical to -j 1" j1 j4;
   (* every row wears lines out, and every leveled row keeps moving
      data, so the golden cannot silently turn into a no-op *)
-  check int "one record per policy" (List.length Holes_exp.Wear_policies.policies)
-    (List.length j1);
+  check int "one record per policy" (List.length W.policies) (List.length j1);
   List.iter
     (fun l ->
       let c = Test_collect.config l in

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Behaviour diff between two output directories: figures-quick sinks and torture logs.
+"""Behaviour diff between two output directories: figures-quick sinks, printed tables and torture logs.
 
     python3 tools/behaviour_diff.py BASE_DIR HEAD_DIR [--summary FILE] [--changed FILE]
 
@@ -13,6 +13,12 @@ compared as multisets, so a sink that emits several records per key
 still diffs exactly: a record with a counterpart on the other side is
 identical or changed, one without is missing.
 
+Every tables*.txt (saved figures-quick stdout) found in either
+directory is diffed line by line, so a table that reads the wrong cell
+shows even when every sink record is intact: a line in a matching run
+of lines is identical, one replaced by another is changed, and one with
+no counterpart is missing.
+
 Every torture*.log (the output of `bin/torture.exe`) found in either
 directory is diffed seed by seed.  A seed is changed when its config,
 status, violation or any key=value field printed on both sides
@@ -21,15 +27,17 @@ added to the seed line) is listed under the table but does not count
 as a change.
 
 Prints a markdown table of identical / changed / missing records per
-sink, and of seeds per torture log, appending both to --summary when
-given (CI passes $GITHUB_STEP_SUMMARY); --changed writes every
-differing record and seed, tagged "base" or "head", as JSONL.  Always
+sink, of lines per tables file and of seeds per torture log, appending
+them to --summary when given (CI passes $GITHUB_STEP_SUMMARY); --changed
+writes every differing record, line and seed, tagged "base" or "head",
+as JSONL.  Always
 exits 0: a pull request may change behaviour on purpose, and the
 tables are there to show whether it did.
 """
 
 import argparse
 import collections
+import difflib
 import glob
 import json
 import os
@@ -74,6 +82,70 @@ def diff_sink(base, head):
         differing += [("base", json.loads(r)) for r in only_b.elements()]
         differing += [("head", json.loads(r)) for r in only_h.elements()]
     return identical, changed, missing, differing
+
+
+def tables_files(*dirs):
+    """Every tables*.txt name in any of dirs."""
+    return sorted({os.path.basename(p) for d in dirs for p in glob.glob(os.path.join(d, "tables*.txt"))})
+
+
+def load_lines(path):
+    """The lines of path, or None if it is absent."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return f.read().splitlines()
+
+
+def diff_lines(base, head):
+    """(identical, changed, missing, differing lines as (side, line number, text))"""
+    identical = changed = missing = 0
+    differing = []
+    for op, b0, b1, h0, h1 in difflib.SequenceMatcher(None, base, head, autojunk=False).get_opcodes():
+        if op == "equal":
+            identical += b1 - b0
+            continue
+        changed += min(b1 - b0, h1 - h0)
+        missing += abs((b1 - b0) - (h1 - h0))
+        differing += [("base", i + 1, base[i]) for i in range(b0, b1)]
+        differing += [("head", i + 1, head[i]) for i in range(h0, h1)]
+    return identical, changed, missing, differing
+
+
+def tables_table(base_dir, head_dir):
+    """(markdown lines, differing lines as dicts); no lines when neither side has a tables file."""
+    names = tables_files(base_dir, head_dir)
+    if not names:
+        return [], []
+    rows, differing, absent = [], [], False
+    for name in names:
+        base, head = load_lines(os.path.join(base_dir, name)), load_lines(os.path.join(head_dir, name))
+        if base is None or head is None:
+            side = "base" if base is None else "head"
+            rows.append(f"| `{name}` | — | — | — | — | — | **absent on {side}** |")
+            absent = True
+            continue
+        identical, changed, missing, diff = diff_lines(base, head)
+        verdict = "identical" if changed == 0 and missing == 0 else "**differs**"
+        rows.append(f"| `{name}` | {len(base)} | {len(head)} | {identical} | {changed} | {missing} | {verdict} |")
+        differing += [dict(tables=name, side=side, line=n, text=text) for side, n, text in diff]
+    if absent:
+        outcome = "**incomplete**: a tables file is absent (did a run fail?)"
+    elif differing:
+        outcome = f"**tables changed**: {len(differing)} differing lines (see the behaviour-diff artifact)"
+    else:
+        outcome = "**identical tables**"
+    lines = [
+        "### Behaviour diff: printed tables, base vs head",
+        "",
+        "| file | base lines | head lines | identical | changed | missing | verdict |",
+        "|---|---:|---:|---:|---:|---:|---|",
+        *rows,
+        "",
+        outcome,
+        "",
+    ]
+    return lines, differing
 
 
 def torture_logs(*dirs):
@@ -204,9 +276,10 @@ def main():
         outcome,
         "",
     ]
+    tables, tables_differing = tables_table(args.base, args.head)
     torture, torture_differing = torture_table(args.base, args.head)
-    differing += torture_differing
-    text = "\n".join(table + torture)
+    differing += tables_differing + torture_differing
+    text = "\n".join(table + tables + torture)
     print(text)
     if args.summary:
         with open(args.summary, "a") as f:
