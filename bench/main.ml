@@ -139,7 +139,9 @@ let () =
     if out <> None || jobs > 1 then Some (Holes_engine.Sink.create ?path:out ())
     else None
   in
-  let tracer = Option.map (fun _ -> Holes_obs.Trace.create ()) trace in
+  (* figures-quick emits about 360k events: the ring must hold them all,
+     or which ones it keeps depends on the domains' scheduling *)
+  let tracer = Option.map (fun _ -> Holes_obs.Trace.create ~capacity:(1 lsl 19) ()) trace in
   let params =
     let p = if fullp then Holes_exp.Runner.full else Holes_exp.Runner.quick in
     { p with Holes_exp.Runner.jobs; sink; tracer; verify }

@@ -90,6 +90,12 @@ let[@inline] charge (t : t) (ns : float) : unit =
   end
   else Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. ns)
 
+(** Charge copying [bytes] bytes at [copy_byte] each.  The product is
+    formed here, so no float crosses a call that is not inlined (the dev
+    profile inlines nothing across modules) and nothing is boxed. *)
+let[@inline] charge_copy (t : t) ~(bytes : int) : unit =
+  charge t (t.weights.copy_byte *. float_of_int bytes)
+
 (** Enter collection context; subsequent charges count as pause time.
     The bracketing unit is one {e recorded pause}.  A stop-the-world
     collection drains every step of its cycle inside one bracket; under

@@ -328,7 +328,7 @@ let set_cursor_to_hole (t : t) (b : Block.t) ~(from_line : int) ~(min_bytes : in
       let w = weights t in
       Cost.charge t.cost (w.Cost.line_scan *. float_of_int examined);
       t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
-      Stats.observe t.metrics.Metrics.hole_search_hist (float_of_int examined);
+      Stats.observe_int t.metrics.Metrics.hole_search_hist examined;
       t.cur_block <- b.Block.index;
       t.cursor <- b.Block.base + (s * b.Block.line_size);
       t.limit <- b.Block.base + (e * b.Block.line_size);
@@ -437,7 +437,7 @@ let alloc_medium_nogc (t : t) ~(size : int) : int =
             Cost.charge t.cost
               (w.Cost.hole_skip +. (w.Cost.line_scan *. float_of_int examined));
             t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
-            Stats.observe t.metrics.Metrics.hole_search_hist (float_of_int examined);
+            Stats.observe_int t.metrics.Metrics.hole_search_hist examined;
             t.metrics.Metrics.hole_skips <- t.metrics.Metrics.hole_skips + 1;
             t.ovf_cursor <- b.Block.base + (s * b.Block.line_size);
             t.ovf_limit <- b.Block.base + (e * b.Block.line_size);
@@ -456,7 +456,7 @@ let alloc_medium_nogc (t : t) ~(size : int) : int =
                 let examined = e in
                 Cost.charge t.cost (w.Cost.line_scan *. float_of_int examined);
                 t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
-                Stats.observe t.metrics.Metrics.hole_search_hist (float_of_int examined);
+                Stats.observe_int t.metrics.Metrics.hole_search_hist examined;
                 t.ovf_block <- bi;
                 t.ovf_cursor <- b.Block.base + (s * b.Block.line_size);
                 t.ovf_limit <- b.Block.base + (e * b.Block.line_size);
@@ -552,7 +552,7 @@ let move_object (t : t) (b : Block.t) (id : int) ~(addr : int) ~(size : int) ~(n
   Block.remove_object_lines b ~addr ~size;
   Object_table.relocate t.objects id ~new_addr;
   Intvec.push (block_of_addr t new_addr).Block.objs id;
-  Cost.charge t.cost ((weights t).Cost.copy_byte *. float_of_int size);
+  Cost.charge_copy t.cost ~bytes:size;
   t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size
 
 (* Evacuate the live, unpinned objects of [b] using the normal allocator

@@ -21,6 +21,11 @@ type t = {
   cost : Cost.t;
   metrics : Metrics.t;
   entries : (int, entry) Hashtbl.t;  (** object id -> backing pages *)
+  mutable memo_base : int;
+      (** the base [page_backing] last looked up, or -1: a large object's
+          line stores all ask for the same base.  [free] forgets it; an
+          allocation cannot make it stale, since no address is reused *)
+  mutable memo_pages : int array;  (** [memo_base]'s backing pages *)
   mutable next_addr : int;
   mutable pages_in_use : int;
 }
@@ -35,6 +40,8 @@ let create ~(stock : Page_stock.t) ~(cost : Cost.t) ~(metrics : Metrics.t) : t =
     cost;
     metrics;
     entries = Hashtbl.create 64;
+    memo_base = -1;
+    memo_pages = [||];
     next_addr = address_base;
     pages_in_use = 0;
   }
@@ -109,23 +116,32 @@ let free (t : t) ~(addr : int) : unit =
           if id = -1 then Page_stock.return_borrowed t.stock else Page_stock.return_page t.stock id)
         e.pages;
       t.pages_in_use <- t.pages_in_use - npages;
-      Hashtbl.remove t.entries addr
+      Hashtbl.remove t.entries addr;
+      t.memo_base <- -1
 
 (** The 64 B PCM line backing byte [base + off] of the LOS object at
     [base], packed as [stock_page * lines_per_page + line]; -1 for
-    borrowed DRAM slots and unknown addresses.  Allocates nothing. *)
+    borrowed DRAM slots and unknown addresses.  Allocates nothing, and
+    hashes only when [base] is not the base it looked up last. *)
 let page_backing (t : t) ~(base : int) ~(off : int) : int =
-  match Hashtbl.find t.entries base with
-  | exception Not_found -> -1
-  | e ->
-      let pb = Holes_pcm.Geometry.page_bytes in
-      let i = off / pb in
-      if i < 0 || i >= Array.length e.pages then -1
-      else
-        let pg = e.pages.(i) in
-        if pg >= 0 then
-          (pg * Holes_pcm.Geometry.lines_per_page) + (off mod pb / Holes_pcm.Geometry.line_bytes)
-        else -1
+  let pages =
+    if base = t.memo_base then t.memo_pages
+    else
+      match Hashtbl.find t.entries base with
+      | exception Not_found -> [||]
+      | e ->
+          t.memo_base <- base;
+          t.memo_pages <- e.pages;
+          e.pages
+  in
+  let pb = Holes_pcm.Geometry.page_bytes in
+  let i = off / pb in
+  if i < 0 || i >= Array.length pages then -1
+  else
+    let pg = pages.(i) in
+    if pg >= 0 then
+      (pg * Holes_pcm.Geometry.lines_per_page) + (off mod pb / Holes_pcm.Geometry.line_bytes)
+    else -1
 
 (** The LOS base address whose backing pages include stock page [page] —
     the reverse lookup for an OS-reported line failure.  Linear in the

@@ -285,11 +285,11 @@ let rec write_reached (st : device_state) (logical : int) (payload : Bytes.t) ~(
     a promoted DRAM frame are absorbed by the tier (dirty-line
     tracking, no device write), and PCM writes that reach the device
     feed the tier's hot-page counters once the failure chain has run.
-    Apart from the occupancy sample, a store that neither promotes nor
-    demotes a page allocates nothing. *)
+    A store allocates nothing, the promotions and demotions it triggers
+    included. *)
 let device_write (st : device_state) ~(stock_page : int) ~(line : int) : unit =
-  Stats.observe st.metrics.Metrics.fbuf_occupancy_hist
-    (float_of_int (Pcm.Device.buffer_occupancy st.device));
+  Stats.observe_int st.metrics.Metrics.fbuf_occupancy_hist
+    (Pcm.Device.buffer_occupancy st.device);
   let virt = st.virt_of_stock.(stock_page) in
   let phys = Osal.Vmm.translate st.proc ~virt in
   let dram_pages = Osal.Pools.dram_pages (Osal.Vmm.pools st.vmm) in

@@ -127,8 +127,7 @@ let relocate_los_victim (t : t) ~(addr : int) : unit =
       Los.free t.los ~addr:old_addr;
       let new_addr = alloc_los t ~size in
       Object_table.relocate t.objects id ~new_addr;
-      let w = t.cost.Cost.weights in
-      Cost.charge t.cost (w.Cost.copy_byte *. float_of_int size);
+      Cost.charge_copy t.cost ~bytes:size;
       t.metrics.Metrics.bytes_copied <- t.metrics.Metrics.bytes_copied + size
 
 (* The runtime's end of the OS failure up-call (Sec. 3.2.2): stock page
@@ -355,9 +354,7 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
       (* hybrid-tiering migration copies are charged to the VM whose
          write triggered them (requestor pays), at the same per-byte
          rate as collector copies *)
-      st.Memory_backend.charge_copy <-
-        (fun ~bytes ->
-          Cost.charge cost (cost.Cost.weights.Cost.copy_byte *. float_of_int bytes)));
+      st.Memory_backend.charge_copy <- (fun ~bytes -> Cost.charge_copy cost ~bytes));
   if cfg.Config.verify then
     (match space with
     | Ix s -> Immix.set_post_gc_check s (fun () -> Verify.raise_on_errors (verify t))

@@ -5,7 +5,9 @@
     deterministic, mergeable across trials, and cheap enough to update on
     allocator hot paths.  A histogram here is 64 power-of-two buckets
     plus exact count/sum/min/max: [observe] is a handful of arithmetic
-    operations and one array increment, with no allocation.
+    operations and one array increment.  Sum, min and max live unboxed
+    in a [float array], so an update stores no boxed float; an integer
+    sample taken with [observe_int] allocates nothing at all.
 
     Histograms are plain mutable records (no closures), so structural
     equality — used by the engine's [-j 1] = [-j N] determinism tests —
@@ -22,9 +24,9 @@ val nbuckets : int
     histograms into structurally comparable records. *)
 type hist = {
   mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;  (** [infinity] while empty *)
-  mutable max_v : float;  (** [neg_infinity] while empty *)
+  acc : float array;
+      (** sum, min and max, in that order and unboxed; min is
+          [infinity] and max [neg_infinity] while empty *)
   buckets : int array;
 }
 
@@ -34,8 +36,20 @@ val hist : unit -> hist
 val bucket_of : float -> int
 (** The bucket index a value falls into. *)
 
+val bucket_of_int : int -> int
+(** [bucket_of_int n] is [bucket_of (float_of_int n)], computed without
+    the float. *)
+
 val observe : hist -> float -> unit
-(** Record one observation.  O(1), allocation-free. *)
+(** Record one observation.  O(1) and allocates nothing itself, but a
+    caller whose call is not inlined boxes the float it passes: take
+    integer samples with [observe_int]. *)
+
+val observe_int : hist -> int -> unit
+(** [observe_int h n] is [observe h (float_of_int n)]: the same
+    additions in the same order, leaving a bit-identical histogram, but
+    the float is never boxed, so it allocates nothing.  For integer
+    samples on hot paths (occupancy, lines examined, latencies in ns). *)
 
 val count : hist -> int
 (** Number of observations. *)

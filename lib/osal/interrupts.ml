@@ -61,7 +61,7 @@ let copy_to_perfect (t : t) (p : Vmm.process) ~(virt : int) ~(phys : int) ~(devi
   let target =
     match Swap.swap_in pools ~policy:Swap.To_perfect ~src_map:(Pools.failures pools phys) with
     | Some o -> Some o.Swap.dest
-    | None -> Pools.alloc_dram pools
+    | None -> ( match Pools.alloc_dram pools with -1 -> None | frame -> Some frame)
   in
   match target with
   | None -> ()

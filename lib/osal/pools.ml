@@ -12,7 +12,10 @@ type t = {
   dram_pages : int;  (** physical ids below this are DRAM *)
   table : Failure_table.t;  (** indexed by PCM page: physical id - [dram_pages] *)
   held : bool array;  (** physical id -> handed out *)
-  mutable free_dram : int list;
+  free_dram : int array;
+      (** the free DRAM frames as a stack, granted from the top
+          ([free_dram.(free_dram_n - 1)]): a frame is returned on top *)
+  mutable free_dram_n : int;
   mutable free_perfect : int list;
       (** exactly the PCM pages that are free and have no failed line *)
   mutable free_imperfect : int list;  (** kept sorted by usable lines, desc *)
@@ -29,7 +32,8 @@ let create ~(dram_pages : int) ~(pcm_pages : int) : t =
     dram_pages;
     table = Failure_table.create ~pcm_pages;
     held = Array.make (dram_pages + pcm_pages) false;
-    free_dram = List.init dram_pages Fun.id;
+    free_dram = Array.init dram_pages (fun i -> dram_pages - 1 - i);
+    free_dram_n = dram_pages;
     free_perfect = List.init pcm_pages (fun i -> dram_pages + i);
     free_imperfect = [];
     wear_rank = None;
@@ -50,7 +54,7 @@ let failures (t : t) (id : int) : Holes_stdx.Bitset.t =
 let usable_lines (t : t) (id : int) : int =
   lines_per_page - Failure_table.failed_lines t.table ~page:(id - t.dram_pages)
 
-let free_dram_count (t : t) : int = List.length t.free_dram
+let free_dram_count (t : t) : int = t.free_dram_n
 let free_perfect_count (t : t) : int = List.length t.free_perfect
 let free_imperfect_count (t : t) : int = List.length t.free_imperfect
 
@@ -61,14 +65,16 @@ let is_allocated (t : t) (id : int) : bool = t.held.(id)
 let take_from lst =
   match lst with [] -> None | x :: rest -> Some (x, rest)
 
-(** Allocate a DRAM page, if any remain. *)
-let alloc_dram (t : t) : int option =
-  match take_from t.free_dram with
-  | None -> None
-  | Some (id, rest) ->
-      t.free_dram <- rest;
-      t.held.(id) <- true;
-      Some id
+(** Allocate a DRAM page: the most recently freed one, or the lowest
+    id never granted; -1 when none remain.  Allocates nothing. *)
+let alloc_dram (t : t) : int =
+  if t.free_dram_n = 0 then -1
+  else begin
+    t.free_dram_n <- t.free_dram_n - 1;
+    let id = t.free_dram.(t.free_dram_n) in
+    t.held.(id) <- true;
+    id
+  end
 
 (** Allocate a perfect PCM page, if any remain.  With a wear rank
     installed the least-worn free page is granted (first-seen wins
@@ -119,7 +125,10 @@ let insert_imperfect_sorted (t : t) (id : int) : unit =
 let free (t : t) (id : int) : unit =
   if not t.held.(id) then invalid_arg "Pools.free: page not allocated";
   t.held.(id) <- false;
-  if id < t.dram_pages then t.free_dram <- id :: t.free_dram
+  if id < t.dram_pages then begin
+    t.free_dram.(t.free_dram_n) <- id;
+    t.free_dram_n <- t.free_dram_n + 1
+  end
   else if usable_lines t id = lines_per_page then t.free_perfect <- id :: t.free_perfect
   else insert_imperfect_sorted t id
 
@@ -129,14 +138,18 @@ let free (t : t) (id : int) : unit =
     O(n²) in list updates.  Allocated pages are untouched; the imperfect
     list is re-sorted most-usable-first in one pass. *)
 let renormalize (t : t) : unit =
-  let dram = ref [] and perfect = ref [] and imperfect = ref [] in
+  let perfect = ref [] and imperfect = ref [] in
+  t.free_dram_n <- 0;
   for id = Array.length t.held - 1 downto 0 do
     if not t.held.(id) then
-      if id < t.dram_pages then dram := id :: !dram
+      if id < t.dram_pages then begin
+        (* descending, so the lowest free frame is granted first *)
+        t.free_dram.(t.free_dram_n) <- id;
+        t.free_dram_n <- t.free_dram_n + 1
+      end
       else if usable_lines t id = lines_per_page then perfect := id :: !perfect
       else imperfect := id :: !imperfect
   done;
-  t.free_dram <- !dram;
   t.free_perfect <- !perfect;
   t.free_imperfect <-
     List.stable_sort (fun a b -> compare (usable_lines t b) (usable_lines t a)) !imperfect

@@ -24,14 +24,13 @@ open Holes_stdx
 module Trace = Holes_obs.Trace
 module Geometry = Holes_pcm.Geometry
 
-type resident = {
-  r_pid : int;
-  r_virt : int;
-  r_pcm_phys : int;  (** the reserved PCM home (pool page id) *)
-  r_dram_phys : int;  (** the DRAM frame now backing the page *)
-  dirty : Bitset.t;  (** lines written while promoted *)
-  mutable dram_writes : int;  (** writes absorbed since the last epoch *)
-}
+(* The residents live in int arrays indexed by DRAM frame, so that a
+   promotion, a demotion and an epoch tick allocate nothing.  A frame's
+   dirty lines are [dirty_words] 32-bit words of [dirty]. *)
+let dirty_words = (Geometry.lines_per_page + 31) / 32
+
+(* [pid] of a frame the tier holds no page in *)
+let no_page = -1
 
 type t = {
   vmm : Vmm.t;
@@ -42,11 +41,26 @@ type t = {
   mutable heat : int array array;
       (** pid -> virtual page -> decayed write count (0 = cold); each
           row grows on demand and is freed when its process drops *)
-  by_frame : resident option array;  (** dram frame id -> resident *)
+  pid : int array;  (** dram frame id -> its resident's pid, or [no_page] *)
+  virt : int array;  (** dram frame id -> the resident's virtual page *)
+  home : int array;  (** dram frame id -> the reserved PCM home (pool page id) *)
+  writes : int array;  (** dram frame id -> writes absorbed since the last epoch *)
+  stamp : int array;
+      (** dram frame id -> generation, bumped at every promotion: a
+          demotion that finds its frame's stamp changed knows a nested
+          demotion freed the frame (and maybe gave it to another page) *)
+  dirty : int array;  (** frame [f]'s lines written while promoted, from word [f * dirty_words] *)
   buffers : Bytes.t array;
       (** dram frame id -> its content buffer, allocated on the frame's
           first promotion and reused by every later resident: only the
           current resident's dirty lines are its own *)
+  line : Bytes.t;  (** the staging line of a write-back *)
+  mutable snap_frame : int array;
+  mutable snap_stamp : int array;
+      (** the frames a demotion round picked, and their stamps, taken
+          before its first write-back; a round nested in a write-back's
+          up-call pushes its own snapshot above [snap_top] *)
+  mutable snap_top : int;
   mutable tick : int;
   mutable promotes : int;
   mutable demotes : int;
@@ -66,6 +80,7 @@ type stats = {
 let create ?(tracer = Trace.null) ~(interrupts : Interrupts.t) ~(epoch : int) () : t =
   if epoch <= 0 then invalid_arg "Tier.create: epoch must be positive";
   let vmm = interrupts.Interrupts.vmm in
+  let frames = Pools.dram_pages (Vmm.pools vmm) in
   {
     vmm;
     device = interrupts.Interrupts.device;
@@ -76,8 +91,17 @@ let create ?(tracer = Trace.null) ~(interrupts : Interrupts.t) ~(epoch : int) ()
        demand repeated traffic *)
     promote_threshold = max 4 (epoch / 256);
     heat = [||];
-    by_frame = Array.make (Pools.dram_pages (Vmm.pools vmm)) None;
-    buffers = Array.make (Pools.dram_pages (Vmm.pools vmm)) Bytes.empty;
+    pid = Array.make frames no_page;
+    virt = Array.make frames 0;
+    home = Array.make frames 0;
+    writes = Array.make frames 0;
+    stamp = Array.make frames 0;
+    dirty = Array.make (frames * dirty_words) 0;
+    buffers = Array.make frames Bytes.empty;
+    line = Bytes.create Geometry.line_bytes;
+    snap_frame = Array.make frames 0;
+    snap_stamp = Array.make frames 0;
+    snap_top = 0;
     tick = 0;
     promotes = 0;
     demotes = 0;
@@ -85,111 +109,157 @@ let create ?(tracer = Trace.null) ~(interrupts : Interrupts.t) ~(epoch : int) ()
     tracer;
   }
 
-(* the residents satisfying [p], ascending by frame *)
-let residents_where (t : t) (p : resident -> bool) : resident list =
-  Array.fold_right
-    (fun slot acc -> match slot with Some r when p r -> r :: acc | _ -> acc)
-    t.by_frame []
-
 let stats (t : t) : stats =
+  let resident = ref 0 in
+  Array.iter (fun p -> if p <> no_page then incr resident) t.pid;
   {
     s_promotes = t.promotes;
     s_demotes = t.demotes;
     s_dram_writes = t.dram_writes;
-    s_resident = List.length (residents_where t (fun _ -> true));
+    s_resident = !resident;
   }
 
 (** Residents as [(pid, virt, dram_phys, pcm_phys)], ascending by frame
     — non-counted accessors only, safe for the paranoid verifier. *)
 let residents (t : t) : (int * int * int * int) list =
-  List.map
-    (fun r -> (r.r_pid, r.r_virt, r.r_dram_phys, r.r_pcm_phys))
-    (residents_where t (fun _ -> true))
+  let acc = ref [] in
+  for f = Array.length t.pid - 1 downto 0 do
+    if t.pid.(f) <> no_page then acc := (t.pid.(f), t.virt.(f), f, t.home.(f)) :: !acc
+  done;
+  !acc
+
+(* ---- the dirty bitmap -------------------------------------------------- *)
+
+let set_dirty (t : t) (frame : int) (line : int) : unit =
+  let w = (frame * dirty_words) + (line lsr 5) in
+  t.dirty.(w) <- t.dirty.(w) lor (1 lsl (line land 31))
+
+let clear_dirty (t : t) (frame : int) (line : int) : unit =
+  let w = (frame * dirty_words) + (line lsr 5) in
+  t.dirty.(w) <- t.dirty.(w) land lnot (1 lsl (line land 31))
+
+(* the lowest line set in words [w] and up of the frame whose words
+   start at [base], or -1 *)
+let rec lowest_dirty_from (dirty : int array) (base : int) (w : int) : int =
+  if w = dirty_words then -1
+  else
+    let bits = dirty.(base + w) in
+    if bits <> 0 then (w * 32) + Bitset.ctz bits else lowest_dirty_from dirty base (w + 1)
+
+let lowest_dirty (t : t) (frame : int) : int = lowest_dirty_from t.dirty (frame * dirty_words) 0
 
 (* ---- demotion --------------------------------------------------------- *)
 
-(* per-domain write-back staging line: engine workers run one tier per
-   domain, and a module-level buffer shared across domains would let
-   parallel demotions corrupt each other's payloads *)
-let scratch : Bytes.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Bytes.create Geometry.line_bytes)
-
-(* [r] still holds its frame.  A write-back's up-call can run the
-   runtime, whose writes tick the epoch, and a nested tick may demote
-   [r] (and reuse its frame) before the outer demotion resumes. *)
-let holds_frame (t : t) (r : resident) : bool =
-  match t.by_frame.(r.r_dram_phys) with Some r' -> r' == r | None -> false
+(* [frame] still holds the resident stamped [stamp].  A write-back's
+   up-call can run the runtime, whose writes tick the epoch, and a
+   nested tick may demote that resident (and reuse its frame) before the
+   outer demotion resumes. *)
+let holds (t : t) (frame : int) (stamp : int) : bool =
+  t.pid.(frame) <> no_page && t.stamp.(frame) = stamp
 
 (* Write the dirty lines back while the page still maps to its frame,
    then flip the mapping and free the frame with nothing in between.  A
-   write-back that stalls services the interrupts and takes its line
-   again.  The service may run a collection that verifies the tier and
-   writes this page: until the flip, those writes land in the frame and
-   re-dirty it, so the loop takes the lowest dirty line until none is
-   left, and stops if a nested tick demoted [r]. *)
-let demote (t : t) (r : resident) ~(charge_copy : bytes:int -> unit) : unit =
-  if holds_frame t r then begin
-    let proc = Vmm.find_process t.vmm r.r_pid in
+   write-back that stalls services the interrupts, re-dirties its line
+   and takes the lowest dirty line again, until none is left.  The
+   service may run a collection that verifies the tier and writes this
+   page: until the flip, those writes land in the frame and dirty it
+   too.  The loop stops if a nested tick demoted the resident. *)
+let demote (t : t) (frame : int) ~(stamp : int) ~(charge_copy : bytes:int -> unit) : unit =
+  if holds t frame stamp then begin
+    let pid = t.pid.(frame) and virt = t.virt.(frame) and home = t.home.(frame) in
+    let proc = Vmm.find_process t.vmm pid in
     let written = ref 0 in
     if proc <> None then begin
-      let base = (r.r_pcm_phys - Pools.dram_pages (Vmm.pools t.vmm)) * Geometry.lines_per_page in
-      let buf = Domain.DLS.get scratch in
-      let rec flush () =
-        match Bitset.next_set r.dirty 0 with
-        | Some line when holds_frame t r ->
-            Bitset.clear r.dirty line;
-            Bytes.blit t.buffers.(r.r_dram_phys) (line * Geometry.line_bytes) buf 0
-              Geometry.line_bytes;
-            (match Holes_pcm.Device.write t.device (base + line) buf with
-            | Holes_pcm.Device.Stored | Holes_pcm.Device.Write_failed -> incr written
-            | Holes_pcm.Device.Unusable -> ()
-            | Holes_pcm.Device.Stalled ->
-                Interrupts.service t.interrupts;
-                Bitset.set r.dirty line);
-            flush ()
-        | _ -> ()
-      in
-      flush ()
+      let base = (home - Pools.dram_pages (Vmm.pools t.vmm)) * Geometry.lines_per_page in
+      let line = ref (lowest_dirty t frame) in
+      while !line >= 0 && holds t frame stamp do
+        let l = !line in
+        clear_dirty t frame l;
+        Bytes.blit t.buffers.(frame) (l * Geometry.line_bytes) t.line 0 Geometry.line_bytes;
+        (match Holes_pcm.Device.write t.device (base + l) t.line with
+        | Holes_pcm.Device.Stored | Holes_pcm.Device.Write_failed -> incr written
+        | Holes_pcm.Device.Unusable -> ()
+        | Holes_pcm.Device.Stalled ->
+            Interrupts.service t.interrupts;
+            if holds t frame stamp then set_dirty t frame l);
+        line := lowest_dirty t frame
+      done
     end;
     charge_copy ~bytes:(!written * Geometry.line_bytes);
-    if holds_frame t r then begin
+    if holds t frame stamp then begin
       (* a process that raced away has no mapping to flip;
          drop_process handles live exits *)
-      Option.iter (fun p -> Vmm.migrate t.vmm p ~virt:r.r_virt ~new_phys:r.r_pcm_phys) proc;
-      Pools.free (Vmm.pools t.vmm) r.r_dram_phys;
-      t.by_frame.(r.r_dram_phys) <- None;
+      (match proc with
+      | Some p -> Vmm.migrate t.vmm p ~virt ~new_phys:home
+      | None -> ());
+      Pools.free (Vmm.pools t.vmm) frame;
+      t.pid.(frame) <- no_page;
       t.demotes <- t.demotes + 1;
       if proc <> None && Trace.armed t.tracer then
         Trace.instant t.tracer ~tid:Trace.tid_osal "page_demote"
           ~args:
             [
-              ("virt", float_of_int r.r_virt);
-              ("pcm", float_of_int r.r_pcm_phys);
+              ("virt", float_of_int virt);
+              ("pcm", float_of_int home);
               ("dirty", float_of_int !written);
             ]
     end
   end
 
-(* Demote every resident satisfying [p].  The write-backs' up-calls can
-   promote pages again, so repeat until none is left. *)
-let rec demote_where (t : t) (p : resident -> bool) ~(charge_copy : bytes:int -> unit) : unit =
-  match residents_where t p with
-  | [] -> ()
-  | rs ->
-      List.iter (fun r -> demote t r ~charge_copy) rs;
-      demote_where t p ~charge_copy
+(* [pid] matching a resident of any process *)
+let any_pid = min_int
+
+(* Demote the residents of [pid] (of every process for [any_pid]) that
+   absorbed fewer than [below] writes this epoch, ascending by frame;
+   true when there were any.  They are picked before the first
+   write-back: its up-call can promote pages into other frames, and
+   those stay.  A nested round pushes its snapshot above this one. *)
+let demote_round (t : t) ~(pid : int) ~(below : int) ~(charge_copy : bytes:int -> unit) : bool =
+  let frames = Array.length t.pid in
+  let bottom = t.snap_top in
+  if bottom + frames > Array.length t.snap_frame then begin
+    let grown a =
+      let b = Array.make (2 * (bottom + frames)) 0 in
+      Array.blit a 0 b 0 bottom;
+      b
+    in
+    t.snap_frame <- grown t.snap_frame;
+    t.snap_stamp <- grown t.snap_stamp
+  end;
+  let top = ref bottom in
+  for f = 0 to frames - 1 do
+    let p = t.pid.(f) in
+    if p <> no_page && (pid = any_pid || p = pid) && t.writes.(f) < below then begin
+      t.snap_frame.(!top) <- f;
+      t.snap_stamp.(!top) <- t.stamp.(f);
+      incr top
+    end
+  done;
+  let top = !top in
+  t.snap_top <- top;
+  for i = bottom to top - 1 do
+    demote t t.snap_frame.(i) ~stamp:t.snap_stamp.(i) ~charge_copy
+  done;
+  t.snap_top <- bottom;
+  top > bottom
+
+(* Demote every resident of [pid] (of every process for [any_pid]).
+   The write-backs' up-calls can promote pages again, so repeat until
+   none is left. *)
+let rec demote_all (t : t) ~(pid : int) ~(charge_copy : bytes:int -> unit) : unit =
+  if demote_round t ~pid ~below:max_int ~charge_copy then demote_all t ~pid ~charge_copy
 
 (** Demote every resident belonging to [pid] and free its heat row —
     must run before the process's pages are unmapped (a munmap of a
     promoted page would free the DRAM frame and leak the reserved PCM
     home). *)
 let drop_process (t : t) ~(pid : int) ~(charge_copy : bytes:int -> unit) : unit =
-  demote_where t (fun r -> r.r_pid = pid) ~charge_copy;
+  demote_all t ~pid ~charge_copy;
   if pid < Array.length t.heat then t.heat.(pid) <- [||]
 
 (** Demote every resident (turning migration off mid-run). *)
 let drop_all (t : t) ~(charge_copy : bytes:int -> unit) : unit =
-  demote_where t (fun _ -> true) ~charge_copy
+  demote_all t ~pid:any_pid ~charge_copy
 
 (* ---- promotion -------------------------------------------------------- *)
 
@@ -197,45 +267,33 @@ let promote (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     ~(charge_copy : bytes:int -> unit) : unit =
   let pools = Vmm.pools t.vmm in
   (* leave the last frame for the interrupt handler's swap-in fallback *)
-  if Pools.free_dram_count pools > 1 then
-    match Pools.alloc_dram pools with
-    | None -> ()
-    | Some frame ->
-        Vmm.migrate t.vmm proc ~virt ~new_phys:frame;
-        (* a demotion reads only the lines its resident dirtied, so what
-           earlier residents left in the frame's buffer is never read
-           and the buffer needs no clearing *)
-        if Bytes.length t.buffers.(frame) = 0 then
-          t.buffers.(frame) <- Bytes.create Geometry.page_bytes;
-        t.by_frame.(frame) <-
-          Some
-          {
-            r_pid = proc.Vmm.pid;
-            r_virt = virt;
-            r_pcm_phys = pcm_phys;
-            r_dram_phys = frame;
-            dirty = Bitset.create Geometry.lines_per_page;
-            dram_writes = 0;
-          };
-        t.heat.(proc.Vmm.pid).(virt) <- 0;
-        t.promotes <- t.promotes + 1;
-        charge_copy ~bytes:Geometry.page_bytes;
-        if Trace.armed t.tracer then
-          Trace.instant t.tracer ~tid:Trace.tid_osal "page_promote"
-            ~args:[ ("virt", float_of_int virt); ("frame", float_of_int frame) ]
+  if Pools.free_dram_count pools > 1 then begin
+    let frame = Pools.alloc_dram pools in
+    Vmm.migrate t.vmm proc ~virt ~new_phys:frame;
+    (* a demotion reads only the lines its resident dirtied, so what
+       earlier residents left in the frame's buffer is never read and
+       the buffer needs no clearing *)
+    if Bytes.length t.buffers.(frame) = 0 then
+      t.buffers.(frame) <- Bytes.create Geometry.page_bytes;
+    t.pid.(frame) <- proc.Vmm.pid;
+    t.virt.(frame) <- virt;
+    t.home.(frame) <- pcm_phys;
+    t.writes.(frame) <- 0;
+    t.stamp.(frame) <- t.stamp.(frame) + 1;
+    Array.fill t.dirty (frame * dirty_words) dirty_words 0;
+    t.heat.(proc.Vmm.pid).(virt) <- 0;
+    t.promotes <- t.promotes + 1;
+    charge_copy ~bytes:Geometry.page_bytes;
+    if Trace.armed t.tracer then
+      Trace.instant t.tracer ~tid:Trace.tid_osal "page_promote"
+        ~args:[ ("virt", float_of_int virt); ("frame", float_of_int frame) ]
+  end
 
 (* ---- the epoch clock -------------------------------------------------- *)
 
-(* the residents in frames [frame] and up that absorbed fewer than
-   [cold] writes this epoch, ascending by frame *)
-let rec cold_from (t : t) ~(cold : int) (frame : int) : resident list =
-  if frame >= Array.length t.by_frame then []
-  else
-    match t.by_frame.(frame) with
-    | Some r when r.dram_writes < cold -> r :: cold_from t ~cold (frame + 1)
-    | _ -> cold_from t ~cold (frame + 1)
-
-(* A tick that demotes nothing allocates nothing. *)
+(* Every [epoch] ticks: halve every heat counter, demote the residents
+   that absorbed fewer than a cold count of writes this epoch, and
+   start the next epoch's counts. *)
 let epoch_tick (t : t) ~(charge_copy : bytes:int -> unit) : unit =
   t.tick <- t.tick + 1;
   if t.tick >= t.epoch then begin
@@ -246,10 +304,9 @@ let epoch_tick (t : t) ~(charge_copy : bytes:int -> unit) : unit =
           Array.unsafe_set row v (Array.unsafe_get row v / 2)
         done)
       t.heat;
-    (match cold_from t ~cold:(max 2 (t.promote_threshold / 2)) 0 with
-    | [] -> ()
-    | cold -> List.iter (fun r -> demote t r ~charge_copy) cold);
-    Array.iter (function Some (r : resident) -> r.dram_writes <- 0 | None -> ()) t.by_frame
+    ignore
+      (demote_round t ~pid:any_pid ~below:(max 2 (t.promote_threshold / 2)) ~charge_copy : bool);
+    Array.fill t.writes 0 (Array.length t.writes) 0
   end
 
 (* the heat row of [pid], grown to hold [virt] *)
@@ -284,33 +341,26 @@ let note_pcm_write (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     are ignored. *)
 let note_dram_write (t : t) ~(phys : int) ~(line : int) ~(payload : Bytes.t)
     ~(charge_copy : bytes:int -> unit) : unit =
-  match t.by_frame.(phys) with
-  | None -> ()
-  | Some r ->
-      Bitset.set r.dirty line;
-      Bytes.blit payload 0 t.buffers.(phys) (line * Geometry.line_bytes) Geometry.line_bytes;
-      r.dram_writes <- r.dram_writes + 1;
-      t.dram_writes <- t.dram_writes + 1;
-      epoch_tick t ~charge_copy
+  if t.pid.(phys) <> no_page then begin
+    set_dirty t phys line;
+    Bytes.blit payload 0 t.buffers.(phys) (line * Geometry.line_bytes) Geometry.line_bytes;
+    t.writes.(phys) <- t.writes.(phys) + 1;
+    t.dram_writes <- t.dram_writes + 1;
+    epoch_tick t ~charge_copy
+  end
 
 (* ---- verifier support ------------------------------------------------- *)
 
 (** Corrupt the residency map (tests only: the verifier must catch it). *)
 let unsafe_poke (t : t) : unit =
-  match residents_where t (fun _ -> true) with
-  | r :: _ ->
+  match residents t with
+  | (_, _, frame, _) :: _ ->
       (* point the reserved PCM home back into the DRAM range: the
          round-trip invariant (home stays a reserved PCM page) breaks *)
-      t.by_frame.(r.r_dram_phys) <- Some { r with r_pcm_phys = r.r_dram_phys }
+      t.home.(frame) <- frame
   | [] ->
-      (* no resident yet: invent one — every invariant fails on it *)
-      t.by_frame.(0) <-
-        Some
-        {
-          r_pid = -1;
-          r_virt = -1;
-          r_pcm_phys = Pools.dram_pages (Vmm.pools t.vmm);
-          r_dram_phys = 0;
-          dirty = Bitset.create Geometry.lines_per_page;
-          dram_writes = 0;
-        }
+      (* no resident yet: invent one of a pid no process has — every
+         invariant fails on it *)
+      t.pid.(0) <- max_int;
+      t.virt.(0) <- -1;
+      t.home.(0) <- Pools.dram_pages (Vmm.pools t.vmm)

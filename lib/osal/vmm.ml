@@ -28,7 +28,9 @@ type process = {
 
 type t = {
   pools : Pools.t;  (** the physical pages, their pools and the failure table *)
-  mutable processes : process list;
+  mutable processes : process option array;
+      (** pid -> the process, grown by doubling; pids count up from 1
+          and are never reused, and a process is never removed *)
   mutable next_pid : int;
   owner_pid : int array;  (** physical page -> owning pid, or -1 *)
   owner_virt : int array;  (** physical page -> the owner's virtual page *)
@@ -40,7 +42,7 @@ type t = {
 let create ?(tracer = Trace.null) ~(dram_pages : int) ~(pcm_pages : int) () : t =
   {
     pools = Pools.create ~dram_pages ~pcm_pages;
-    processes = [];
+    processes = Array.make 8 None;
     next_pid = 1;
     owner_pid = Array.make (dram_pages + pcm_pages) (-1);
     owner_virt = Array.make (dram_pages + pcm_pages) (-1);
@@ -53,6 +55,12 @@ let pools (t : t) : Pools.t = t.pools
 
 let failure_table (t : t) : Failure_table.t = Pools.table t.pools
 
+(* [a] copied into an array twice as long, padded with [fill] *)
+let doubled (a : 'a array) (fill : 'a) : 'a array =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let spawn (t : t) : process =
   let p =
     {
@@ -64,7 +72,8 @@ let spawn (t : t) : process =
     }
   in
   t.next_pid <- t.next_pid + 1;
-  t.processes <- p :: t.processes;
+  if p.pid >= Array.length t.processes then t.processes <- doubled t.processes None;
+  t.processes.(p.pid) <- Some p;
   p
 
 (** Register the runtime's dynamic-failure handler; required before a
@@ -80,12 +89,6 @@ let set_owner (t : t) ~(phys : int) ~(pid : int) ~(virt : int) : unit =
 let clear_owner (t : t) ~(phys : int) : unit =
   t.owner_pid.(phys) <- -1;
   t.owner_virt.(phys) <- -1
-
-(* [a] copied into an array twice as long, padded with [fill] *)
-let doubled (a : 'a array) (fill : 'a) : 'a array =
-  let b = Array.make (2 * Array.length a) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
 
 let install_mapping (t : t) (p : process) (phys : int) : int =
   let virt = p.next_virt in
@@ -118,12 +121,13 @@ let mmap (t : t) (p : process) ~(pages : int) : (int list, [ `Out_of_memory ]) r
     else
       match Pools.alloc_perfect t.pools with
       | Some phys -> go (n - 1) (install_mapping t p phys :: acc)
-      | None -> (
-          match Pools.alloc_dram t.pools with
-          | Some phys -> go (n - 1) (install_mapping t p phys :: acc)
-          | None ->
-              roll_back t p acc;
-              Error `Out_of_memory)
+      | None ->
+          let phys = Pools.alloc_dram t.pools in
+          if phys >= 0 then go (n - 1) (install_mapping t p phys :: acc)
+          else begin
+            roll_back t p acc;
+            Error `Out_of_memory
+          end
   in
   go pages []
 
@@ -186,8 +190,9 @@ let record_swap (t : t) : unit =
 
 let swap_ins (t : t) : int = t.swap_ins
 
+(** The process [pid], if it exists.  Allocates nothing. *)
 let find_process (t : t) (pid : int) : process option =
-  List.find_opt (fun p -> p.pid = pid) t.processes
+  if pid >= 0 && pid < Array.length t.processes then t.processes.(pid) else None
 
 let set_protection (p : process) ~(virt : int) (prot : prot) : unit =
   ignore (mapped p ~fn:"set_protection" ~virt);

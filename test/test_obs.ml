@@ -46,6 +46,28 @@ let test_hist_observe () =
   check (Alcotest.float 1e-9) "min" 0.0 (Stats.min_value h);
   check (Alcotest.float 1e-9) "max" 1000.0 (Stats.max_value h)
 
+(* [observe_int h n] leaves the histogram [observe h (float_of_int n)]
+   leaves, bit for bit: the bucket's bit length must match [frexp]'s
+   exponent at every power of two and its neighbours, and the sum must
+   take the same additions in the same order. *)
+let test_hist_observe_int () =
+  let rng = Holes_stdx.Xrng.of_seed 3 in
+  let ints =
+    [ min_int; -5; -1; 0; 1; 2; 3; max_int; (1 lsl 53) - 1; 1 lsl 53; (1 lsl 53) + 1 ]
+    @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]) (List.init 62 Fun.id)
+    @ List.init 1000 (fun _ -> Holes_stdx.Xrng.int rng 1_000_000_000)
+  in
+  let a = Stats.hist () and b = Stats.hist () in
+  List.iter
+    (fun n ->
+      Stats.observe a (float_of_int n);
+      Stats.observe_int b n;
+      if Stats.bucket_of (float_of_int n) <> Stats.bucket_of_int n then
+        Alcotest.failf "bucket of %d: %d, observe_int's %d" n (Stats.bucket_of (float_of_int n))
+          (Stats.bucket_of_int n))
+    ints;
+  check Alcotest.bool "the same histogram" true (a = b)
+
 let test_hist_quantile () =
   let h = Stats.hist () in
   for i = 1 to 100 do
@@ -368,6 +390,7 @@ let suite =
   [
     Alcotest.test_case "hist bucket boundaries" `Quick test_hist_buckets;
     Alcotest.test_case "hist observe/count/mean" `Quick test_hist_observe;
+    Alcotest.test_case "hist observe_int is observe of the float" `Quick test_hist_observe_int;
     Alcotest.test_case "hist quantile clamps" `Quick test_hist_quantile;
     Alcotest.test_case "hist quantile interpolation vs reference" `Quick
       test_hist_quantile_interp;

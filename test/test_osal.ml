@@ -30,7 +30,7 @@ let test_pools_alloc_free () =
   let t = Pools.create ~dram_pages:2 ~pcm_pages:4 in
   check Alcotest.int "dram" 2 (Pools.free_dram_count t);
   check Alcotest.int "perfect" 4 (Pools.free_perfect_count t);
-  let d = Option.get (Pools.alloc_dram t) in
+  let d = Pools.alloc_dram t in
   let p = Option.get (Pools.alloc_perfect t) in
   check Alcotest.int "dram taken" 1 (Pools.free_dram_count t);
   Pools.free t d;
@@ -115,7 +115,9 @@ let test_pools_match_model () =
             (match want with Some id -> string_of_int id | None -> "none")
       in
       (match Holes_stdx.Xrng.int rng 8 with
-      | 0 -> expect_grant "alloc_dram" (Pools.alloc_dram t) (grant dram)
+      | 0 ->
+          let got = match Pools.alloc_dram t with -1 -> None | id -> Some id in
+          expect_grant "alloc_dram" got (grant dram)
       | 1 | 2 as op ->
           ranked := op = 2;
           Pools.set_wear_rank t (if !ranked then Some rank else None);
@@ -160,7 +162,9 @@ let test_pools_match_model () =
             (String.concat ";" (List.map string_of_int got))
             (String.concat ";" (List.map string_of_int want))
       in
-      same "dram" t.Pools.free_dram !dram;
+      (* the DRAM stack's top is the model list's head *)
+      let n = t.Pools.free_dram_n in
+      same "dram" (List.init n (fun i -> t.Pools.free_dram.(n - 1 - i))) !dram;
       same "perfect" t.Pools.free_perfect !perfect;
       same "imperfect" t.Pools.free_imperfect !imperfect;
       for id = 0 to n - 1 do
@@ -405,8 +409,8 @@ let test_vmm_tables_match_model () =
               | Some home -> demote p virt home
               | None -> (
                   match Pools.alloc_dram pools with
-                  | None -> ()
-                  | Some frame ->
+                  | -1 -> ()
+                  | frame ->
                       Hashtbl.replace homes (pid, virt) (Hashtbl.find table (pid, virt));
                       Vmm.migrate vmm p ~virt ~new_phys:frame;
                       Hashtbl.replace table (pid, virt) frame;
@@ -552,6 +556,192 @@ let test_tier_frame_reuse_writes_back_own_lines () =
   check Alcotest.string "B's line 1 never reached its home" (line '\000') (home_line home_b 1);
   check Alcotest.string "B's line 2 never reached its home" (line '\000') (home_line home_b 2)
 
+(* The tier against a per-page model, in lockstep on one device: heat
+   per (pid, virtual page) with eager halving, a list of resident pages
+   with a dirty flag and a copy of every line, and the cold residents
+   picked at each tick before any demotion.  Random PCM writes to the
+   pages of two processes, DRAM writes of random payloads to the frames
+   and [drop_process]; after every operation the residents, the
+   counters, the mappings and the copy bytes charged must agree, and
+   after every demotion each line written back must read back as the
+   model's bytes. *)
+type model_resident = {
+  m_pid : int;
+  m_virt : int;
+  m_home : int;
+  m_frame : int;
+  m_dirty : bool array;
+  m_data : Bytes.t;
+  mutable m_writes : int;
+}
+
+let test_tier_matches_model () =
+  let lpp = Pcm.Geometry.lines_per_page and lb = Pcm.Geometry.line_bytes in
+  let dram = 8 and pcm = 32 and epoch = 64 and pages_each = 12 in
+  for seed = 1 to 20 do
+    let rng = Holes_stdx.Xrng.of_seed seed in
+    let vmm = Vmm.create ~dram_pages:dram ~pcm_pages:pcm () in
+    let device =
+      Pcm.Device.create
+        ~config:
+          {
+            Pcm.Device.default_config with
+            Pcm.Device.pages = pcm;
+            wear = Pcm.Wear.default_params;
+            clustering = None;
+          }
+        ~seed ()
+    in
+    let tier = Tier.create ~interrupts:(Interrupts.attach ~vmm ~device ()) ~epoch () in
+    let procs = Array.init 2 (fun _ -> Vmm.spawn vmm) in
+    let virts =
+      Array.map
+        (fun p -> Array.of_list (Result.get_ok (Vmm.mmap_imperfect vmm p ~pages:pages_each)))
+        procs
+    in
+    let home_of = Hashtbl.create 32 in
+    Array.iteri
+      (fun i p ->
+        Array.iter
+          (fun v -> Hashtbl.replace home_of (p.Vmm.pid, v) (Vmm.translate p ~virt:v))
+          virts.(i))
+      procs;
+    let charged = ref 0 in
+    let charge_copy ~bytes = charged := !charged + bytes in
+    (* the model *)
+    let threshold = max 4 (epoch / 256) in
+    let cold = max 2 (threshold / 2) in
+    let heat = Hashtbl.create 32 in
+    let residents = ref [] (* ascending by frame *) in
+    let free = ref (List.init dram Fun.id) in
+    let tick = ref 0 and promotes = ref 0 and demotes = ref 0 and dram_writes = ref 0 in
+    let m_charged = ref 0 in
+    let cold_demotes = ref 0 in
+    let fail step fmt = Alcotest.failf ("seed %d step %d: " ^^ fmt) seed step in
+    let demote step r =
+      residents := List.filter (fun r' -> r'.m_frame <> r.m_frame) !residents;
+      free := r.m_frame :: !free;
+      incr demotes;
+      let written = ref 0 in
+      Array.iteri
+        (fun line d ->
+          if d then begin
+            incr written;
+            let got = Pcm.Device.read device (((r.m_home - dram) * lpp) + line) in
+            if not (Bytes.equal got (Bytes.sub r.m_data (line * lb) lb)) then
+              fail step "pid %d virt %d line %d written back wrong" r.m_pid r.m_virt line
+          end)
+        r.m_dirty;
+      m_charged := !m_charged + (!written * lb)
+    in
+    let m_tick step =
+      incr tick;
+      if !tick >= epoch then begin
+        tick := 0;
+        Hashtbl.filter_map_inplace (fun _ h -> Some (h / 2)) heat;
+        let cold_list = List.filter (fun r -> r.m_writes < cold) !residents in
+        cold_demotes := !cold_demotes + List.length cold_list;
+        List.iter (demote step) cold_list;
+        List.iter (fun r -> r.m_writes <- 0) !residents
+      end
+    in
+    let agree step =
+      let want =
+        List.map (fun r -> (r.m_pid, r.m_virt, r.m_frame, r.m_home)) !residents
+      in
+      let show l =
+        String.concat ";" (List.map (fun (p, v, f, h) -> Printf.sprintf "%d/%d@%d<%d" p v f h) l)
+      in
+      if Tier.residents tier <> want then
+        fail step "residents [%s], model [%s]" (show (Tier.residents tier)) (show want);
+      let s = Tier.stats tier in
+      if
+        (s.Tier.s_promotes, s.Tier.s_demotes, s.Tier.s_dram_writes, s.Tier.s_resident)
+        <> (!promotes, !demotes, !dram_writes, List.length !residents)
+      then
+        fail step "stats %d/%d/%d/%d, model %d/%d/%d/%d" s.Tier.s_promotes s.Tier.s_demotes
+          s.Tier.s_dram_writes s.Tier.s_resident !promotes !demotes !dram_writes
+          (List.length !residents);
+      if !charged <> !m_charged then fail step "charged %d bytes, model %d" !charged !m_charged;
+      Array.iteri
+        (fun i p ->
+          Array.iter
+            (fun v ->
+              let want =
+                match List.find_opt (fun r -> r.m_pid = p.Vmm.pid && r.m_virt = v) !residents with
+                | Some r -> r.m_frame
+                | None -> Hashtbl.find home_of (p.Vmm.pid, v)
+              in
+              if Vmm.translate p ~virt:v <> want then
+                fail step "pid %d virt %d maps to %d, model %d" p.Vmm.pid v
+                  (Vmm.translate p ~virt:v) want)
+            virts.(i))
+        procs
+    in
+    let drops = ref 0 in
+    for step = 1 to 2000 do
+      (match Holes_stdx.Xrng.int rng 100 with
+      | 0 ->
+          let p = procs.(Holes_stdx.Xrng.int rng 2) in
+          incr drops;
+          Tier.drop_process tier ~pid:p.Vmm.pid ~charge_copy;
+          List.iter (fun r -> if r.m_pid = p.Vmm.pid then demote step r) !residents;
+          Hashtbl.filter_map_inplace
+            (fun (pid, _) h -> if pid = p.Vmm.pid then None else Some h)
+            heat
+      | op when op < 36 ->
+          (* a DRAM write to a random frame: ignored unless a resident's *)
+          let frame = Holes_stdx.Xrng.int rng dram and line = Holes_stdx.Xrng.int rng lpp in
+          let payload = Bytes.init lb (fun _ -> Char.chr (Holes_stdx.Xrng.int rng 256)) in
+          Tier.note_dram_write tier ~phys:frame ~line ~payload ~charge_copy;
+          (match List.find_opt (fun r -> r.m_frame = frame) !residents with
+          | None -> ()
+          | Some r ->
+              r.m_dirty.(line) <- true;
+              Bytes.blit payload 0 r.m_data (line * lb) lb;
+              r.m_writes <- r.m_writes + 1;
+              incr dram_writes;
+              m_tick step)
+      | _ -> (
+          (* a PCM write to a page of either process that is not resident *)
+          let i = Holes_stdx.Xrng.int rng 2 in
+          let p = procs.(i) in
+          let virt = virts.(i).(Holes_stdx.Xrng.int rng pages_each) in
+          let phys = Vmm.translate p ~virt in
+          if phys >= dram then begin
+            Tier.note_pcm_write tier p ~virt ~pcm_phys:phys ~charge_copy;
+            let key = (p.Vmm.pid, virt) in
+            let h = 1 + Option.value ~default:0 (Hashtbl.find_opt heat key) in
+            Hashtbl.replace heat key h;
+            (match !free with
+            | frame :: rest when h >= threshold && List.length !free > 1 ->
+                free := rest;
+                Hashtbl.replace heat key 0;
+                incr promotes;
+                m_charged := !m_charged + Pcm.Geometry.page_bytes;
+                let r =
+                  {
+                    m_pid = p.Vmm.pid;
+                    m_virt = virt;
+                    m_home = phys;
+                    m_frame = frame;
+                    m_dirty = Array.make lpp false;
+                    m_data = Bytes.make Pcm.Geometry.page_bytes '\000';
+                    m_writes = 0;
+                  }
+                in
+                residents :=
+                  List.sort (fun a b -> compare a.m_frame b.m_frame) (r :: !residents)
+            | _ -> ());
+            m_tick step
+          end));
+      agree step
+    done;
+    check Alcotest.bool "the sequence drops processes" true (!drops > 0);
+    check Alcotest.bool "the sequence promotes" true (!promotes > 8);
+    check Alcotest.bool "ticks demote cold residents" true (!cold_demotes > 8)
+  done
+
 (* ------------------------- Swap ------------------------- *)
 
 let test_swap_policies () =
@@ -609,6 +799,7 @@ let suite =
     ("interrupt on a promoted page's home", `Quick, test_interrupt_promoted_home_upcall);
     ("a reused DRAM frame writes back only its resident's lines", `Quick,
       test_tier_frame_reuse_writes_back_own_lines);
+    ("the tier matches a per-page model", `Quick, test_tier_matches_model);
     ("swap policies", `Quick, test_swap_policies);
     ("swap clustered count", `Quick, test_swap_clustered_count);
   ]

@@ -120,6 +120,34 @@ let test_pp_summary_renders () =
   let s = Format.asprintf "%a" Vm.pp_summary vm in
   Alcotest.(check bool) "summary non-empty" true (String.length s > 40)
 
+(* [Los.page_backing] remembers the last base it looked up; freeing that
+   object must forget it, and a new object at a new base must be looked
+   up afresh. *)
+let test_los_page_backing_memo () =
+  let lpp = Holes_pcm.Geometry.lines_per_page and pb = Holes_pcm.Geometry.page_bytes in
+  let npages = 8 in
+  let stock =
+    Holes_heap.Page_stock.create ~device_map:(Holes_stdx.Bitset.create (npages * lpp)) ~npages ()
+  in
+  let los = Holes.Los.create ~stock ~cost:(Cost.create ()) ~metrics:(Metrics.create ()) in
+  let alloc pages = Option.get (Holes.Los.alloc los ~size:(pages * pb)) in
+  let backing base off = Holes.Los.page_backing los ~base ~off in
+  (* the line at [off] of [base], from its entry *)
+  let own base off =
+    let e = Hashtbl.find los.Holes.Los.entries base in
+    (e.Holes.Los.pages.(off / pb) * lpp) + (off mod pb / Holes_pcm.Geometry.line_bytes)
+  in
+  let a = alloc 2 in
+  check Alcotest.int "a's second page" (own a (pb + 128)) (backing a (pb + 128));
+  Holes.Los.free los ~addr:a;
+  check Alcotest.int "the freed base, at once" (-1) (backing a 0);
+  let b = alloc 3 in
+  check Alcotest.int "the freed base has no backing" (-1) (backing a 0);
+  let off = (2 * pb) + 64 in
+  check Alcotest.int "the new base backs its own pages" (own b off) (backing b off);
+  check Alcotest.int "the freed base, after the new one" (-1) (backing a pb);
+  check Alcotest.int "past the object's end" (-1) (backing b (3 * pb))
+
 let suite =
   [
     ("config validation", `Quick, test_config_validation);
@@ -131,4 +159,5 @@ let suite =
     ("pause histograms, all collectors", `Quick, test_pause_histograms_all_collectors);
     ("deterministic runs", `Quick, test_deterministic_runs);
     ("pp_summary renders", `Quick, test_pp_summary_renders);
+    ("LOS page backing forgets a freed base", `Quick, test_los_page_backing_memo);
   ]
