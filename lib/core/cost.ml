@@ -39,7 +39,7 @@ type weights = {
   dram_borrow : float;  (** per borrowed DRAM page (OS round trip) *)
 }
 
-(** Calibrated default weights (units: ns). *)
+(** The calibrated weights (units: ns) every charge site reads. *)
 let default : weights =
   {
     alloc_fast = 9.0;
@@ -75,12 +75,11 @@ let default : weights =
     [charge] runs several times per allocation on the hottest path in
     the system. *)
 type t = {
-  weights : weights;
   acc : float array;  (* 0 = mutator_ns, 1 = gc_ns, 2 = pause_ns *)
   mutable in_gc : bool;
 }
 
-let create ?(weights = default) () : t = { weights; acc = [| 0.0; 0.0; 0.0 |]; in_gc = false }
+let create () : t = { acc = [| 0.0; 0.0; 0.0 |]; in_gc = false }
 
 let[@inline] charge (t : t) (ns : float) : unit =
   let acc = t.acc in
@@ -94,7 +93,7 @@ let[@inline] charge (t : t) (ns : float) : unit =
     formed here, so no float crosses a call that is not inlined (the dev
     profile inlines nothing across modules) and nothing is boxed. *)
 let[@inline] charge_copy (t : t) ~(bytes : int) : unit =
-  charge t (t.weights.copy_byte *. float_of_int bytes)
+  charge t (default.copy_byte *. float_of_int bytes)
 
 (** Enter collection context; subsequent charges count as pause time.
     The bracketing unit is one {e recorded pause}.  A stop-the-world

@@ -178,8 +178,6 @@ let create ?(tracer = Trace.null) ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics :
       !acc);
   t
 
-let weights (t : t) : Cost.weights = t.cost.Cost.weights
-
 (* ascending-index iteration over live blocks — the single deterministic
    order used by every collection pass *)
 let iter_blocks (t : t) (f : Block.t -> unit) : unit =
@@ -203,7 +201,7 @@ let is_medium (t : t) ~(size : int) : bool = size > t.cfg.Config.line_size
 
 (* Install a block built from [pages] (stock ids; -1 = borrowed DRAM). *)
 let install_block (t : t) ~(pages : int array) : int =
-  let w = weights t in
+  let w = Cost.default in
   let index = t.next_block_index in
   t.next_block_index <- t.next_block_index + 1;
   let empty_bitmap = Bitset.create Holes_pcm.Geometry.lines_per_page in
@@ -249,7 +247,7 @@ let assemble_block (t : t) : int option =
    pages, borrowing DRAM where the perfect pool is dry (Sec. 3.3.3).
    None when both the perfect pool and the borrow budget are exhausted. *)
 let assemble_perfect_block (t : t) : int option =
-  let w = weights t in
+  let w = Cost.default in
   let pages = Array.make Units.pages_per_block (-2) in
   let rec take i =
     if i = Units.pages_per_block then true
@@ -296,7 +294,7 @@ let dissolve_block (t : t) (b : Block.t) : unit =
 (* ------------------------------------------------------------------ *)
 
 let[@inline] charge_alloc (t : t) ~(size : int) : unit =
-  let w = weights t in
+  let w = Cost.default in
   Cost.charge t.cost (w.Cost.alloc_fast +. (w.Cost.alloc_byte *. float_of_int size))
 
 (* Place an object at the main cursor (caller guarantees fit).  This is
@@ -325,7 +323,7 @@ let set_cursor_to_hole (t : t) (b : Block.t) ~(from_line : int) ~(min_bytes : in
   else begin
       let s = enc lsr 30 and e = enc land 0x3FFFFFFF in
       let examined = e - (if from_line > 0 then from_line else 0) in
-      let w = weights t in
+      let w = Cost.default in
       Cost.charge t.cost (w.Cost.line_scan *. float_of_int examined);
       t.metrics.Metrics.lines_scanned <- t.metrics.Metrics.lines_scanned + examined;
       Stats.observe_int t.metrics.Metrics.hole_search_hist examined;
@@ -344,7 +342,7 @@ let rec alloc_small_nogc (t : t) ~(size : int) : int =
   else alloc_small_slow t ~size
 
 and alloc_small_slow (t : t) ~(size : int) : int =
-  let w = weights t in
+  let w = Cost.default in
   (* advance to the next hole in the current block *)
   let advanced =
     t.cur_block >= 0
@@ -412,7 +410,7 @@ let needs_gc = -1
 let needs_perfect = -2
 
 let alloc_medium_nogc (t : t) ~(size : int) : int =
-  let w = weights t in
+  let w = Cost.default in
   (* fits the current bump run? then no overflow needed *)
   if t.cur_block >= 0 && t.cursor + size <= t.limit then place_at_cursor t ~size
   else begin
@@ -486,7 +484,7 @@ let alloc_medium_perfect (t : t) ~(size : int) : int =
   match assemble_perfect_block t with
   | None -> -1
   | Some bi ->
-      Cost.charge t.cost (weights t).Cost.block_open;
+      Cost.charge t.cost Cost.default.Cost.block_open;
       t.ovf_block <- bi;
       let b = block t bi in
       t.ovf_cursor <- b.Block.base;
@@ -525,7 +523,7 @@ let reset_cursors (t : t) : unit =
    — then rebuilds the recyclable vector in address order.  The sweep
    charge is per line-mark word scanned, exactly as before the fusion. *)
 let rebuild_recyclable (t : t) : unit =
-  let w = weights t in
+  let w = Cost.default in
   Intvec.clear t.recyclable;
   t.recyclable_pos <- 0;
   (* ascending-index iteration: the vector is built already sorted *)
@@ -588,7 +586,7 @@ let evacuate_block (t : t) (b : Block.t) : int =
     the last collection are examined; survivors are opportunistically
     copied into available holes (Sec. 4.1 "Sticky Immix"). *)
 let nursery_gc (t : t) : unit =
-  let w = weights t in
+  let w = Cost.default in
   let armed = Trace.armed t.tracer in
   Cost.begin_gc t.cost;
   if armed then Trace.begin_span t.tracer ~tid:Trace.tid_gc "nursery_gc";
@@ -715,7 +713,7 @@ let close_cursors_over (t : t) (b : Block.t) ~(line : int) : unit =
    were captured when the failure arrived, so a block dissolved in the
    interim still gets its hole recorded in the stock. *)
 let complete_line_retirement (t : t) ~(addr : int) ~(stock_page : int) ~(line64 : int) : unit =
-  let w = weights t in
+  let w = Cost.default in
   let masked =
     match block_opt t (addr / block_bytes) with
     | None -> false
@@ -804,7 +802,7 @@ let prepare_defrag (t : t) : int list =
    (uncharged), so it costs the table's words, not one step per slot
    id ever handed out. *)
 let snapshot (t : t) : unit =
-  Cost.charge t.cost (weights t).Cost.gc_fixed;
+  Cost.charge t.cost Cost.default.Cost.gc_fixed;
   t.inc_epoch <- t.inc_epoch + 1;
   let occupied = Object_table.occupied t.objects in
   let alive = Object_table.alive t.objects in
@@ -836,9 +834,10 @@ let snapshot (t : t) : unit =
    reclaimed.  Nothing can release a slot between snapshot and here
    (nursery collections are suppressed during a cycle), so its lines
    are still accounted. *)
-let mark_entry (t : t) (w : Cost.weights) (id : int) : unit =
+let mark_entry (t : t) (id : int) : unit =
   if Bitset.unsafe_get t.snap_alive id then begin
     let nrefs = Object_table.nrefs t.objects id in
+    let w = Cost.default in
     Cost.charge t.cost (w.Cost.mark_obj +. (w.Cost.mark_edge *. float_of_int nrefs));
     Object_table.set_mark t.objects id t.inc_epoch;
     Object_table.clear_nursery_flag t.objects id;
@@ -861,11 +860,11 @@ let mark_entry (t : t) (w : Cost.weights) (id : int) : unit =
    ascending slot order — and move the cursor past them.  The slice
    that processes the last entry ends the phase. *)
 let mark_slice (t : t) ~(budget : int) : unit =
-  let w = weights t in
+  let w = Cost.default in
   let left = t.inc_snapshot_len - t.inc_marked - t.inc_released in
   let n = min left (max 1 budget) in
   t.inc_pos <-
-    Bitset.iter_set_from t.snap_occupied ~from:t.inc_pos ~count:n (fun id -> mark_entry t w id);
+    Bitset.iter_set_from t.snap_occupied ~from:t.inc_pos ~count:n (fun id -> mark_entry t id);
   if n = left then begin
     (* mark phase complete: drain the SATB log (charged like remset
        entries — the barrier's slow-path work), select evacuation
@@ -906,7 +905,7 @@ let finish_cycle_end (t : t) : unit =
    dropped, and — unless a defrag candidate — queued as recyclable into
    [inc_recyclable], installed when the pass ends. *)
 let sweep_slice (t : t) ~(budget : int) : unit =
-  let w = weights t in
+  let w = Cost.default in
   let per_slice = max 1 (budget / 128) in
   let swept = ref 0 in
   while !swept < per_slice && t.inc_pos < t.next_block_index do
@@ -1155,7 +1154,7 @@ let register (t : t) ~(id : int) ~(addr : int) : unit =
 (** The generational write barrier: [src] (an old object) now references
     a nursery object. *)
 let write_barrier (t : t) ~(src : int) : unit =
-  Cost.charge t.cost (weights t).Cost.write_barrier;
+  Cost.charge t.cost Cost.default.Cost.write_barrier;
   (* SATB leg: a store whose source is already black would hide the old
      target from a concurrent marker — log the source so mark end can
      account for it.  With the liveness oracle the log is bookkeeping

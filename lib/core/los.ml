@@ -20,7 +20,7 @@ type t = {
   stock : Page_stock.t;
   cost : Cost.t;
   metrics : Metrics.t;
-  entries : (int, entry) Hashtbl.t;  (** object id -> backing pages *)
+  entries : (int, entry) Hashtbl.t;  (** LOS address -> backing pages *)
   mutable memo_base : int;
       (** the base [page_backing] last looked up, or -1: a large object's
           line stores all ask for the same base.  [free] forgets it; an
@@ -65,7 +65,7 @@ let can_allocate (t : t) ~(size : int) : bool =
     address, or [None] when the perfect pool and the borrow budget are
     both exhausted — the caller should collect and retry. *)
 let alloc (t : t) ~(size : int) : int option =
-  let w = t.cost.Cost.weights in
+  let w = Cost.default in
   let npages = pages_needed size in
   let pages = Array.make npages (-2) in
   let taken = ref 0 in
@@ -97,8 +97,8 @@ let alloc (t : t) ~(size : int) : int option =
     t.pages_in_use <- t.pages_in_use + npages;
     t.metrics.Metrics.los_objects <- t.metrics.Metrics.los_objects + 1;
     t.metrics.Metrics.los_pages <- t.metrics.Metrics.los_pages + npages;
-    (* keyed by address until the object id is known; pages in address
-       order, so offset / page_bytes indexes the backing page *)
+    (* keyed by the LOS address; pages in address order, so
+       offset / page_bytes indexes the backing page *)
     Hashtbl.replace t.entries addr { pages; bytes = size };
     Some addr
   end
@@ -108,7 +108,7 @@ let free (t : t) ~(addr : int) : unit =
   match Hashtbl.find_opt t.entries addr with
   | None -> invalid_arg "Los.free: unknown LOS address"
   | Some e ->
-      let w = t.cost.Cost.weights in
+      let w = Cost.default in
       let npages = Array.length e.pages in
       Cost.charge t.cost (w.Cost.los_page *. float_of_int npages);
       Array.iter

@@ -94,8 +94,6 @@ let create ~(cfg : Config.t) ~(cost : Cost.t) ~(metrics : Metrics.t) ~(stock : P
     gc_slice = cfg.Config.gc_slice;
   }
 
-let weights (t : t) : Cost.weights = t.cost.Cost.weights
-
 (* Carve a fresh block for size class [k]; false when the stock is dry. *)
 let carve_block (t : t) (k : int) : bool =
   let pages = Array.make Units.pages_per_block (-2) in
@@ -136,7 +134,7 @@ let carve_block (t : t) (k : int) : bool =
     for c = ncells - 1 downto 0 do
       Intvec.push t.free_lists.(k) ((index lsl cell_bits) lor c)
     done;
-    Cost.charge t.cost (weights t).Cost.block_assemble;
+    Cost.charge t.cost Cost.default.Cost.block_assemble;
     t.metrics.Metrics.blocks_assembled <- t.metrics.Metrics.blocks_assembled + 1;
     true
   end
@@ -151,7 +149,7 @@ let alloc_nogc (t : t) ~(size : int) : (int * int * int) option =
   match class_of_size size with
   | None -> invalid_arg "Mark_sweep.alloc: large objects belong to the LOS"
   | Some k -> (
-      let w = weights t in
+      let w = Cost.default in
       let place v =
         let bi = v lsr cell_bits and c = v land cell_mask in
         let b = Hashtbl.find t.blocks bi in
@@ -182,7 +180,7 @@ let addr_to_cell (t : t) (addr : int) : ms_block * int =
     Nothing runs in the gaps, so the end state and the charges are the
     same either way; only the pause records differ. *)
 let full_gc (t : t) : unit =
-  let w = weights t in
+  let w = Cost.default in
   let budget = t.gc_slice in
   let record pause =
     if budget > 0 then t.metrics.Metrics.gc_increments <- t.metrics.Metrics.gc_increments + 1;
@@ -255,7 +253,7 @@ let set_gc_slice (t : t) (budget : int) : unit = t.gc_slice <- max 0 budget
 
 (** Nursery collection (sticky mark bits over the free list). *)
 let nursery_gc (t : t) : unit =
-  let w = weights t in
+  let w = Cost.default in
   Cost.begin_gc t.cost;
   Cost.charge t.cost w.Cost.gc_nursery_fixed;
   Cost.charge t.cost (w.Cost.remset_entry *. float_of_int (Remset.size t.remset));
@@ -315,7 +313,7 @@ let alloc (t : t) ~(size : int) : int * int * int =
 let register (t : t) ~(id : int) : unit = Intvec.push t.nursery id
 
 let write_barrier (t : t) ~(src : int) : unit =
-  Cost.charge t.cost (weights t).Cost.write_barrier;
+  Cost.charge t.cost Cost.default.Cost.write_barrier;
   if Config.is_generational t.cfg.Config.collector && not (Object_table.is_nursery t.objects src)
   then ignore (Remset.record t.remset ~src)
 

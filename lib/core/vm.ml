@@ -41,7 +41,6 @@ type t = {
   space : space;
   backend : Memory_backend.t;
   injector : injector option;  (** dynamic failure-model driver *)
-  heap_pages : int;  (** pages granted (after compensation) *)
   arraylet_spines : (int, int list) Hashtbl.t;
       (** spine object id -> arraylet piece ids (Z-rays mode) *)
   tracer : Trace.view;
@@ -293,18 +292,16 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
   Trace.set_clock tracer (fun () -> Cost.total_ns cost);
   let metrics = Metrics.create () in
   metrics.Metrics.inc_active <- cfg.Config.gc_slice > 0;
-  let backend, stock, heap_pages, injector =
+  let backend, stock, injector =
     match cfg.Config.backend with
     | Config.Static ->
         let rng = Xrng.of_seed cfg.Config.seed in
-        let device_map, heap_pages =
+        let device_map, npages =
           match device_map with
           | Some f -> (f ~npages:pages, pages)
           | None -> generate_failure_map cfg ~rng ~npages:pages
         in
-        let stock =
-          Page_stock.create ~line_size:cfg.Config.line_size ~device_map ~npages:heap_pages ()
-        in
+        let stock = Page_stock.create ~line_size:cfg.Config.line_size ~device_map ~npages () in
         let injector =
           match cfg.Config.failure_model with
           | Config.Model m when Holes_pcm.Failure_model.is_dynamic m ->
@@ -318,7 +315,7 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
                 }
           | Config.Model _ | Config.From_dist -> None
         in
-        (Memory_backend.Static, stock, heap_pages, injector)
+        (Memory_backend.Static, stock, injector)
     | Config.Device params ->
         if device_map <> None then
           invalid_arg "Vm.create: device_map overrides apply to the static backend only";
@@ -333,7 +330,7 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
                   raise Out_of_memory)
         in
         let stock = Page_stock.create_of_bitmaps ~line_size:cfg.Config.line_size ~bitmaps () in
-        (Memory_backend.Device st, stock, Array.length bitmaps, None)
+        (Memory_backend.Device st, stock, None)
   in
   let objects = Object_table.create () in
   let los = Los.create ~stock ~cost ~metrics in
@@ -343,7 +340,7 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
     else Ms (Mark_sweep.create ~cfg ~cost ~metrics ~stock ~objects ~los)
   in
   let t =
-    { cfg; cost; metrics; objects; stock; los; space; backend; injector; heap_pages;
+    { cfg; cost; metrics; objects; stock; los; space; backend; injector;
       arraylet_spines = Hashtbl.create 64; tracer }
   in
   (match backend with
@@ -404,10 +401,11 @@ let alloc_arraylets (t : t) ~(size : int) ~(pinned : bool) : int =
     pieces := alloc_in_space t ~size:(max 16 psize) ~pinned:false :: !pieces
   done;
   let spine = alloc_in_space t ~size:(max 16 (npieces * 8)) ~pinned in
-  List.iter (fun p -> Object_table.add_ref t.objects ~src:spine ~dst:p) !pieces;
+  for _ = 1 to npieces do
+    Object_table.add_ref t.objects ~src:spine
+  done;
   Hashtbl.replace t.arraylet_spines spine !pieces;
-  let w = t.cost.Cost.weights in
-  Cost.charge t.cost (w.Cost.arraylet_byte *. float_of_int size);
+  Cost.charge t.cost (Cost.default.Cost.arraylet_byte *. float_of_int size);
   t.metrics.Metrics.arraylet_arrays <- t.metrics.Metrics.arraylet_arrays + 1;
   t.metrics.Metrics.arraylet_pieces <- t.metrics.Metrics.arraylet_pieces + npieces;
   spine
@@ -438,10 +436,14 @@ let alloc (t : t) ?(pinned = false) ~(size : int) () : int =
   id
 
 (** Store a reference from [src] to [dst] (fires the write barrier).
-    On the device backend the pointer store itself is a 64 B line write
-    and is charged through the device (it can wear the line out). *)
-let write_ref (t : t) ~(src : int) ~(dst : int) : unit =
-  Object_table.add_ref t.objects ~src ~dst;
+    Only [src]'s edge count is kept: the collector charges by that count
+    and never follows an edge, so [dst] is not read.  The label stays
+    because every workload names the edge it stores, the benchmark's
+    tape replay among them.  On the device backend the pointer store
+    itself is a 64 B line write and is charged through the device (it
+    can wear the line out). *)
+let write_ref (t : t) ~(src : int) ~dst:(_ : int) : unit =
+  Object_table.add_ref t.objects ~src;
   (match t.backend with
   | Memory_backend.Static -> ()
   | Memory_backend.Device st -> (

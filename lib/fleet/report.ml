@@ -14,7 +14,6 @@ module Stats = Holes_obs.Stats
 module Metrics = Holes.Metrics
 
 type partial = {
-  device_index : int;
   mutable arrived : int;  (** requests generated for live tenants *)
   mutable completed : int;  (** requests served to completion *)
   mutable good : int;  (** completed within the SLO *)
@@ -37,9 +36,8 @@ type partial = {
           records keep their historical shape. *)
 }
 
-let partial ~(device_index : int) ~(epochs : int) : partial =
+let partial ~(epochs : int) : partial =
   {
-    device_index;
     arrived = 0;
     completed = 0;
     good = 0;

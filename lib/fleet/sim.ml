@@ -111,7 +111,7 @@ type slot_state = {
     of [(p, device_index, seed)]; [view] only observes. *)
 let run_device (p : params) ~(device_index : int) ~(seed : int) ~(view : Trace.view) :
     Report.partial =
-  let part = Report.partial ~device_index ~epochs:p.epochs in
+  let part = Report.partial ~epochs:p.epochs in
   let nslots = tenants_on p ~device_index in
   if nslots = 0 then part
   else begin

@@ -3,11 +3,12 @@
     The reproduction does not run Java bytecode; workloads allocate
     *simulated* objects through the VM.  Each object carries the fields
     the memory manager cares about: its heap address, size, pin state,
-    reference edges into the live graph (driving trace costs and the
-    remembered set), a mark epoch, and liveness (decided by the
-    workload's death clock — see DESIGN.md).  Storage is
-    structure-of-arrays with id recycling so multi-million-object runs
-    stay cheap. *)
+    outgoing edge count, a mark epoch, and liveness (decided by the
+    workload's death clock — see DESIGN.md).  Edges themselves are not
+    stored: the collector charges a marked object by its edge count and
+    never follows an edge, and the remembered set records only sources.
+    Storage is structure-of-arrays with id recycling so
+    multi-million-object runs stay cheap. *)
 
 open Holes_stdx
 
@@ -16,10 +17,6 @@ type t = {
   mutable size : int array;
   mutable flags : int array;
   mutable mark : int array;  (** epoch of last mark *)
-  mutable ref_store : int array;
-      (** outgoing edges (object ids), flat with stride [max_refs] per
-          object — no list cells, and the per-object edge count the
-          mark loop charges by is an O(1) read of [nref] *)
   mutable nref : int array;  (** per-object edge count (<= [max_refs]) *)
   mutable occupied : Bitset.t;
       (** bit [id] set iff slot [id] holds an object, alive or dead
@@ -44,8 +41,7 @@ let flag_pinned = 2
 let flag_nursery = 4  (* allocated since the last (full or nursery) collection *)
 let flag_los = 8
 
-(* fan-out cap: keeps trace costs bounded and realistic, and makes the
-   flat edge store a fixed stride *)
+(* fan-out cap: keeps trace costs bounded and realistic *)
 let max_refs = 8
 
 let create () : t =
@@ -55,7 +51,6 @@ let create () : t =
     size = Array.make cap 0;
     flags = Array.make cap 0;
     mark = Array.make cap (-1);
-    ref_store = Array.make (cap * max_refs) 0;
     nref = Array.make cap 0;
     occupied = Bitset.create cap;
     alive = Bitset.create cap;
@@ -78,9 +73,6 @@ let grow (t : t) : unit =
   t.size <- extend t.size 0;
   t.flags <- extend t.flags 0;
   t.mark <- extend t.mark (-1);
-  (let b = Array.make (cap * max_refs) 0 in
-   Array.blit t.ref_store 0 b 0 (t.cap * max_refs);
-   t.ref_store <- b);
   t.nref <- extend t.nref 0;
   t.occupied <- Bitset.extend t.occupied cap;
   t.alive <- Bitset.extend t.alive cap;
@@ -145,14 +137,6 @@ let is_los (t : t) (id : int) : bool = t.flags.(id) land flag_los <> 0
 (** Outgoing edge count — the O(1) read the mark loop charges by. *)
 let[@inline] nrefs (t : t) (id : int) : int = Array.unsafe_get t.nref id
 
-(** Outgoing edges as a list, newest first (the [add_ref] prepend
-    order).  Builds a fresh list: diagnostic/test use only. *)
-let refs (t : t) (id : int) : int list =
-  let n = t.nref.(id) in
-  let base = id * max_refs in
-  let rec go i acc = if i >= n then acc else go (i + 1) (t.ref_store.(base + i) :: acc) in
-  go 0 []
-
 (** The mutator's death: the object becomes unreachable.  Space is
     reclaimed later, by a collection. *)
 let kill (t : t) (id : int) : unit =
@@ -194,12 +178,9 @@ let los_object_at (t : t) ~(page : int) : int option = Hashtbl.find_opt t.los_pa
 let clear_nursery_flag (t : t) (id : int) : unit =
   t.flags.(id) <- t.flags.(id) land lnot flag_nursery
 
-let add_ref (t : t) ~(src : int) ~(dst : int) : unit =
+let add_ref (t : t) ~(src : int) : unit =
   let n = t.nref.(src) in
-  if n < max_refs then begin
-    t.ref_store.((src * max_refs) + n) <- dst;
-    t.nref.(src) <- n + 1
-  end
+  if n < max_refs then t.nref.(src) <- n + 1
 
 let set_mark (t : t) (id : int) (epoch : int) : unit = t.mark.(id) <- epoch
 let marked (t : t) (id : int) (epoch : int) : bool = t.mark.(id) = epoch

@@ -3,17 +3,17 @@
     The reproduction does not run Java bytecode; workloads allocate
     {e simulated} objects through the VM.  Each object carries the fields
     the memory manager cares about: its heap address, size, pin state,
-    reference edges into the live graph (driving trace costs and the
-    remembered set), a mark epoch, and liveness (decided by the
-    workload's death clock — see DESIGN.md).  Storage is
-    structure-of-arrays with id recycling so multi-million-object runs
-    stay cheap. *)
+    outgoing edge count, a mark epoch, and liveness (decided by the
+    workload's death clock — see DESIGN.md).  Edges themselves are not
+    stored: the collector charges a marked object by its edge count and
+    never follows an edge, and the remembered set records only sources.
+    Storage is structure-of-arrays with id recycling so
+    multi-million-object runs stay cheap. *)
 
 type t
 
 val max_refs : int
-(** Fan-out cap per object: keeps trace costs bounded and realistic, and
-    makes the flat edge store a fixed stride. *)
+(** Fan-out cap per object: keeps trace costs bounded and realistic. *)
 
 val create : unit -> t
 
@@ -38,10 +38,6 @@ val is_nursery : t -> int -> bool
 val nrefs : t -> int -> int
 (** Outgoing edge count — the O(1) read the mark loop charges by. *)
 
-val refs : t -> int -> int list
-(** Outgoing edges as a list, newest first (the [add_ref] prepend
-    order).  Builds a fresh list: diagnostic/test use only. *)
-
 val kill : t -> int -> unit
 (** The mutator's death: the object becomes unreachable.  Space is
     reclaimed later, by a collection. *)
@@ -61,8 +57,9 @@ val los_object_at : t -> page:int -> int option
 
 val clear_nursery_flag : t -> int -> unit
 
-val add_ref : t -> src:int -> dst:int -> unit
-(** Record an outgoing edge (dropped silently past [max_refs]). *)
+val add_ref : t -> src:int -> unit
+(** Count one more outgoing edge of [src] (the count stops at
+    [max_refs]).  {!kill} zeroes it. *)
 
 val set_mark : t -> int -> int -> unit
 (** [set_mark t id epoch] stamps the object's mark epoch. *)

@@ -48,18 +48,13 @@ type t = {
   bound : int array;  (** logical line -> current binding *)
   mutable dedup_hits : int;
   mutable compressed : int;
-  mutable installs : int;
-  mutable evictions : int;
   mutable meta_writes : int;
 }
 
 type stats = {
   s_dedup_hits : int;
   s_compressed : int;
-  s_installs : int;
-  s_evictions : int;
   s_meta_writes : int;
-  s_bound : int;
 }
 
 let create ~(ways : int) ~(nlines : int) () : t =
@@ -79,8 +74,6 @@ let create ~(ways : int) ~(nlines : int) () : t =
     bound = Array.make nlines unbound;
     dedup_hits = 0;
     compressed = 0;
-    installs = 0;
-    evictions = 0;
     meta_writes = 0;
   }
 
@@ -174,10 +167,8 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_outcome =
       done;
       let v = !victim in
       if v >= 0 then begin
-        if t.fp.(v) >= 0 then t.evictions <- t.evictions + 1;
         t.fp.(v) <- fp;
-        Bytes.blit payload 0 t.data (v * line_bytes) line_bytes;
-        t.installs <- t.installs + 1
+        Bytes.blit payload 0 t.data (v * line_bytes) line_bytes
       end;
       Store
     end
@@ -210,10 +201,7 @@ let stats (t : t) : stats =
   {
     s_dedup_hits = t.dedup_hits;
     s_compressed = t.compressed;
-    s_installs = t.installs;
-    s_evictions = t.evictions;
     s_meta_writes = t.meta_writes;
-    s_bound = Array.fold_left (fun n b -> if b = unbound then n else n + 1) 0 t.bound;
   }
 
 (** The number of slots ([sets * ways]). *)

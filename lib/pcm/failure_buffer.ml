@@ -21,7 +21,6 @@ type t = {
   mutable stalled : bool;
   (* statistics *)
   mutable total_insertions : int;
-  mutable total_invalidations : int;
   mutable max_occupancy : int;
   mutable stall_events : int;
 }
@@ -36,7 +35,6 @@ let create ?(capacity = 32) ?(watermark : int option) () : t =
     entries = [];
     stalled = false;
     total_insertions = 0;
-    total_invalidations = 0;
     max_occupancy = 0;
     stall_events = 0;
   }
@@ -52,11 +50,8 @@ let insert (t : t) ~(addr : int) ~(data : Bytes.t) : bool =
   if occupancy t >= t.capacity then false
   else begin
     (* invalidate an earlier entry with the same address *)
-    let before = List.length t.entries in
-    t.entries <- List.filter (fun e -> e.addr <> addr) t.entries;
-    if List.length t.entries < before then
-      t.total_invalidations <- t.total_invalidations + 1;
-    t.entries <- t.entries @ [ { addr; data = Bytes.copy data } ];
+    t.entries <-
+      List.filter (fun e -> e.addr <> addr) t.entries @ [ { addr; data = Bytes.copy data } ];
     t.total_insertions <- t.total_insertions + 1;
     let occ = occupancy t in
     if occ > t.max_occupancy then t.max_occupancy <- occ;
@@ -92,7 +87,6 @@ let pending (t : t) : entry list = t.entries
 
 type stats = {
   insertions : int;
-  invalidations : int;
   max_occupancy : int;
   stall_events : int;
 }
@@ -100,7 +94,6 @@ type stats = {
 let stats (t : t) : stats =
   {
     insertions = t.total_insertions;
-    invalidations = t.total_invalidations;
     max_occupancy = t.max_occupancy;
     stall_events = t.stall_events;
   }

@@ -78,18 +78,14 @@ let clustered (rng : Xrng.t) ~(nlines : int) ~(rate : float) ~(granule_lines : i
 (** [cluster_transform map ~region_pages] models the proposed clustering
     hardware: within each region of [region_pages] pages, the same number
     of lines fail, but they are moved to the start of even-indexed regions
-    and the end of odd-indexed regions.  [include_metadata] additionally
-    charges the redirection-map metadata lines in any region that has at
-    least one failure (the figure harness follows the paper and leaves it
-    off; the full-hardware examples turn it on). *)
-let cluster_transform ?(include_metadata = false) (map : Bitset.t) ~(region_pages : int) :
-    Bitset.t =
+    and the end of odd-indexed regions.  Following the paper, the
+    redirection-map metadata lines are not charged. *)
+let cluster_transform (map : Bitset.t) ~(region_pages : int) : Bitset.t =
   let nlines = Bitset.length map in
   let rl = Geometry.lines_per_region ~region_pages in
   if nlines mod rl <> 0 then
     invalid_arg "Failure_map.cluster_transform: map not a whole number of regions";
   let nregions = nlines / rl in
-  let meta = if include_metadata then Geometry.redirection_meta_lines ~region_pages else 0 in
   let out = Bitset.create nlines in
   for r = 0 to nregions - 1 do
     let base = r * rl in
@@ -97,13 +93,12 @@ let cluster_transform ?(include_metadata = false) (map : Bitset.t) ~(region_page
     for i = 0 to rl - 1 do
       if Bitset.get map (base + i) then incr failures
     done;
-    let unusable = if !failures > 0 then min rl (!failures + meta) else 0 in
     if r mod 2 = 0 then
-      for i = 0 to unusable - 1 do
+      for i = 0 to !failures - 1 do
         Bitset.set out (base + i)
       done
     else
-      for i = 0 to unusable - 1 do
+      for i = 0 to !failures - 1 do
         Bitset.set out (base + rl - 1 - i)
       done
   done;

@@ -24,7 +24,6 @@ type t = {
   inverse : int array;  (** physical line -> logical offset *)
   phys_dead : bool array;  (** physical lines failed or holding metadata *)
   mutable failed_count : int;  (** physical data lines failed (excl. metadata) *)
-  mutable redirections : int;  (** swaps performed, for statistics *)
 }
 
 let create ?(region_pages = Geometry.default_region_pages) ~(region_index : int) () : t =
@@ -38,7 +37,6 @@ let create ?(region_pages = Geometry.default_region_pages) ~(region_index : int)
     inverse = Array.init nlines Fun.id;
     phys_dead = Array.make nlines false;
     failed_count = 0;
-    redirections = 0;
   }
 
 let nlines (t : t) : int = t.nlines
@@ -72,8 +70,7 @@ let swap_logical (t : t) (a : int) (b : int) : unit =
     t.map.(a) <- pb;
     t.map.(b) <- pa;
     t.inverse.(pa) <- b;
-    t.inverse.(pb) <- a;
-    t.redirections <- t.redirections + 1
+    t.inverse.(pb) <- a
   end
 
 (* Logical slot that the next failure should occupy: just past the current
@@ -147,5 +144,3 @@ let is_permutation (t : t) : bool =
   !ok
   && Array.for_all (fun l -> l >= 0 && l < t.nlines) t.inverse
   && Array.for_all Fun.id (Array.init t.nlines (fun l -> t.inverse.(t.map.(l)) = l))
-
-let redirections (t : t) : int = t.redirections

@@ -37,11 +37,10 @@ let test_object_lifecycle () =
 let test_object_refs_capped () =
   let t = Object_table.create () in
   let a = Object_table.alloc t ~addr:0 ~size:8 ~pinned:false ~los:false in
-  let b = Object_table.alloc t ~addr:8 ~size:8 ~pinned:false ~los:false in
   for _ = 1 to 20 do
-    Object_table.add_ref t ~src:a ~dst:b
+    Object_table.add_ref t ~src:a
   done;
-  Alcotest.(check bool) "fan-out capped" true (List.length (Object_table.refs t a) <= 8)
+  Alcotest.(check bool) "fan-out capped" true (Object_table.nrefs t a <= 8)
 
 let test_object_release_alive_rejected () =
   let t = Object_table.create () in
@@ -56,6 +55,18 @@ let test_object_growth () =
     ignore (Object_table.alloc t ~addr:(i * 8) ~size:8 ~pinned:false ~los:false)
   done;
   check Alcotest.int "all live" 5001 (Object_table.live_count t)
+
+(* The table keeps five int arrays and two bitmaps per slot, about
+   5.03 words per slot at 65,536 slots: a bound of 6 leaves no room for
+   another per-slot array, so state nothing reads cannot creep back. *)
+let test_object_words_per_slot () =
+  let t = Object_table.create () in
+  let slots = 65_536 in
+  for i = 0 to slots - 1 do
+    ignore (Object_table.alloc t ~addr:(i * 8) ~size:8 ~pinned:false ~los:false)
+  done;
+  let per_slot = float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int slots in
+  if per_slot > 6.0 then Alcotest.failf "%.2f words per slot, bound 6" per_slot
 
 (* The occupancy and liveness bitmaps in lockstep with a naive model:
    random small and LOS allocations, kills, releases and relocations on
@@ -420,6 +431,7 @@ let suite =
     ("object refs capped", `Quick, test_object_refs_capped);
     ("object release-alive rejected", `Quick, test_object_release_alive_rejected);
     ("object table growth", `Quick, test_object_growth);
+    ("object table words per slot", `Quick, test_object_words_per_slot);
     ("slot bitmaps match a naive model", `Quick, test_slot_bitmaps_vs_model);
     ("block fresh", `Quick, test_block_fresh);
     ("block false-failure widening", `Quick, test_block_false_failure_widening);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Behaviour diff between two output directories: figures-quick sinks, printed tables and torture logs.
+"""Behaviour diff between two output directories: figures-quick sinks, printed tables, torture logs and benchmark digests.
 
     python3 tools/behaviour_diff.py BASE_DIR HEAD_DIR [--summary FILE] [--changed FILE]
 
@@ -26,11 +26,17 @@ differs.  A field that only one side prints (say, a counter the head
 added to the seed line) is listed under the table but does not count
 as a change.
 
+Every *.trace0.json (the result an untraced `bench/e2e/run.sh` run
+writes under its --out directory) found in either directory, at any
+depth, is compared by its `digest` and its `virt_us_per_op`: both equal
+is identical, either different is changed, and a result on one side
+only is missing.
+
 Prints a markdown table of identical / changed / missing records per
-sink, of lines per tables file and of seeds per torture log, appending
-them to --summary when given (CI passes $GITHUB_STEP_SUMMARY); --changed
-writes every differing record, line and seed, tagged "base" or "head",
-as JSONL.  Always
+sink, of lines per tables file, of seeds per torture log and of
+benchmark results, appending them to --summary when given (CI passes
+$GITHUB_STEP_SUMMARY); --changed writes every differing record, line,
+seed and benchmark result, tagged "base" or "head", as JSONL.  Always
 exits 0: a pull request may change behaviour on purpose, and the
 tables are there to show whether it did.
 """
@@ -230,6 +236,56 @@ def torture_table(base_dir, head_dir):
     return lines + [outcome, ""], differing
 
 
+def bench_results(d):
+    """relative path -> (digest, virt_us_per_op) of every *.trace0.json under d."""
+    out = {}
+    for p in glob.glob(os.path.join(d, "**", "*.trace0.json"), recursive=True):
+        with open(p) as f:
+            rec = json.load(f)
+        virt = rec.get("metrics", {}).get("virt_us_per_op", {}).get("value")
+        out[os.path.relpath(p, d)] = (rec.get("digest"), virt)
+    return out
+
+
+def bench_table(base_dir, head_dir):
+    """(markdown lines, differing results as dicts); no lines when neither side has a result."""
+    base, head = bench_results(base_dir), bench_results(head_dir)
+    if not base and not head:
+        return [], []
+    rows, differing, missing = [], [], False
+    for name in sorted(set(base) | set(head)):
+        b, h = base.get(name), head.get(name)
+        if b is None or h is None:
+            rows.append(f"| `{name}` | — | — | — | — | **missing on {'base' if b is None else 'head'}** |")
+            missing = True
+        else:
+            verdict = "identical" if b == h else "**changed**"
+            rows.append(f"| `{name}` | {b[0]} | {h[0]} | {b[1]!r} | {h[1]!r} | {verdict} |")
+        if b != h:
+            differing += [
+                dict(bench=name, side=side, digest=r[0], virt_us_per_op=r[1])
+                for side, r in (("base", b), ("head", h))
+                if r is not None
+            ]
+    if missing:
+        outcome = "**incomplete**: a benchmark result is missing (did a run fail?)"
+    elif differing:
+        outcome = f"**benchmark behaviour changed**: {len(differing) // 2} results differ in digest or `virt_us_per_op`"
+    else:
+        outcome = "**identical digests and `virt_us_per_op`**"
+    lines = [
+        "### Behaviour diff: benchmark digests, base vs head",
+        "",
+        "| result | base digest | head digest | base `virt_us_per_op` | head `virt_us_per_op` | verdict |",
+        "|---|---|---|---:|---:|---|",
+        *rows,
+        "",
+        outcome,
+        "",
+    ]
+    return lines, differing
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
@@ -278,8 +334,9 @@ def main():
     ]
     tables, tables_differing = tables_table(args.base, args.head)
     torture, torture_differing = torture_table(args.base, args.head)
-    differing += tables_differing + torture_differing
-    text = "\n".join(table + tables + torture)
+    bench, bench_differing = bench_table(args.base, args.head)
+    differing += tables_differing + torture_differing + bench_differing
+    text = "\n".join(table + tables + torture + bench)
     print(text)
     if args.summary:
         with open(args.summary, "a") as f:
