@@ -17,11 +17,6 @@ type policy =
   | Compatible_imperfect  (** destination failures ⊆ source failures *)
   | Clustered_count  (** clustering: destination failure count <= source *)
 
-type outcome = {
-  dest : int;  (** physical page id chosen *)
-  upcall_needed : bool;  (** runtime must be told about a new failure map *)
-}
-
 (* Are [dest_map] failures compatible with [src_map] under [policy]?  A
    destination is trivially compatible when its failures are a subset of
    the source's: every hole the runtime already avoids stays a hole. *)
@@ -38,8 +33,9 @@ let compatible ~(policy : policy) ~(src_map : Bitset.t) ~(dest_map : Bitset.t) :
     for data whose source page had failure map [src_map].  Falls back to
     a perfect page when no compatible imperfect page exists (option 2's
     "the OS can try another imperfect page or fall back to a perfect
-    page").  Returns [None] when memory is exhausted. *)
-let swap_in (pools : Pools.t) ~(policy : policy) ~(src_map : Bitset.t) : outcome option =
+    page").  Returns the destination's physical page id, or [None] when
+    memory is exhausted. *)
+let swap_in (pools : Pools.t) ~(policy : policy) ~(src_map : Bitset.t) : int option =
   let try_imperfect () =
     (* scan the imperfect free list for a compatible page *)
     let rec pick tried =
@@ -52,16 +48,13 @@ let swap_in (pools : Pools.t) ~(policy : policy) ~(src_map : Bitset.t) : outcome
           let dest_map = Pools.failures pools phys in
           if compatible ~policy ~src_map ~dest_map then begin
             List.iter (Pools.free pools) tried;
-            let upcall_needed = not (Bitset.equal dest_map src_map) in
-            Some { dest = phys; upcall_needed }
+            Some phys
           end
           else pick (phys :: tried)
     in
     pick []
   in
-  let perfect () =
-    Option.map (fun phys -> { dest = phys; upcall_needed = false }) (Pools.alloc_perfect pools)
-  in
+  let perfect () = Pools.alloc_perfect pools in
   match policy with
   | To_perfect -> perfect ()
   | Compatible_imperfect | Clustered_count -> (

@@ -755,12 +755,11 @@ let test_swap_policies () =
   Bitset.set src_map 3;
   (* compatible-imperfect: page 1 ({2}) or page 2 ({2,3}) are subsets of src *)
   (match Swap.swap_in pools ~policy:Swap.Compatible_imperfect ~src_map with
-  | Some o -> Alcotest.(check bool) "imperfect dest chosen" true (o.Swap.dest = 1 || o.Swap.dest = 2)
+  | Some dest -> Alcotest.(check bool) "imperfect dest chosen" true (dest = 1 || dest = 2)
   | None -> Alcotest.fail "no destination");
   (* to-perfect always takes a perfect page *)
   match Swap.swap_in pools ~policy:Swap.To_perfect ~src_map with
-  | Some o ->
-      check Alcotest.int "perfect dest" Pools.lines_per_page (Pools.usable_lines pools o.Swap.dest)
+  | Some dest -> check Alcotest.int "perfect dest" Pools.lines_per_page (Pools.usable_lines pools dest)
   | None -> Alcotest.fail "no perfect destination"
 
 let test_swap_clustered_count () =
