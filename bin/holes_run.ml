@@ -191,45 +191,10 @@ let run list_benches bench collector line_size rate dist model compensate arrayl
                 Printf.printf "full pause: %.3f ms mean, %.3f ms max\n" p
                   (Option.value ~default:0.0 (Holes.Metrics.max_full_pause_ms m))
             | None -> ());
-            if verbose then begin
-              Printf.printf "copied:     %.2f MB in %d evacuations\n"
-                (float_of_int m.Holes.Metrics.bytes_copied /. 1048576.0)
-                m.Holes.Metrics.objects_evacuated;
-              Printf.printf "holes:      %d skips, %d lines scanned\n" m.Holes.Metrics.hole_skips
-                m.Holes.Metrics.lines_scanned;
-              Printf.printf "overflow:   %d allocs, %d re-searches, %d perfect fallbacks\n"
-                m.Holes.Metrics.overflow_allocs m.Holes.Metrics.overflow_searches
-                m.Holes.Metrics.perfect_block_fallbacks;
-              Printf.printf "LOS:        %d objects, %d pages\n" m.Holes.Metrics.los_objects
-                m.Holes.Metrics.los_pages;
-              if m.Holes.Metrics.device_writes > 0 then begin
-                Printf.printf "device:     %d reads, %d writes, %d wear failures\n"
-                  m.Holes.Metrics.device_reads m.Holes.Metrics.device_writes
-                  m.Holes.Metrics.device_line_failures;
-                Printf.printf "fbuf:       peak occupancy %d, %d stalls\n"
-                  m.Holes.Metrics.fbuf_peak_occupancy m.Holes.Metrics.fbuf_stall_events;
-                Printf.printf "OS:         %d up-calls, %d page copies, %d data restores\n"
-                  m.Holes.Metrics.os_upcalls m.Holes.Metrics.os_page_copies
-                  m.Holes.Metrics.os_data_restores;
-                Printf.printf "VMM:        %d reverse translations, %d swap-ins\n"
-                  m.Holes.Metrics.reverse_translations m.Holes.Metrics.swap_ins;
-                if m.Holes.Metrics.wl_active then
-                  Printf.printf
-                    "leveling:   %d gap moves, %d remaps, %d copies, %d meta writes, wear \
-                     CoV %.3f\n"
-                    m.Holes.Metrics.wl_gap_moves m.Holes.Metrics.wl_remaps
-                    m.Holes.Metrics.wl_remap_copies m.Holes.Metrics.wl_meta_writes
-                    m.Holes.Metrics.wear_cov;
-                if m.Holes.Metrics.hybrid_active then
-                  Printf.printf
-                    "hybrid:     %d promotes, %d demotes, %d DRAM writes, %d resident; \
-                     caram %d dedup + %d compressed (%d meta)\n"
-                    m.Holes.Metrics.hyb_promotes m.Holes.Metrics.hyb_demotes
-                    m.Holes.Metrics.hyb_dram_writes m.Holes.Metrics.hyb_resident
-                    m.Holes.Metrics.hyb_dedup_hits m.Holes.Metrics.hyb_compressed
-                    m.Holes.Metrics.hyb_meta_writes
-              end
-            end;
+            if verbose then
+              List.iter
+                (fun (k, v) -> Printf.printf "%-27s %s\n" (k ^ ":") (Holes_obs.Json.float v))
+                (Holes.Metrics.to_fields m);
             if stats then begin
               let h = Holes_obs.Stats.summary_string in
               Printf.printf "pause hist (ns):         %s\n" (h m.Holes.Metrics.pause_hist);
@@ -351,7 +316,12 @@ let cmd =
                    interleaving with the mutator — and therefore the recorded pauses — \
                    differ.")
   in
-  let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print detailed metrics.") in
+  let verbose =
+    Arg.(value & flag
+         & info [ "verbose"; "v" ]
+             ~doc:"Print every counter and histogram summary of the run, named and \
+                   valued as the --out JSONL record writes them.")
+  in
   let doc = "run one DaCapo-style workload on the failure-aware runtime" in
   Cmd.v
     (Cmd.info "holes-run" ~doc)

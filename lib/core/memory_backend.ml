@@ -334,7 +334,6 @@ let sync_node (node : node) (m : Metrics.t) : unit =
   (match s.Pcm.Device.caram with
   | None -> ()
   | Some cs ->
-      m.Metrics.hybrid_active <- true;
       m.Metrics.hyb_dedup_hits <- cs.Pcm.Caram.s_dedup_hits;
       m.Metrics.hyb_compressed <- cs.Pcm.Caram.s_compressed;
       m.Metrics.hyb_meta_writes <- cs.Pcm.Caram.s_meta_writes);
@@ -342,7 +341,6 @@ let sync_node (node : node) (m : Metrics.t) : unit =
   | None -> ()
   | Some tier ->
       let ts = Osal.Tier.stats tier in
-      m.Metrics.hybrid_active <- true;
       m.Metrics.hyb_promotes <- ts.Osal.Tier.s_promotes;
       m.Metrics.hyb_demotes <- ts.Osal.Tier.s_demotes;
       m.Metrics.hyb_dram_writes <- ts.Osal.Tier.s_dram_writes;
@@ -350,7 +348,6 @@ let sync_node (node : node) (m : Metrics.t) : unit =
   match s.Pcm.Device.wl with
   | None -> ()
   | Some wl ->
-      m.Metrics.wl_active <- true;
       m.Metrics.wl_gap_moves <- wl.Pcm.Device.gap_moves;
       m.Metrics.wl_remaps <- wl.Pcm.Device.remaps;
       m.Metrics.wl_remap_copies <- wl.Pcm.Device.copies;

@@ -35,29 +35,20 @@ type t = {
   mutable reverse_translations : int;
   mutable swap_ins : int;
   (* the device's wear leveler: overhead counters, synced from the
-     device.  Serialized only when a leveler is installed ([wl_active])
-     so unleveled records keep the schema they had before leveling
-     existed. *)
-  mutable wl_active : bool;  (** a wear leveler is installed on the device *)
+     device (all zero without a leveler) *)
   mutable wl_gap_moves : int;  (** start-gap movements *)
   mutable wl_remaps : int;  (** pair swaps (random remap / decoder swap) *)
   mutable wl_remap_copies : int;  (** overhead line copies charged to the device *)
   mutable wl_meta_writes : int;  (** leveling map / decoder reprogram writes *)
   mutable wear_cov : float;
       (** coefficient of variation of per-line wear across the module
-          (synced on the device backend whether or not leveling is on;
-          serialized only when it is) *)
-  (* incremental collection (Config.gc_slice > 0): slice counter,
-     serialized only when the mode was ever on ([inc_active], set by
-     Vm.create and Vm.set_gc_slice) so stop-the-world records stay
-     byte-identical to the existing schema *)
-  mutable inc_active : bool;  (** incremental collection was enabled at some point *)
-  mutable gc_increments : int;  (** collection slices executed (snapshot/mark/sweep/defrag) *)
+          (synced on the device backend whether or not leveling is on) *)
+  mutable gc_increments : int;
+      (** incremental collection slices executed (snapshot/mark/sweep/defrag;
+          zero when stop-the-world) *)
   (* hybrid DRAM/PCM tiering (Config.hybrid, DESIGN.md §17): absorption
-     counters, synced from the tier and the device's content store.
-     Serialized only when a tiering mechanism was ever on
-     ([hybrid_active]) so untiered records stay byte-identical. *)
-  mutable hybrid_active : bool;  (** a tiering mechanism was enabled at some point *)
+     counters, synced from the tier and the device's content store (all
+     zero when untiered) *)
   mutable hyb_promotes : int;  (** PCM pages promoted into DRAM frames *)
   mutable hyb_demotes : int;  (** promoted pages demoted back to their PCM home *)
   mutable hyb_dram_writes : int;  (** charged line writes absorbed by promoted frames *)
@@ -114,15 +105,12 @@ let create () : t =
     os_data_restores = 0;
     reverse_translations = 0;
     swap_ins = 0;
-    wl_active = false;
     wl_gap_moves = 0;
     wl_remaps = 0;
     wl_remap_copies = 0;
     wl_meta_writes = 0;
     wear_cov = 0.0;
-    inc_active = false;
     gc_increments = 0;
-    hybrid_active = false;
     hyb_promotes = 0;
     hyb_demotes = 0;
     hyb_dram_writes = 0;
@@ -179,7 +167,7 @@ let to_fields (t : t) : (string * float) list =
     ("arraylet_pieces", f t.arraylet_pieces);
     ("dynamic_failures", f t.dynamic_failures);
     ("peak_live_bytes", f t.peak_live_bytes);
-    ("out_of_memory", if t.out_of_memory then 1.0 else 0.0);
+    ("out_of_memory", f (Bool.to_int t.out_of_memory));
     ("oom_request", f t.oom_request);
     ("device_reads", f t.device_reads);
     ("device_writes", f t.device_writes);
@@ -191,28 +179,20 @@ let to_fields (t : t) : (string * float) list =
     ("os_data_restores", f t.os_data_restores);
     ("reverse_translations", f t.reverse_translations);
     ("swap_ins", f t.swap_ins);
+    ("wl_gap_moves", f t.wl_gap_moves);
+    ("wl_remaps", f t.wl_remaps);
+    ("wl_remap_copies", f t.wl_remap_copies);
+    ("wl_meta_writes", f t.wl_meta_writes);
+    ("wear_cov", t.wear_cov);
+    ("gc_increments", f t.gc_increments);
+    ("hyb_promotes", f t.hyb_promotes);
+    ("hyb_demotes", f t.hyb_demotes);
+    ("hyb_dram_writes", f t.hyb_dram_writes);
+    ("hyb_resident", f t.hyb_resident);
+    ("hyb_dedup_hits", f t.hyb_dedup_hits);
+    ("hyb_compressed", f t.hyb_compressed);
+    ("hyb_meta_writes", f t.hyb_meta_writes);
   ]
-  @ (if not t.wl_active then []
-     else
-       [
-         ("wl_gap_moves", f t.wl_gap_moves);
-         ("wl_remaps", f t.wl_remaps);
-         ("wl_remap_copies", f t.wl_remap_copies);
-         ("wl_meta_writes", f t.wl_meta_writes);
-         ("wear_cov", t.wear_cov);
-       ])
-  @ (if not t.inc_active then [] else [ ("gc_increments", f t.gc_increments) ])
-  @ (if not t.hybrid_active then []
-     else
-       [
-         ("hyb_promotes", f t.hyb_promotes);
-         ("hyb_demotes", f t.hyb_demotes);
-         ("hyb_dram_writes", f t.hyb_dram_writes);
-         ("hyb_resident", f t.hyb_resident);
-         ("hyb_dedup_hits", f t.hyb_dedup_hits);
-         ("hyb_compressed", f t.hyb_compressed);
-         ("hyb_meta_writes", f t.hyb_meta_writes);
-       ])
   @ Holes_obs.Stats.to_fields ~prefix:"pause_ns" t.pause_hist
   @ Holes_obs.Stats.to_fields ~prefix:"nursery_pause_ns" t.nursery_pause_hist
   @ Holes_obs.Stats.to_fields ~prefix:"hole_search_lines" t.hole_search_hist

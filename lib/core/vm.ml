@@ -291,7 +291,6 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
      are deterministic and independent of host speed or -j parallelism *)
   Trace.set_clock tracer (fun () -> Cost.total_ns cost);
   let metrics = Metrics.create () in
-  metrics.Metrics.inc_active <- cfg.Config.gc_slice > 0;
   let backend, stock, injector =
     match cfg.Config.backend with
     | Config.Static ->
@@ -519,7 +518,6 @@ let set_hybrid (t : t) (p : Holes_pcm.Hybrid.policy) : unit =
     next sees is a completed-collection state — the torture driver
     flips this both ways under load. *)
 let set_gc_slice (t : t) (budget : int) : unit =
-  if budget > 0 then t.metrics.Metrics.inc_active <- true;
   match t.space with
   | Ix s -> Immix.set_gc_slice s budget
   | Ms s -> Mark_sweep.set_gc_slice s budget

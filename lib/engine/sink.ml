@@ -4,9 +4,10 @@
     Workers call [record] concurrently as trials finish; a mutex orders
     the writes so every record lands on its own line.  Record order is
     completion order (scheduling-dependent); consumers that need the
-    deterministic order sort by (config, profile, seed_index).  The JSON
-    is emitted by hand — records are flat and the repo takes no JSON
-    dependency. *)
+    deterministic order sort by (config, profile, seed_index).  Records
+    are flat, encoded with {!Holes_obs.Json}. *)
+
+module Json = Holes_obs.Json
 
 type t = {
   mutex : Mutex.t;
@@ -40,31 +41,6 @@ let completed (t : t) : int =
   Mutex.unlock t.mutex;
   c
 
-(* ---- hand-rolled JSON ------------------------------------------------ *)
-
-let escape (s : string) : string =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* JSON has no NaN/inf literals; map them to null. *)
-let json_float (f : float) : string =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
-
-(* ---------------------------------------------------------------------- *)
-
 let render_progress (t : t) : unit =
   (* caller holds the mutex *)
   if t.progress then
@@ -85,12 +61,12 @@ let record (t : t) ~(config : string) ~(profile : string) ~(seed : int) ~(seed_i
       Buffer.add_string b
         (Printf.sprintf
            "{\"config\":\"%s\",\"profile\":\"%s\",\"seed\":%d,\"seed_index\":%d,\"worker\":%d,\"duration_s\":%s,\"outcome\":\"%s\",\"metrics\":{"
-           (escape config) (escape profile) seed seed_index worker (json_float duration_s)
-           (escape outcome));
+           (Json.escape config) (Json.escape profile) seed seed_index worker
+           (Json.float duration_s) (Json.escape outcome));
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "\"%s\":%s" (escape k) (json_float v)))
+          Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Json.escape k) (Json.float v)))
         metrics;
       Buffer.add_string b "}}\n";
       Buffer.output_buffer oc b;

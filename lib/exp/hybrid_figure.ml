@@ -82,19 +82,12 @@ let table ?(params = Runner.quick) () : Holes_stdx.Table.t =
          must match between quick and full runs *)
       ~scale:0.125 ~max_rounds
       ~fields:(fun (o : Wear_policies.outcome) ->
-        let m = o.Wear_policies.m in
         [
+          ("dram_pages", float_of_int o.Wear_policies.dram_pages);
           ("rounds", float_of_int o.Wear_policies.rounds);
           ("round_ms", o.Wear_policies.elapsed_ms);
           ("dead_lines", float_of_int o.Wear_policies.dead_lines);
-          ("device_writes", float_of_int m.Holes.Metrics.device_writes);
-          ("device_line_failures", float_of_int m.Holes.Metrics.device_line_failures);
-          ("hyb_promotes", float_of_int m.Holes.Metrics.hyb_promotes);
-          ("hyb_demotes", float_of_int m.Holes.Metrics.hyb_demotes);
-          ("hyb_dram_writes", float_of_int m.Holes.Metrics.hyb_dram_writes);
-          ("hyb_dedup_hits", float_of_int m.Holes.Metrics.hyb_dedup_hits);
-          ("hyb_compressed", float_of_int m.Holes.Metrics.hyb_compressed);
-          ("hyb_absorption", absorption m);
+          ("hyb_absorption", absorption o.Wear_policies.m);
         ])
       (List.concat_map
          (fun (_, hybrid) -> List.map (fun dram_pages -> cell_cfg ~hybrid ~dram_pages) dram_levels)

@@ -62,11 +62,24 @@ type outcome = {
   pause_hist : Ostats.hist;  (** full-GC pauses (ns) pooled over completed trials *)
 }
 
-(* memo table: one entry per (config, profile, params), shared across
-   figures.  Guarded by [cache_mutex]: prefetch folds can land from the
-   orchestrating domain while another grid is in flight, and a bare
-   concurrent Hashtbl.replace from two domains is a silent race. *)
-let cache : (string, outcome) Hashtbl.t = Hashtbl.create 256
+(* memo table: one entry per cell — the config as its trials run it
+   ([verified]), the profile, the scale and the seed count — compared
+   structurally and shared across figures.  [Config.name] cannot key it:
+   it names result rows, and omits or rounds axes such as heap_factor,
+   the failure rate's decimals and the device's wear parameters.  The
+   hash reaches every config and profile field, so cells that differ only
+   in a late field such as heap_factor do not share a bucket.  Guarded by
+   [cache_mutex]: prefetch folds can land from the orchestrating domain
+   while another grid is in flight, and a bare concurrent replace from
+   two domains is a silent race. *)
+module Cells = Hashtbl.Make (struct
+  type t = Holes.Config.t * Holes_workload.Profile.t * float * int
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+let cache : outcome Cells.t = Cells.create 256
 let cache_mutex = Mutex.create ()
 
 let with_cache (f : unit -> 'a) : 'a =
@@ -74,7 +87,7 @@ let with_cache (f : unit -> 'a) : 'a =
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
 
 (** Drop every memoized outcome (tests; speedup measurement reruns). *)
-let clear_cache () : unit = with_cache (fun () -> Hashtbl.reset cache)
+let clear_cache () : unit = with_cache (fun () -> Cells.reset cache)
 
 (** [cfg] as a trial under [p] runs it.  [p.verify] changes no
     serialized result, only the non-serialized verify counters and
@@ -82,36 +95,8 @@ let clear_cache () : unit = with_cache (fun () -> Hashtbl.reset cache)
 let verified (p : params) (cfg : Holes.Config.t) : Holes.Config.t =
   { cfg with Holes.Config.verify = cfg.Holes.Config.verify || p.verify }
 
-(* [Config.name] is lossy by design (it names result rows, not points of
-   the configuration space), so the key spells out every axis the name
-   omits — [defrag_occupancy] and the full device/arrival parameter set.
-   Before this audit two configs differing only in, say, clustering or
-   buffer capacity would alias one memo entry; fleet cells additionally
-   encode their arrival/pool parameters in the profile name, so they can
-   never alias a non-fleet cell. *)
-let device_key (cfg : Holes.Config.t) : string =
-  match cfg.Holes.Config.backend with
-  | Holes.Config.Static -> "static"
-  | Holes.Config.Device d ->
-      (* the -hyb name tag carries epoch/ways already, but the key spells
-         the policy out anyway: a hybrid cell must never be served from
-         an untiered memo entry, whatever the name derivation does *)
-      Printf.sprintf "dev:e%g:s%g:c%s:b%d:dr%d:wa%b:hy%s"
-        d.Holes.Config.wear.Holes_pcm.Wear.mean_endurance
-        d.Holes.Config.wear.Holes_pcm.Wear.sigma
-        (match d.Holes.Config.clustering with None -> "-" | Some n -> string_of_int n)
-        d.Holes.Config.buffer_capacity d.Holes.Config.dram_pages d.Holes.Config.wear_aware_pools
-        (Holes_pcm.Hybrid.to_cli cfg.Holes.Config.hybrid)
-
-let cache_key (cfg : Holes.Config.t) (profile : Holes_workload.Profile.t) (p : params) : string =
-  (* [verify] changes no serialized result, but the verify_passes means
-     must not be served from a verifier-off memo entry (or vice versa) *)
-  Printf.sprintf "%s|h%.3f|d%b|o%.3f|n%b|v%b|%s|%s|s%.4f|n%d|seed%d" (Holes.Config.name cfg)
-    cfg.Holes.Config.heap_factor cfg.Holes.Config.defrag cfg.Holes.Config.defrag_occupancy
-    cfg.Holes.Config.nursery_copy
-    (cfg.Holes.Config.verify || p.verify)
-    (device_key cfg) profile.Holes_workload.Profile.name p.scale p.seeds
-    cfg.Holes.Config.seed
+let cell (p : params) (cfg : Holes.Config.t) (profile : Holes_workload.Profile.t) : Cells.key =
+  (verified p cfg, profile, p.scale, p.seeds)
 
 type raw_trial = {
   r_completed : bool;
@@ -220,7 +205,7 @@ let run_specs_into_cache ~(params : params)
         |> List.filter_map Fun.id
       in
       let o = outcome_of_trials ~cfg ~profile ~trials:params.seeds raw in
-      with_cache (fun () -> Hashtbl.replace cache (cache_key cfg profile params) o))
+      with_cache (fun () -> Cells.replace cache (cell params cfg profile) o))
     pairs
 
 (** Populate the memo cache for a whole grid in one engine run: every
@@ -229,15 +214,15 @@ let run_specs_into_cache ~(params : params)
     [-j] parallelism spans the grid, not one seed group. *)
 let prefetch ?(params = quick) ~(cfgs : Holes.Config.t list)
     ~(profiles : Holes_workload.Profile.t list) () : unit =
-  let seen = Hashtbl.create 64 in
+  let seen = Cells.create 64 in
   let pending =
     List.concat_map (fun cfg -> List.map (fun p -> (cfg, p)) profiles) cfgs
     |> List.filter (fun (cfg, p) ->
-           let key = cache_key cfg p params in
-           (not (Hashtbl.mem seen key))
+           let key = cell params cfg p in
+           (not (Cells.mem seen key))
            && begin
-                Hashtbl.add seen key ();
-                not (with_cache (fun () -> Hashtbl.mem cache key))
+                Cells.add seen key ();
+                not (with_cache (fun () -> Cells.mem cache key))
               end)
   in
   if pending <> [] then run_specs_into_cache ~params ~pairs:pending
@@ -245,13 +230,13 @@ let prefetch ?(params = quick) ~(cfgs : Holes.Config.t list)
 (** Run (or fetch from cache) all trials of [cfg] × [profile]. *)
 let run ?(params = quick) ~(cfg : Holes.Config.t) ~(profile : Holes_workload.Profile.t) () :
     outcome =
-  let key = cache_key cfg profile params in
-  match with_cache (fun () -> Hashtbl.find_opt cache key) with
+  let key = cell params cfg profile in
+  match with_cache (fun () -> Cells.find_opt cache key) with
   | Some o -> o
   | None ->
       run_specs_into_cache ~params ~pairs:[ (cfg, profile) ];
       with_cache (fun () ->
-          match Hashtbl.find_opt cache key with Some o -> o | None -> assert false)
+          match Cells.find_opt cache key with Some o -> o | None -> assert false)
 
 (** Mean time of a completed outcome, or None if any trial failed (a DNF
     point, dropped from aggregate curves as in the paper). *)

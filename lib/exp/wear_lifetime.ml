@@ -40,13 +40,7 @@ let table ?(params = Runner.quick) () : Table.t =
   let cells =
     Wear_policies.run_cells ~params ~scale:(params.Runner.scale /. 2.0) ~max_rounds
       ~fields:(fun (o : Wear_policies.outcome) ->
-        let m = o.Wear_policies.m in
-        [
-          ("rounds", float_of_int o.Wear_policies.rounds);
-          ("device_writes", float_of_int m.Holes.Metrics.device_writes);
-          ("device_line_failures", float_of_int m.Holes.Metrics.device_line_failures);
-          ("os_upcalls", float_of_int m.Holes.Metrics.os_upcalls);
-        ])
+        [ ("rounds", float_of_int o.Wear_policies.rounds) ])
       (List.map (fun endurance -> device_cfg ~endurance) endurances)
   in
   List.iteri

@@ -83,8 +83,11 @@ exception Worn_out
     dead logical lines — how many, and in how many contiguous runs.
     [dead_lines /. dead_runs] is the mean dead-run length, the
     fragmentation signal: clustered deaths retire whole blocks, while
-    scattered deaths perforate every block. *)
+    scattered deaths perforate every block.  [dram_pages] is the cell's
+    DRAM frame count (0 on the static backend), which its config name
+    does not carry. *)
 type outcome = {
+  dram_pages : int;
   rounds : int;
   elapsed_ms : float;
   dead_lines : int;
@@ -134,6 +137,7 @@ let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : 
         prev := dead
       done);
   {
+    dram_pages = (match cfg.Cfg.backend with Cfg.Device d -> d.Cfg.dram_pages | Cfg.Static -> 0);
     rounds = !rounds;
     elapsed_ms = !elapsed;
     dead_lines = !dead_lines;
@@ -143,7 +147,8 @@ let lifetime_run ~(cfg : Cfg.t) ~(profile : Holes_workload.Profile.t) ~(scale : 
 
 (** Run one pmd cell per config of [cfgs] through {!lifetime_run} at
     [scale] for at most [max_rounds] rounds, on [params.jobs] workers,
-    streaming each to [params.sink] with [fields] as its metrics.
+    streaming each to [params.sink] with the table's own [fields]
+    followed by the cell's {!Holes.Metrics.to_fields} as its metrics.
     Returns, in [cfgs] order, each cell's outcome or the text of the
     exception it raised.  A cell is a pure function of its config (the
     round RNG derives from [cfg.seed]), so the results are bit-identical
@@ -159,7 +164,8 @@ let run_cells ~(params : Runner.params) ~(scale : float) ~(max_rounds : int)
     Array.of_list
       (List.map (fun cfg -> { Holes_engine.Job.cfg; profile; scale; seed_index = 0 }) cfgs)
   in
-  Holes_engine.Engine.run ~jobs:params.Runner.jobs ?sink:params.Runner.sink ~metrics:fields
+  Holes_engine.Engine.run ~jobs:params.Runner.jobs ?sink:params.Runner.sink
+    ~metrics:(fun o -> fields o @ Holes.Metrics.to_fields o.m)
     ~f:(fun spec ~seed:_ ->
       lifetime_run ~cfg:(Runner.verified params spec.Holes_engine.Job.cfg) ~profile ~scale
         ~max_rounds)
@@ -196,17 +202,11 @@ let table ?(params = Runner.quick) () : Table.t =
          full only extends the round cap to end-of-life *)
       ~scale:0.125 ~max_rounds
       ~fields:(fun (o : outcome) ->
-        let m = o.m in
         [
           ("rounds", float_of_int o.rounds);
           ("round_ms", o.elapsed_ms);
           ("dead_lines", float_of_int o.dead_lines);
           ("dead_runs", float_of_int o.dead_runs);
-          ("device_writes", float_of_int m.Holes.Metrics.device_writes);
-          ("device_line_failures", float_of_int m.Holes.Metrics.device_line_failures);
-          ("wear_cov", m.Holes.Metrics.wear_cov);
-          ("wl_gap_moves", float_of_int m.Holes.Metrics.wl_gap_moves);
-          ("wl_remaps", float_of_int m.Holes.Metrics.wl_remaps);
         ])
       (List.concat_map
          (fun (_, policy) -> List.map (fun (_, model) -> cell_cfg ~model ~policy) models)

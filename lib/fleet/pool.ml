@@ -45,7 +45,6 @@ type t = {
       (** GC pauses (full + nursery, ns) of tenants already evicted —
           their VMs are detached, so the histograms are harvested here
           before the metrics go away *)
-  mutable inc_active : bool;  (** any tenant ran with a GC increment budget *)
 }
 
 let place (t : t) : Holes.Vm.t option =
@@ -88,7 +87,6 @@ let create ?(tracer = Trace.null) ~(cfg : Holes.Config.t) ~(tenant : Tenant.para
       storm_stamp = 0;
       evictions = 0;
       gc_pause = Holes_obs.Stats.hist ();
-      inc_active = false;
     }
   in
   let slots =
@@ -105,24 +103,22 @@ let node (t : t) : Holes.Memory_backend.node = t.node
 let tenant (t : t) (i : int) : Tenant.t = t.slots.(i).tenant
 let vm (t : t) (i : int) : Holes.Vm.t option = t.slots.(i).vm
 
+(* Fold one VM's pause histograms into [h].  Called at eviction and
+   again for the survivors at harvest time. *)
+let absorb_pauses (h : Holes_obs.Stats.hist) (vm : Holes.Vm.t) : unit =
+  let m = Holes.Vm.metrics vm in
+  Holes_obs.Stats.merge h m.Holes.Metrics.pause_hist;
+  Holes_obs.Stats.merge h m.Holes.Metrics.nursery_pause_hist
+
 (** Evict slot [i]: detach its VM from the node and try to place a
     replacement.  The slot goes permanently dead when its replacement
     budget is spent or the node cannot back another heap. *)
-(* Fold one VM's pause histograms (and its incremental flag) into the
-   pool accumulator.  Called at eviction and again for the survivors at
-   harvest time. *)
-let absorb_pauses (t : t) (vm : Holes.Vm.t) : unit =
-  let m = Holes.Vm.metrics vm in
-  Holes_obs.Stats.merge t.gc_pause m.Holes.Metrics.pause_hist;
-  Holes_obs.Stats.merge t.gc_pause m.Holes.Metrics.nursery_pause_hist;
-  if m.Holes.Metrics.inc_active then t.inc_active <- true
-
 let evict (t : t) (i : int) : unit =
   let s = t.slots.(i) in
   match s.vm with
   | None -> ()
   | Some vm ->
-      absorb_pauses t vm;
+      absorb_pauses t.gc_pause vm;
       (match Holes.Vm.device_state vm with
       | Some st -> Holes.Memory_backend.detach st
       | None -> ());
@@ -199,25 +195,6 @@ let storm (t : t) ~(writes : int) : unit =
     calling this mid-run is safe. *)
 let gc_pause_hist (t : t) : Holes_obs.Stats.hist =
   let h = Holes_obs.Stats.copy t.gc_pause in
-  Array.iter
-    (fun s ->
-      match s.vm with
-      | Some vm ->
-          let m = Holes.Vm.metrics vm in
-          Holes_obs.Stats.merge h m.Holes.Metrics.pause_hist;
-          Holes_obs.Stats.merge h m.Holes.Metrics.nursery_pause_hist
-      | None -> ())
-    t.slots;
+  Array.iter (fun s -> Option.iter (absorb_pauses h) s.vm) t.slots;
   h
 
-(** Whether any tenant (evicted or resident) ran with a GC increment
-    budget — gates the pause fields in the fleet JSONL so stop-the-world
-    runs keep their historical record shape. *)
-let inc_active (t : t) : bool =
-  t.inc_active
-  || Array.exists
-       (fun s ->
-         match s.vm with
-         | Some vm -> (Holes.Vm.metrics vm).Holes.Metrics.inc_active
-         | None -> false)
-       t.slots

@@ -29,11 +29,7 @@ type partial = {
   mutable dead_tenants : int;  (** slots with no replacement left *)
   mutable end_ns : int;  (** virtual time when the device's queue drained *)
   node : Metrics.t;
-      (** the node's counters at run end ({!Holes.Memory_backend.sync_node}).
-          Its [inc_active] (any tenant ran with a GC increment budget)
-          and [hybrid_active] (the node runs a tiering mechanism) gate
-          the pause and hyb_* fields, so stop-the-world and untiered
-          records keep their historical shape. *)
+      (** the node's counters at run end ({!Holes.Memory_backend.sync_node}) *)
 }
 
 let partial ~(epochs : int) : partial =
@@ -58,7 +54,7 @@ let ns_to_ms (ns : float) : float = ns /. 1e6
 let quantiles_ms (h : Stats.hist) : float * float * float =
   (ns_to_ms (Stats.quantile h 0.50), ns_to_ms (Stats.quantile h 0.99), ns_to_ms (Stats.quantile h 0.999))
 
-(* The gated GC-pause fields of a shard record and of the merged report. *)
+(* The GC-pause fields of a shard record and of the merged report. *)
 let pause_fields (h : Stats.hist) : (string * float) list =
   [
     ("gc_pause_p99_ms", ns_to_ms (Stats.quantile ~interp:true h 0.99));
@@ -99,16 +95,14 @@ let partial_fields (p : partial) : (string * float) list =
     ("dead_tenants", float_of_int p.dead_tenants);
     ("end_ms", ns_to_ms (float_of_int p.end_ns));
   ]
-  @ (if not n.Metrics.inc_active then [] else pause_fields p.gc_pause)
-  @ (if not n.Metrics.hybrid_active then []
-     else
-       [
-         ("hyb_promotes", float_of_int n.Metrics.hyb_promotes);
-         ("hyb_demotes", float_of_int n.Metrics.hyb_demotes);
-         ("hyb_dram_writes", float_of_int n.Metrics.hyb_dram_writes);
-         ("hyb_dedup_hits", float_of_int n.Metrics.hyb_dedup_hits);
-         ("hyb_compressed", float_of_int n.Metrics.hyb_compressed);
-       ])
+  @ pause_fields p.gc_pause
+  @ [
+      ("hyb_promotes", float_of_int n.Metrics.hyb_promotes);
+      ("hyb_demotes", float_of_int n.Metrics.hyb_demotes);
+      ("hyb_dram_writes", float_of_int n.Metrics.hyb_dram_writes);
+      ("hyb_dedup_hits", float_of_int n.Metrics.hyb_dedup_hits);
+      ("hyb_compressed", float_of_int n.Metrics.hyb_compressed);
+    ]
   @ per_epoch
 
 type t = {
@@ -137,8 +131,6 @@ type t = {
   gc_pause : Stats.hist;  (** individual GC pauses across the fleet, ns *)
   gc_pause_p99_ms : float;  (** interpolated p99 of [gc_pause] *)
   gc_pause_max_ms : float;  (** worst single mutator stall anywhere *)
-  inc_active : bool;  (** any tenant ran incrementally *)
-  hybrid_active : bool;  (** any device ran a tiering mechanism *)
   hyb_promotes : int;
   hyb_demotes : int;
   hyb_dram_writes : int;
@@ -208,8 +200,6 @@ let merge ~(duration_ms : float) ~(tenants : int) (parts : partial list) : t =
     gc_pause;
     gc_pause_p99_ms = ns_to_ms (Stats.quantile ~interp:true gc_pause 0.99);
     gc_pause_max_ms = ns_to_ms (Stats.max_value gc_pause);
-    inc_active = List.exists (fun (p : partial) -> p.node.Metrics.inc_active) parts;
-    hybrid_active = List.exists (fun (p : partial) -> p.node.Metrics.hybrid_active) parts;
     hyb_promotes = sum_node (fun m -> m.Metrics.hyb_promotes);
     hyb_demotes = sum_node (fun m -> m.Metrics.hyb_demotes);
     hyb_dram_writes;
@@ -243,17 +233,15 @@ let fields (t : t) : (string * float) list =
     ("device_failures", float_of_int t.device_failures);
     ("gc_ms", t.gc_ms);
   ]
-  @ (if not t.inc_active then [] else pause_fields t.gc_pause)
-  @ (if not t.hybrid_active then []
-     else
-       [
-         ("hyb_promotes", float_of_int t.hyb_promotes);
-         ("hyb_demotes", float_of_int t.hyb_demotes);
-         ("hyb_dram_writes", float_of_int t.hyb_dram_writes);
-         ("hyb_dedup_hits", float_of_int t.hyb_dedup_hits);
-         ("hyb_compressed", float_of_int t.hyb_compressed);
-         ("hyb_absorption", t.hyb_absorption);
-       ])
+  @ pause_fields t.gc_pause
+  @ [
+      ("hyb_promotes", float_of_int t.hyb_promotes);
+      ("hyb_demotes", float_of_int t.hyb_demotes);
+      ("hyb_dram_writes", float_of_int t.hyb_dram_writes);
+      ("hyb_dedup_hits", float_of_int t.hyb_dedup_hits);
+      ("hyb_compressed", float_of_int t.hyb_compressed);
+      ("hyb_absorption", t.hyb_absorption);
+    ]
   @ List.concat
       (List.mapi
          (fun i h -> [ (Printf.sprintf "epoch%d_p99_ms" i, ns_to_ms (Stats.quantile h 0.99)) ])
@@ -264,12 +252,11 @@ let pp (ppf : Format.formatter) (t : t) : unit =
     if Stats.count t.gc_pause > 0 then
       Format.fprintf ppf "@,gc pauses: %d recorded, p99 %.3f ms, max %.3f ms"
         (Stats.count t.gc_pause) t.gc_pause_p99_ms t.gc_pause_max_ms;
-    if t.hybrid_active then
-      Format.fprintf ppf
-        "@,hybrid: %d promotes, %d demotes; absorbed %d DRAM + %d dedup + %d compressed \
-         (%.1f%% of writes)"
-        t.hyb_promotes t.hyb_demotes t.hyb_dram_writes t.hyb_dedup_hits t.hyb_compressed
-        (100.0 *. t.hyb_absorption)
+    Format.fprintf ppf
+      "@,hybrid: %d promotes, %d demotes; absorbed %d DRAM + %d dedup + %d compressed \
+       (%.1f%% of writes)"
+      t.hyb_promotes t.hyb_demotes t.hyb_dram_writes t.hyb_dedup_hits t.hyb_compressed
+      (100.0 *. t.hyb_absorption)
   in
   Format.fprintf ppf
     "@[<v>fleet: %d tenants over %d devices, %.0f ms window@,\

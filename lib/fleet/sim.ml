@@ -230,7 +230,6 @@ let run_device (p : params) ~(device_index : int) ~(seed : int) ~(view : Trace.v
     loop ();
     Holes_obs.Stats.merge part.Report.gc_pause (Pool.gc_pause_hist pool);
     Holes.Memory_backend.sync_node (Pool.node pool) part.Report.node;
-    part.Report.node.Holes.Metrics.inc_active <- Pool.inc_active pool;
     part.Report.evictions <- Pool.evictions pool;
     part.Report.dead_tenants <- Pool.dead_tenants pool;
     part.Report.end_ns <- !now;

@@ -223,32 +223,12 @@ let events (t : t) : event list =
 
 (* ---- Chrome trace_event JSON ----------------------------------------- *)
 
-let escape (s : string) : string =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float (f : float) : string =
-  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
-
 let add_args (b : Buffer.t) (args : (string * float) list) : unit =
   Buffer.add_string b ",\"args\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (escape k) (json_float v)))
+      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Json.escape k) (Json.float v)))
     args;
   Buffer.add_char b '}'
 
@@ -257,7 +237,7 @@ let add_metadata (b : Buffer.t) ~(what : string) ~(pid : int) ~(tid : int) (name
     unit =
   Buffer.add_string b
     (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-       what pid tid (escape name))
+       what pid tid (Json.escape name))
 
 let render (t : t) : string =
   let evs = events t in
@@ -286,8 +266,8 @@ let render (t : t) : string =
       sep ();
       Buffer.add_string b
         (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"holes\",\"ph\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%s"
-           (escape e.name) (phase_string e.ph) e.pid e.tid
-           (json_float (e.ts /. 1000.0)));
+           (Json.escape e.name) (phase_string e.ph) e.pid e.tid
+           (Json.float (e.ts /. 1000.0)));
       if e.args <> [] || e.ph = Counter then add_args b e.args;
       Buffer.add_char b '}')
     evs;

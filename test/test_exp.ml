@@ -23,6 +23,29 @@ let test_runner_memoizes () =
   let o2 = R.run ~params:tiny ~cfg:Cfg.default ~profile:Holes_workload.Dacapo.luindex () in
   Alcotest.(check bool) "same cached outcome" true (o1 == o2)
 
+(* Cells that [Config.name] cannot tell apart (rates that print as the
+   same whole percent, heap factors that round alike, an ECP setting the
+   name omits) each run and memoize their own outcome. *)
+let test_runner_memo_keys_cell () =
+  let luindex = Holes_workload.Dacapo.luindex in
+  let static = { Cfg.default with Cfg.failure_rate = 0.10 } in
+  let device ecp_entries =
+    let d = Cfg.default_device in
+    let wear = { d.Cfg.wear with Holes_pcm.Wear.ecp_entries } in
+    { Cfg.default with Cfg.backend = Cfg.Device { d with Cfg.wear } }
+  in
+  List.iter
+    (fun (what, a, b) ->
+      check Alcotest.string (what ^ ": one name") (Cfg.name a) (Cfg.name b);
+      let oa = R.run ~params:tiny ~cfg:a ~profile:luindex () in
+      let ob = R.run ~params:tiny ~cfg:b ~profile:luindex () in
+      Alcotest.(check bool) (what ^ ": own outcomes") true (oa.R.cfg = a && ob.R.cfg = b))
+    [
+      ("failure rate", static, { static with Cfg.failure_rate = 0.104 });
+      ("heap factor", Cfg.default, { Cfg.default with Cfg.heap_factor = 2.0004 });
+      ("ECP entries", device 6, device 0);
+    ]
+
 let test_runner_seed_variation () =
   (* different seeds produce (at least slightly) different times *)
   let o = R.run ~params:{ tiny with R.seeds = 3 } ~cfg:Cfg.default
@@ -86,7 +109,7 @@ let test_verify_reaches_cells () =
         match
           W.run_cells ~params:{ R.quick with R.sink = Some sink; verify } ~scale:0.04
             ~max_rounds:2
-            ~fields:(fun o -> Holes.Metrics.to_fields o.W.m)
+            ~fields:(fun _ -> [])
             [ W.cell_cfg ~model:Cfg.From_dist ~policy:None ]
         with
         | [| Ok o |] -> float_of_int o.W.m.Holes.Metrics.verify_passes
@@ -105,6 +128,7 @@ let suite =
   [
     ("runner basic", `Quick, test_runner_basic);
     ("runner memoizes", `Quick, test_runner_memoizes);
+    ("runner memo keys the whole cell", `Quick, test_runner_memo_keys_cell);
     ("runner seed variation", `Quick, test_runner_seed_variation);
     ("geomean self-normalization", `Quick, test_geomean_normalized_baseline_is_one);
     ("wear map properties", `Quick, test_wear_map_properties);

@@ -173,19 +173,12 @@ let test_eviction_preserves_invariants () =
   done;
   if !checked = 0 then Alcotest.fail "no survivors left to verify"
 
-(* ---- incremental collection: gated pause reporting -------------------- *)
+(* ---- incremental collection: pause reporting -------------------------- *)
 
 let test_incremental_pause_report () =
-  (* stop-the-world: the pause fields stay out of the report, so the
-     committed sink golden keeps its record shape *)
-  let stw = Sim.run ~jobs:2 (aging_params ()) in
-  if stw.Report.inc_active then Alcotest.fail "STW fleet flagged as incremental";
-  if List.mem_assoc "gc_pause_max_ms" (Report.fields stw) then
-    Alcotest.fail "STW report leaked the gated pause fields";
-  (* incremental: the fields appear, pauses were recorded, and the worst
+  (* the pause fields are reported, pauses were recorded, and the worst
      stall respects the figure's pause-time SLO *)
   let r = Sim.run ~jobs:2 (aging_params ~gc_slice:256 ()) in
-  if not r.Report.inc_active then Alcotest.fail "incremental fleet not flagged";
   if not (List.mem_assoc "gc_pause_max_ms" (Report.fields r)) then
     Alcotest.fail "incremental report missing the pause fields";
   if Holes_obs.Stats.count r.Report.gc_pause = 0 then
@@ -193,6 +186,51 @@ let test_incremental_pause_report () =
   if r.Report.gc_pause_max_ms > Holes_exp.Fleet_figure.pause_slo_ms then
     Alcotest.failf "max GC pause %.3f ms exceeds the %.1f ms pause SLO"
       r.Report.gc_pause_max_ms Holes_exp.Fleet_figure.pause_slo_ms
+
+(* ---- one record shape ------------------------------------------------ *)
+
+(* A trial's metric record and a fleet's shard and report records each
+   have one key list, whatever the run turned on: a fresh [Metrics.t]
+   against a device VM with a leveler, the tier and a GC budget, and a
+   stop-the-world untiered fleet against an incremental tiered one. *)
+let test_one_record_shape () =
+  let keys fields = List.map fst fields in
+  let cfg =
+    {
+      (aging_params ()).Sim.cfg with
+      Holes.Config.wear_level = Some (Holes_pcm.Wear_level.Start_gap { psi = 64 });
+      hybrid = { Holes_pcm.Hybrid.migrate_epoch = Some 512; caram_ways = Some 8 };
+      gc_slice = 256;
+    }
+  in
+  let res =
+    Holes_workload.Generator.run_config ~cfg ~profile:Holes_workload.Dacapo.pmd ~scale:0.05 ()
+  in
+  let m = res.Holes_workload.Generator.metrics in
+  if m.Holes.Metrics.wl_gap_moves = 0 || m.Holes.Metrics.gc_increments = 0
+     || m.Holes.Metrics.hyb_promotes = 0
+  then Alcotest.fail "the device VM ran without its leveler, GC budget or tier";
+  check
+    Alcotest.(list string)
+    "Metrics.to_fields" (keys (Holes.Metrics.to_fields (Holes.Metrics.create ())))
+    (keys (Holes.Metrics.to_fields m));
+  let fleet p =
+    let p = { p with Sim.duration_ms = 100.0 } in
+    let part = Sim.run_device p ~device_index:0 ~seed:1 ~view:Holes_obs.Trace.null in
+    (part, Report.merge ~duration_ms:p.Sim.duration_ms ~tenants:p.Sim.tenants [ part ])
+  in
+  let stw_part, stw = fleet (aging_params ()) in
+  let inc_part, inc =
+    fleet
+      (aging_params ~gc_slice:256
+         ~hybrid:{ Holes_pcm.Hybrid.migrate_epoch = Some 512; caram_ways = Some 8 }
+         ())
+  in
+  check
+    Alcotest.(list string)
+    "Report.partial_fields" (keys (Report.partial_fields stw_part))
+    (keys (Report.partial_fields inc_part));
+  check Alcotest.(list string) "Report.fields" (keys (Report.fields stw)) (keys (Report.fields inc))
 
 (* ---- golden snapshot of the sink records ----------------------------- *)
 
@@ -211,8 +249,8 @@ let grid_lines ~(jobs : int) : string list =
                (aging_params
                   ~wear_level:(Some (Holes_pcm.Wear_level.Random_remap { psi = 64 }))
                   ()));
-          (* incremental and tiered: the only records carrying the gated
-             gc_pause_* and hyb_* fields *)
+          (* incremental and tiered: the only records whose gc_pause_*
+             and hyb_* fields are nonzero *)
           ignore
             (Sim.run ~jobs ~sink
                (aging_params ~gc_slice:256
@@ -236,5 +274,6 @@ let suite =
     ("report accounting is conserved", `Quick, test_report_accounting);
     ("eviction preserves verifier invariants", `Quick, test_eviction_preserves_invariants);
     ("incremental pause report is gated and SLO-bounded", `Quick, test_incremental_pause_report);
+    ("one record shape per trial and shard", `Quick, test_one_record_shape);
     ("fleet sink records match golden, -j independent", `Quick, test_golden);
   ]

@@ -109,7 +109,8 @@ let churn_policy (policy : Wl.policy) () =
 (* Run one pmd cell (scale 0.04) per config through
    [Wear_policies.run_cells] at [jobs] workers.  Returns the exact
    ([%h]) outcome strings in cell order, and the sorted sink records,
-   whose metrics are [fields] of each outcome. *)
+   whose metrics are [fields] of each outcome followed by its
+   [Metrics.to_fields]. *)
 let lifetime_runs ~(jobs : int) ~(max_rounds : int) ~(fields : W.outcome -> (string * float) list)
     (cfgs : Cfg.t list) : string list * string list =
   let cells, records =
@@ -141,11 +142,12 @@ let test_engine_determinism () =
   let runs ~jobs =
     lifetime_runs ~jobs ~max_rounds:6
       ~fields:(fun (o : W.outcome) ->
-        ("rounds", float_of_int o.W.rounds)
-        :: ("dead_lines", float_of_int o.W.dead_lines)
-        :: ("dead_runs", float_of_int o.W.dead_runs)
-        :: ("elapsed_ms", o.W.elapsed_ms)
-        :: Holes.Metrics.to_fields o.W.m)
+        [
+          ("rounds", float_of_int o.W.rounds);
+          ("dead_lines", float_of_int o.W.dead_lines);
+          ("dead_runs", float_of_int o.W.dead_runs);
+          ("elapsed_ms", o.W.elapsed_ms);
+        ])
       (List.map (fun (_, policy) -> W.cell_cfg ~model:Cfg.From_dist ~policy) W.policies)
   in
   let exact1, j1 = runs ~jobs:1 in

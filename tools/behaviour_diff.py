@@ -11,7 +11,8 @@ with the scheduling fields (worker, duration_s) dropped.  Within a
 sink, records are grouped by (config, profile, seed_index, seed) and
 compared as multisets, so a sink that emits several records per key
 still diffs exactly: a record with a counterpart on the other side is
-identical or changed, one without is missing.
+identical, extended (the head record keeps every base field and value
+and only adds metric keys) or changed, one without is missing.
 
 Every tables*.txt (saved figures-quick stdout) found in either
 directory is diffed line by line, so a table that reads the wrong cell
@@ -32,8 +33,8 @@ depth, is compared by its `digest` and its `virt_us_per_op`: both equal
 is identical, either different is changed, and a result on one side
 only is missing.
 
-Prints a markdown table of identical / changed / missing records per
-sink, of lines per tables file, of seeds per torture log and of
+Prints a markdown table of identical / extended / changed / missing
+records per sink, of lines per tables file, of seeds per torture log and of
 benchmark results, appending them to --summary when given (CI passes
 $GITHUB_STEP_SUMMARY); --changed writes every differing record, line,
 seed and benchmark result, tagged "base" or "head", as JSONL.  Always
@@ -74,20 +75,32 @@ def load(path):
     return groups
 
 
+def extends(b, h):
+    """Whether head record h keeps every field and value of base record b, metrics included."""
+    bm, hm = b.get("metrics", {}), h.get("metrics", {})
+    same_top = {k: v for k, v in b.items() if k != "metrics"} == {k: v for k, v in h.items() if k != "metrics"}
+    return same_top and all(k in hm and hm[k] == v for k, v in bm.items())
+
+
 def diff_sink(base, head):
-    """(identical, changed, missing, differing records as (side, record))"""
-    identical = changed = missing = 0
+    """(identical, extended, changed, missing, differing records as (side, record))"""
+    identical = extended = changed = missing = 0
     differing = []
     for key in sorted(set(base) | set(head), key=repr):
         b, h = base.get(key, collections.Counter()), head.get(key, collections.Counter())
         identical += sum((b & h).values())
-        only_b, only_h = b - h, h - b
-        nb, nh = sum(only_b.values()), sum(only_h.values())
-        changed += min(nb, nh)
-        missing += abs(nb - nh)
-        differing += [("base", json.loads(r)) for r in only_b.elements()]
-        differing += [("head", json.loads(r)) for r in only_h.elements()]
-    return identical, changed, missing, differing
+        only_b = [json.loads(r) for r in (b - h).elements()]
+        only_h = [json.loads(r) for r in (h - b).elements()]
+        for rec in list(only_b):
+            match = next((r for r in only_h if extends(rec, r)), None)
+            if match is not None:
+                only_b.remove(rec)
+                only_h.remove(match)
+                extended += 1
+        changed += min(len(only_b), len(only_h))
+        missing += abs(len(only_b) - len(only_h))
+        differing += [("base", r) for r in only_b] + [("head", r) for r in only_h]
+    return identical, extended, changed, missing, differing
 
 
 def tables_files(*dirs):
@@ -294,23 +307,27 @@ def main():
     ap.add_argument("--changed", help="write differing records to this JSONL file")
     args = ap.parse_args()
 
-    rows, differing, absent = [], [], False
+    rows, differing, absent, extended_total = [], [], False, 0
     names = sinks(args.base, args.head)
     if not names:
-        rows.append("| `results*.jsonl` | — | — | — | — | — | **absent on both** |")
+        rows.append("| `results*.jsonl` | — | — | — | — | — | — | **absent on both** |")
         absent = True
     for sink in names:
         base, head = load(os.path.join(args.base, sink)), load(os.path.join(args.head, sink))
         if base is None or head is None:
             side = "base" if base is None else "head"
-            rows.append(f"| `{sink}` | — | — | — | — | — | **absent on {side}** |")
+            rows.append(f"| `{sink}` | — | — | — | — | — | — | **absent on {side}** |")
             absent = True
             continue
-        identical, changed, missing, diff = diff_sink(base, head)
+        identical, extended, changed, missing, diff = diff_sink(base, head)
+        extended_total += extended
         count = lambda g: sum(sum(c.values()) for c in g.values())
-        verdict = "identical" if changed == 0 and missing == 0 else "**differs**"
+        if changed or missing:
+            verdict = "**differs**"
+        else:
+            verdict = "extended" if extended else "identical"
         rows.append(
-            f"| `{sink}` | {count(base)} | {count(head)} | {identical} | {changed} | {missing} | {verdict} |"
+            f"| `{sink}` | {count(base)} | {count(head)} | {identical} | {extended} | {changed} | {missing} | {verdict} |"
         )
         differing += [dict(sink=sink, side=side, record=rec) for side, rec in diff]
 
@@ -318,6 +335,8 @@ def main():
         outcome = "**incomplete**: a sink is absent (a new sink, or did a run fail?)"
     elif differing:
         outcome = f"**behaviour changed**: {len(differing)} differing records (see the behaviour-diff artifact)"
+    elif extended_total:
+        outcome = f"**extended**: {extended_total} records only add metric keys; every base field and value is unchanged"
     else:
         outcome = "**byte-identical**"
     table = [
@@ -325,8 +344,8 @@ def main():
         "",
         "Scheduling fields (`worker`, `duration_s`) ignored.",
         "",
-        "| sink | base | head | identical | changed | missing | verdict |",
-        "|---|---:|---:|---:|---:|---:|---|",
+        "| sink | base | head | identical | extended | changed | missing | verdict |",
+        "|---|---:|---:|---:|---:|---:|---:|---|",
         *rows,
         "",
         outcome,
