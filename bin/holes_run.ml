@@ -2,6 +2,7 @@
    configuration and print the full metrics.
 
      dune exec bin/holes_run.exe -- --bench pmd --rate 0.25 --dist 2cl
+     dune exec bin/holes_run.exe -- --bench pmd --rate 0.10 --dist storm:8:65536
      dune exec bin/holes_run.exe -- --list
      dune exec bin/holes_run.exe -- --bench xalan --collector ms --heap 3.0
 
@@ -53,7 +54,7 @@ let print_outcome (profile : Holes_workload.Profile.t) (cfg : Holes.Config.t) ~(
       o.Holes_exp.Runner.mean_verify_passes;
   if o.Holes_exp.Runner.completed = o.Holes_exp.Runner.trials then 0 else 2
 
-let run list_benches bench collector line_size rate dist model compensate arraylets backend
+let run list_benches bench collector line_size rate dist compensate arraylets backend
     endurance wear_level hybrid dram_pages heap scale seed trials jobs out trace stats verify
     gc_increment verbose =
   if list_benches then begin
@@ -87,15 +88,10 @@ let run list_benches bench collector line_size rate dist model compensate arrayl
           | g -> (
               match int_of_string_opt g with
               | Some lines when lines > 0 -> Holes.Config.Granule lines
-              | _ -> failwith (Printf.sprintf "unknown distribution %S (uniform|1cl|2cl|<granule-lines>)" g))
-        in
-        let failure_model =
-          match model with
-          | None -> Holes.Config.From_dist
-          | Some s -> (
-              match Holes_pcm.Failure_model.of_cli s with
-              | Ok spec -> Holes.Config.Model spec
-              | Error m -> failwith (Printf.sprintf "bad --model %S: %s" s m))
+              | _ -> (
+                  match Holes_pcm.Failure_model.of_cli dist with
+                  | Ok spec -> Holes.Config.Model spec
+                  | Error m -> failwith (Printf.sprintf "bad --dist %S: %s (or uniform|1cl|2cl|<lines>)" dist m)))
         in
         let backend =
           match String.lowercase_ascii backend with
@@ -135,7 +131,6 @@ let run list_benches bench collector line_size rate dist model compensate arrayl
             arraylets;
             backend;
             wear_level;
-            failure_model;
             verify;
             gc_slice = gc_increment;
             hybrid;
@@ -222,12 +217,9 @@ let cmd =
   in
   let dist =
     Arg.(value & opt string "uniform"
-         & info [ "dist"; "d" ] ~docv:"D" ~doc:"Failure distribution: uniform, 1cl, 2cl, or a granule size in 64B lines.")
-  in
-  let model =
-    Arg.(value & opt (some string) None
-         & info [ "model"; "m" ] ~docv:"M"
-             ~doc:"Adversarial failure model replacing --dist: corr:CLUSTER[:REGION] \
+         & info [ "dist"; "d" ] ~docv:"D"
+             ~doc:"Failure distribution: uniform, 1cl, 2cl, a granule size in 64B lines, or \
+                   an adversarial failure model: corr:CLUSTER[:REGION] \
                    (spatially-correlated map), var:COV[:lognormal|gauss] (endurance \
                    variation), storm:BURST:PERIOD (bursty dynamic failures every PERIOD \
                    allocated bytes), adv:PERIOD (worst-case placement at the bump cursor).")
@@ -326,7 +318,7 @@ let cmd =
   Cmd.v
     (Cmd.info "holes-run" ~doc)
     Term.(
-      const run $ list_f $ bench $ collector $ line_size $ rate $ dist $ model $ compensate
+      const run $ list_f $ bench $ collector $ line_size $ rate $ dist $ compensate
       $ arraylets $ backend $ endurance $ wear_level $ hybrid $ dram_pages $ heap $ scale
       $ seed $ trials $ jobs $ out $ trace $ stats $ verify $ gc_increment $ verbose)
 

@@ -3,8 +3,8 @@
     Mirrors the paper's configuration axes: collector algorithm (MS, IX
     and sticky variants — Fig. 3), Immix logical line size (64/128/256 B —
     Figs. 6/7), PCM failure rate and distribution (uniform, 2^N-clustered
-    limit study, or hardware 1-/2-page clustering — Figs. 4, 8, 9), and
-    heap compensation (Fig. 5). *)
+    limit study, hardware 1-/2-page clustering — Figs. 4, 8, 9 — or an
+    adversarial failure model), and heap compensation (Fig. 5). *)
 
 type collector = Mark_sweep | Immix | Sticky_ms | Sticky_immix
 
@@ -16,13 +16,11 @@ type failure_dist =
   | Hw_cluster of int
       (** proposed hardware: uniform failures moved to region ends, with
           the region size in pages (1 = 1CL, 2 = 2CL) *)
-
-(** Adversarial failure-model selection (DESIGN.md §10).  [From_dist]
-    keeps the paper's generators selected by [failure_dist]; [Model]
-    switches to one of the {!Holes_pcm.Failure_model} adversaries
-    (spatial correlation, endurance variation, failure storms, worst-case
-    placement). *)
-type failure_model = From_dist | Model of Holes_pcm.Failure_model.spec
+  | Model of Holes_pcm.Failure_model.spec
+      (** one of the {!Holes_pcm.Failure_model} adversaries (DESIGN.md
+          §10): spatial correlation, endurance variation, failure
+          storms or worst-case placement; a dynamic one keeps injecting
+          failures while the mutator runs *)
 
 (** Parameters of the simulated PCM module behind the device backend. *)
 type device_params = {
@@ -31,7 +29,6 @@ type device_params = {
       (** hardware failure-clustering region size in pages; [None] takes
           it from [failure_dist] ([Hw_cluster] enables it, anything else
           runs unclustered) *)
-  buffer_capacity : int;  (** failure-buffer slots (Sec. 3.1.1) *)
   dram_pages : int;  (** DRAM frames in front of the PCM namespace *)
   wear_aware_pools : bool;
       (** OS page-allocator leveling: the free perfect pool hands out the
@@ -55,7 +52,6 @@ let default_device : device_params =
   {
     wear = Holes_pcm.Wear.fast_params;
     clustering = None;
-    buffer_capacity = 32;
     dram_pages = 16;
     wear_aware_pools = false;
   }
@@ -68,7 +64,6 @@ type t = {
   compensate : bool;  (** grow the heap to h/(1-f) to hold usable memory constant *)
   heap_factor : float;  (** heap size as a multiple of the workload's minimum *)
   defrag : bool;  (** evacuate sparse blocks during full collections *)
-  defrag_occupancy : float;  (** evacuation candidate threshold (live fraction) *)
   nursery_copy : bool;  (** sticky: opportunistically copy nursery survivors *)
   arraylets : bool;
       (** allocate large arrays as discontiguous arraylets (Z-rays,
@@ -80,9 +75,6 @@ type t = {
       (** the device's wear leveler, above its clustering maps ([None]
           = no leveler; see {!Holes_pcm.Wear_level}).  Parsed/printed by
           [Holes_pcm.Wear_level.of_cli]/[to_cli] *)
-  failure_model : failure_model;
-      (** which adversary generates (and, for dynamic models, keeps
-          injecting) line failures *)
   verify : bool;
       (** run the paranoid heap verifier ([Verify]) after every GC phase;
           expensive, and guaranteed not to change results — only the
@@ -115,12 +107,10 @@ let default : t =
     compensate = true;
     heap_factor = 2.0;
     defrag = true;
-    defrag_occupancy = 0.30;
     nursery_copy = true;
     arraylets = false;
     backend = Static;
     wear_level = None;
-    failure_model = From_dist;
     verify = false;
     gc_slice = 0;
     hybrid = Holes_pcm.Hybrid.none;
@@ -139,6 +129,7 @@ let dist_name (d : failure_dist) : string =
   | Uniform -> "uniform"
   | Granule n -> Printf.sprintf "granule-%dB" (n * Holes_pcm.Geometry.line_bytes)
   | Hw_cluster pages -> Printf.sprintf "%dCL" pages
+  | Model m -> Holes_pcm.Failure_model.name m
 
 let name (t : t) : string =
   let base = collector_name t.collector in
@@ -171,20 +162,16 @@ let name (t : t) : string =
      collection is on: stop-the-world configurations keep their names *)
   let base = if t.gc_slice > 0 then Printf.sprintf "%s-inc%d" base t.gc_slice else base in
   let line = Printf.sprintf "L%d" t.line_size in
-  match t.failure_model with
-  | Model m ->
-      (* Adversarial models name themselves (the spec rendering includes
-         the parameters); the rate still matters for the static part. *)
-      Printf.sprintf "%s-PCM-%s-%s-%.0f%%%s" base line
-        (Holes_pcm.Failure_model.name m)
+  match t.failure_dist with
+  | (Uniform | Granule _ | Hw_cluster _) when t.failure_rate = 0.0 ->
+      Printf.sprintf "%s-%s" base line
+  | Uniform | Granule _ | Hw_cluster _ | Model _ ->
+      (* an adversarial model names itself at any rate (the spec
+         rendering includes the parameters): a dynamic one fails lines
+         even on a map with none *)
+      Printf.sprintf "%s-PCM-%s-%s-%.0f%%%s" base line (dist_name t.failure_dist)
         (t.failure_rate *. 100.0)
         (if t.compensate then "" else "-nocomp")
-  | From_dist ->
-      if t.failure_rate = 0.0 then Printf.sprintf "%s-%s" base line
-      else
-        Printf.sprintf "%s-PCM-%s-%s-%.0f%%%s" base line (dist_name t.failure_dist)
-          (t.failure_rate *. 100.0)
-          (if t.compensate then "" else "-nocomp")
 
 let is_generational (c : collector) : bool =
   match c with Sticky_ms | Sticky_immix -> true | Mark_sweep | Immix -> false
@@ -201,8 +188,8 @@ let validate (t : t) : (unit, string) result =
   else if t.gc_slice < 0 then Error "gc_slice must be non-negative (0 = stop-the-world)"
   else
     let model_ok =
-      match t.failure_model with
-      | From_dist -> Ok ()
+      match t.failure_dist with
+      | Uniform | Granule _ | Hw_cluster _ -> Ok ()
       | Model m -> (
           match Holes_pcm.Failure_model.validate m with
           | Error e -> Error e
@@ -232,8 +219,21 @@ let validate (t : t) : (unit, string) result =
         | Device d ->
             if not (is_immix t.collector) then
               Error "the device backend requires a failure-aware Immix collector"
-            else if d.buffer_capacity <= 0 then Error "device buffer capacity must be positive"
             else if d.dram_pages < 0 then Error "device dram_pages must be non-negative"
             else if t.hybrid.Holes_pcm.Hybrid.migrate_epoch <> None && d.dram_pages <= 0 then
               Error "hybrid migration needs at least one DRAM frame (dram_pages > 0)"
             else Ok ())
+
+(** The boot failure map of [nlines] 64 B lines under [cfg]'s failure
+    distribution and rate: the one place a distribution becomes a map.
+    [Hw_cluster] draws the uniform map the clustering hardware starts
+    from (the static backend moves its failures to region ends; the
+    device's own redirection maps do that on the device backend); a
+    [Model] draws its static map, which a dynamic model starts from
+    before injecting the rest. *)
+let failure_map (cfg : t) ~(rng : Holes_stdx.Xrng.t) ~(nlines : int) : Holes_stdx.Bitset.t =
+  let rate = cfg.failure_rate in
+  match cfg.failure_dist with
+  | Uniform | Hw_cluster _ -> Holes_pcm.Failure_map.uniform rng ~nlines ~rate
+  | Granule g -> Holes_pcm.Failure_map.clustered rng ~nlines ~rate ~granule_lines:g
+  | Model m -> Holes_pcm.Failure_model.static_map m rng ~nlines ~rate

@@ -757,6 +757,12 @@ let complete_line_retirement (t : t) ~(addr : int) ~(stock_page : int) ~(line64 
   if (not masked) && stock_page >= 0 then
     Page_stock.mark_line_failed t.stock ~id:stock_page ~line:line64
 
+(* Defragmentation runs on demand and evacuates blocks whose usable
+   lines are less than this fraction live: it consolidates aggressively
+   because it exists to turn scattered free lines back into whole free
+   pages (for the LOS and overflow fallback). *)
+let defrag_threshold = 0.90
+
 (* Select the blocks this cycle evacuates, at mark end: blocks flagged
    by a dynamic failure always; when defragmentation was requested, also
    the sparsest half of the blocks under the occupancy threshold.  A
@@ -767,13 +773,6 @@ let complete_line_retirement (t : t) ~(addr : int) ~(stock_page : int) ~(line64 
 let prepare_defrag (t : t) : int list =
   let flagged = ref [] and sparse = ref [] in
   let n_sparse = ref 0 in
-  (* On-demand defragmentation consolidates much more aggressively than
-     the steady-state threshold: it exists to turn scattered free lines
-     back into whole free pages (for the LOS and overflow fallback). *)
-  let threshold =
-    if t.defrag_requested then Float.max t.cfg.Config.defrag_occupancy 0.90
-    else t.cfg.Config.defrag_occupancy
-  in
   iter_blocks t (fun b ->
       let usable = b.Block.nlines - Block.failed_lines b in
       if Block.evacuate b && Block.is_empty b then Block.set_evacuate b false
@@ -781,7 +780,8 @@ let prepare_defrag (t : t) : int list =
         let live_lines = usable - Block.free_lines b in
         let ratio = float_of_int live_lines /. float_of_int usable in
         if Block.evacuate b then flagged := b :: !flagged
-        else if t.cfg.Config.defrag && t.defrag_requested && ratio > 0.0 && ratio < threshold
+        else if
+          t.cfg.Config.defrag && t.defrag_requested && ratio > 0.0 && ratio < defrag_threshold
         then begin
           sparse := (ratio, b) :: !sparse;
           incr n_sparse

@@ -68,23 +68,6 @@ type t = Static | Device of device_state
 
 let lines_per_page = Pcm.Geometry.lines_per_page
 
-(* The boot-time physical failure map for a device of [nlines] lines.
-   Unlike the static backend's map this is over *physical* lines: with
-   hardware clustering the device's own redirection maps move the
-   failures to cluster ends, so [Hw_cluster] needs no transform here. *)
-let physical_failure_map (cfg : Config.t) ~(rng : Xrng.t) ~(nlines : int) : Bitset.t =
-  match cfg.Config.failure_model with
-  | Config.Model m ->
-      (* dynamic models are rejected by Config.validate on this backend,
-         so this only sees the static adversaries *)
-      Pcm.Failure_model.static_map m rng ~nlines ~rate:cfg.Config.failure_rate
-  | Config.From_dist -> (
-      match cfg.Config.failure_dist with
-      | Config.Uniform | Config.Hw_cluster _ ->
-          Pcm.Failure_map.uniform rng ~nlines ~rate:cfg.Config.failure_rate
-      | Config.Granule g ->
-          Pcm.Failure_map.clustered rng ~nlines ~rate:cfg.Config.failure_rate ~granule_lines:g)
-
 (** Bring up the shareable half of the pipeline for a module of (at
     least) [device_pages] pages: create the worn device (page count
     rounded up to the clustering region), pre-install the configured
@@ -96,7 +79,7 @@ let create_node ?(tracer = Trace.null) ~(cfg : Config.t) ~(params : Config.devic
   let clustering =
     match cfg.Config.failure_dist with
     | Config.Hw_cluster region_pages -> Some region_pages
-    | Config.Uniform | Config.Granule _ -> params.Config.clustering
+    | Config.Uniform | Config.Granule _ | Config.Model _ -> params.Config.clustering
   in
   let region_pages = match clustering with Some rp -> rp | None -> 1 in
   let device_pages = (device_pages + region_pages - 1) / region_pages * region_pages in
@@ -104,19 +87,22 @@ let create_node ?(tracer = Trace.null) ~(cfg : Config.t) ~(params : Config.devic
     Pcm.Device.create
       ~config:
         {
-          Pcm.Device.pages = device_pages;
+          Pcm.Device.default_config with
+          pages = device_pages;
           wear = params.Config.wear;
           clustering;
-          buffer_capacity = params.Config.buffer_capacity;
           wear_level = cfg.Config.wear_level;
           caram = cfg.Config.hybrid.Pcm.Hybrid.caram_ways;
         }
       ~tracer ~seed:cfg.Config.seed ()
   in
   let rng = Xrng.of_seed cfg.Config.seed in
+  (* the map is over physical lines: with hardware clustering the
+     device's own redirection maps move the failures to cluster ends,
+     so [Hw_cluster] needs no transform here *)
   if cfg.Config.failure_rate > 0.0 then
     Pcm.Device.preinstall_failures device
-      (physical_failure_map cfg ~rng ~nlines:(device_pages * lines_per_page));
+      (Config.failure_map cfg ~rng ~nlines:(device_pages * lines_per_page));
   let vmm =
     Osal.Vmm.create ~tracer ~dram_pages:params.Config.dram_pages ~pcm_pages:device_pages ()
   in

@@ -53,30 +53,23 @@ let lines_per_page = Holes_pcm.Geometry.lines_per_page
 
 (** Build the static failure map for a heap of [npages] pages under the
     configured failure distribution (the fault-injection module of
-    Sec. 5, sitting between the OS allocator and the VM allocator). *)
+    Sec. 5, sitting between the OS allocator and the VM allocator).
+    Clustered maps round the heap up to whole granules or regions, and
+    the proposed hardware moves the failures of each region to its
+    end. *)
 let generate_failure_map (cfg : Config.t) ~(rng : Xrng.t) ~(npages : int) : Bitset.t * int =
   let round_pages_to mult = (npages + mult - 1) / mult * mult in
-  match cfg.Config.failure_model with
-  | Config.Model m ->
-      let nlines = npages * lines_per_page in
-      ( Holes_pcm.Failure_model.static_map m rng ~nlines ~rate:cfg.Config.failure_rate,
-        npages )
-  | Config.From_dist -> (
+  let pages =
+    match cfg.Config.failure_dist with
+    | Config.Granule g -> round_pages_to (max 1 (g / lines_per_page))
+    | Config.Hw_cluster region_pages -> round_pages_to region_pages
+    | Config.Uniform | Config.Model _ -> npages
+  in
+  let map = Config.failure_map cfg ~rng ~nlines:(pages * lines_per_page) in
   match cfg.Config.failure_dist with
-  | Config.Uniform ->
-      let nlines = npages * lines_per_page in
-      (Holes_pcm.Failure_map.uniform rng ~nlines ~rate:cfg.Config.failure_rate, npages)
-  | Config.Granule g ->
-      (* granules larger than a page require whole-multiple sizing *)
-      let pages = round_pages_to (max 1 (g / lines_per_page)) in
-      let nlines = pages * lines_per_page in
-      ( Holes_pcm.Failure_map.clustered rng ~nlines ~rate:cfg.Config.failure_rate ~granule_lines:g,
-        pages )
   | Config.Hw_cluster region_pages ->
-      let pages = round_pages_to region_pages in
-      let nlines = pages * lines_per_page in
-      let base = Holes_pcm.Failure_map.uniform rng ~nlines ~rate:cfg.Config.failure_rate in
-      (Holes_pcm.Failure_map.cluster_transform base ~region_pages, pages))
+      (Holes_pcm.Failure_map.cluster_transform map ~region_pages, pages)
+  | Config.Uniform | Config.Granule _ | Config.Model _ -> (map, pages)
 
 (** Trigger a collection explicitly. *)
 let collect (t : t) ~(full : bool) : unit =
@@ -302,7 +295,7 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
         in
         let stock = Page_stock.create ~line_size:cfg.Config.line_size ~device_map ~npages () in
         let injector =
-          match cfg.Config.failure_model with
+          match cfg.Config.failure_dist with
           | Config.Model m when Holes_pcm.Failure_model.is_dynamic m ->
               let irng = Xrng.split rng in
               Some
@@ -312,7 +305,7 @@ let create ?(cfg = Config.default) ?(device_map : (npages:int -> Bitset.t) optio
                   fbuf = Holes_pcm.Failure_buffer.create ();
                   next_at = Holes_pcm.Failure_model.next_interval m irng;
                 }
-          | Config.Model _ | Config.From_dist -> None
+          | Config.Uniform | Config.Granule _ | Config.Hw_cluster _ | Config.Model _ -> None
         in
         (Memory_backend.Static, stock, injector)
     | Config.Device params ->

@@ -359,7 +359,7 @@ let sensitivity ?(params = Runner.quick) () : Table.t =
     {
       base_six with
       Cfg.failure_rate = f;
-      failure_model =
+      failure_dist =
         Cfg.Model
           (Holes_pcm.Failure_model.Correlated { mean_cluster = mc; region_lines = 64 });
     }

@@ -72,37 +72,39 @@ let config_of_seed (seed : int) : Cfg.t =
      the device seeds fall back to the paper's distributions *)
   let device = seed mod 8 = 7 in
   let backend = if device then Cfg.Device Cfg.default_device else Cfg.Static in
-  let failure_model =
-    if device then Cfg.From_dist
+  let model =
+    if device then None
     else
       match Xrng.int rng 8 with
-      | 0 -> Cfg.From_dist (* uniform *)
-      | 1 -> Cfg.From_dist
+      | 0 | 1 -> None
       | 2 ->
-          Cfg.Model
+          Some
             (Fm.Correlated
                { mean_cluster = float_of_int (2 + Xrng.int rng 6); region_lines = 64 })
       | 3 ->
-          Cfg.Model
+          Some
             (Fm.Variation
                {
                  cov = 0.2 +. (0.1 *. float_of_int (Xrng.int rng 3));
                  shape = (if Xrng.int rng 2 = 0 then Holes_pcm.Wear.Lognormal else Holes_pcm.Wear.Gaussian);
                })
       | 4 | 5 ->
-          Cfg.Model
+          Some
             (Fm.Storm
                {
                  mean_burst = float_of_int (2 + Xrng.int rng 6);
                  period_bytes = 32768 + Xrng.int rng 32768;
                })
-      | _ -> Cfg.Model (Fm.Adversarial { period_bytes = 16384 + Xrng.int rng 16384 })
+      | _ -> Some (Fm.Adversarial { period_bytes = 16384 + Xrng.int rng 16384 })
   in
+  (* the paper's distribution is drawn even when a model wins, so every
+     later draw keeps its per-seed value *)
   let failure_dist =
-    match Xrng.int rng 4 with
-    | 0 -> Cfg.Granule 4
-    | 1 -> Cfg.Hw_cluster 1
-    | _ -> Cfg.Uniform
+    match (model, Xrng.int rng 4) with
+    | Some m, _ -> Cfg.Model m
+    | None, 0 -> Cfg.Granule 4
+    | None, 1 -> Cfg.Hw_cluster 1
+    | None, _ -> Cfg.Uniform
   in
   (* device seeds also draw a boot wear-leveling policy (drawn last so
      the other fields keep the values they had before leveling existed
@@ -152,7 +154,6 @@ let config_of_seed (seed : int) : Cfg.t =
     arraylets;
     heap_factor;
     backend;
-    failure_model;
     wear_level;
     gc_slice;
     hybrid;

@@ -50,9 +50,9 @@ let policies : (string * Wl.policy option) list =
     starts.  Uniform is the paper's map; correlated and variation are
     the PR-5 adversaries (static maps, so they compose with any
     wear-leveling policy). *)
-let models : (string * Cfg.failure_model) list =
+let models : (string * Cfg.failure_dist) list =
   [
-    ("uniform", Cfg.From_dist);
+    ("uniform", Cfg.Uniform);
     ("correlated", Cfg.Model (Fm.Correlated { mean_cluster = 4.0; region_lines = 64 }));
     ("variation", Cfg.Model (Fm.Variation { cov = 0.3; shape = Holes_pcm.Wear.Lognormal }));
   ]
@@ -73,8 +73,8 @@ let aging_device : Cfg.device_params =
 let aging_cfg : Cfg.t =
   { Figures.base_six with Cfg.backend = Cfg.Device aging_device; failure_rate = 0.10 }
 
-let cell_cfg ~(model : Cfg.failure_model) ~(policy : Wl.policy option) : Cfg.t =
-  { aging_cfg with Cfg.failure_model = model; wear_level = policy }
+let cell_cfg ~(dist : Cfg.failure_dist) ~(policy : Wl.policy option) : Cfg.t =
+  { aging_cfg with Cfg.failure_dist = dist; wear_level = policy }
 
 exception Worn_out
 
@@ -209,7 +209,7 @@ let table ?(params = Runner.quick) () : Table.t =
           ("dead_runs", float_of_int o.dead_runs);
         ])
       (List.concat_map
-         (fun (_, policy) -> List.map (fun (_, model) -> cell_cfg ~model ~policy) models)
+         (fun (_, policy) -> List.map (fun (_, dist) -> cell_cfg ~dist ~policy) models)
          policies)
   in
   let ms_per_round = function

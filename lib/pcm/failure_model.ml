@@ -213,7 +213,7 @@ let cov_of (xs : float array) : float =
   end
 
 (* ------------------------------------------------------------------ *)
-(* CLI syntax: a compact round-trippable form for --model flags and     *)
+(* CLI syntax: a compact round-trippable form for --dist flags and      *)
 (* torture repro commands.                                             *)
 
 (** [to_cli s] renders [s] in the syntax {!of_cli} parses. *)

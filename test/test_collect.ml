@@ -29,7 +29,7 @@ let storm =
 (* (scale, configurations, profiles) *)
 let grid : (float * Cfg.t list * Holes_workload.Profile.t list) list =
   let pmd_heap = { Cfg.default with Cfg.heap_factor = 1.25 } in
-  let storm_heap = { Cfg.default with Cfg.heap_factor = 1.5; failure_model = storm } in
+  let storm_heap = { Cfg.default with Cfg.heap_factor = 1.5; failure_dist = storm } in
   [
     ( 0.1,
       [

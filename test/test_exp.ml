@@ -110,7 +110,7 @@ let test_verify_reaches_cells () =
           W.run_cells ~params:{ R.quick with R.sink = Some sink; verify } ~scale:0.04
             ~max_rounds:2
             ~fields:(fun _ -> [])
-            [ W.cell_cfg ~model:Cfg.From_dist ~policy:None ]
+            [ W.cell_cfg ~dist:Cfg.Uniform ~policy:None ]
         with
         | [| Ok o |] -> float_of_int o.W.m.Holes.Metrics.verify_passes
         | _ -> Alcotest.fail "the aging cell raised")

@@ -118,12 +118,12 @@ let test_cli_roundtrip () =
    excluded from [to_fields]) *)
 let test_verifier_observationally_free () =
   List.iter
-    (fun model ->
+    (fun failure_dist ->
       let base =
         {
           Cfg.default with
           Cfg.failure_rate = 0.25;
-          failure_model = model;
+          failure_dist;
           seed = 91;
         }
       in
@@ -141,7 +141,7 @@ let test_verifier_observationally_free () =
         Alcotest.(list (pair string (float 0.0)))
         "metrics identical" off on)
     [
-      Cfg.From_dist;
+      Cfg.Uniform;
       Cfg.Model (Fm.Correlated { mean_cluster = 4.0; region_lines = 64 });
       Cfg.Model (Fm.Storm { mean_burst = 4.0; period_bytes = 65536 });
     ]

@@ -173,7 +173,7 @@ let test_pinned_objects_never_move () =
   check Alcotest.int "pinned address unchanged" addr0 (OT.addr (Vm.objects vm) pinned)
 
 let test_defrag_evacuates_sparse_blocks () =
-  let cfg = { Cfg.default with Cfg.collector = Cfg.Immix; defrag = true; defrag_occupancy = 0.5 } in
+  let cfg = { Cfg.default with Cfg.collector = Cfg.Immix; defrag = true } in
   let vm = Vm.create ~cfg ~min_heap_bytes:(1 lsl 19) () in
   (* sparse population: 1 live object per ~10 dead *)
   let ids = Array.init 2000 (fun _ -> Vm.alloc vm ~size:128 ()) in

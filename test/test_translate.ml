@@ -148,7 +148,7 @@ let test_engine_determinism () =
           ("dead_runs", float_of_int o.W.dead_runs);
           ("elapsed_ms", o.W.elapsed_ms);
         ])
-      (List.map (fun (_, policy) -> W.cell_cfg ~model:Cfg.From_dist ~policy) W.policies)
+      (List.map (fun (_, policy) -> W.cell_cfg ~dist:Cfg.Uniform ~policy) W.policies)
   in
   let exact1, j1 = runs ~jobs:1 in
   let exact4, j4 = runs ~jobs:4 in
