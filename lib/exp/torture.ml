@@ -260,10 +260,7 @@ let run_one ?(steps = default_steps) ~(seed : int) () : outcome =
      while !i < steps do
        incr i;
        incr steps_run;
-       let r0 = Xrng.int rng 100 in
-       if Sys.getenv_opt "HOLES_TORTURE_DEBUG" <> None then
-         Printf.eprintf "step %d r=%d nlive=%d\n%!" !i r0 !nlive;
-       (match r0 with
+       (match Xrng.int rng 100 with
        | r when r < 45 ->
            let size =
              match Xrng.int rng 100 with
@@ -337,22 +334,16 @@ let run_one ?(steps = default_steps) ~(seed : int) () : outcome =
            let budget = if Xrng.int rng 2 = 0 then 0 else 32 + Xrng.int rng 224 in
            Vm.set_gc_slice vm budget
        | _ -> verify_now ());
-       if Sys.getenv_opt "HOLES_TORTURE_DEBUG" <> None then verify_now ();
        if !i mod 128 = 0 then verify_now ()
      done;
      verify_now ()
    with
   | Vm.Out_of_memory -> (
-      if Sys.getenv_opt "HOLES_DEBUG_OOM" <> None then
-        Printf.eprintf "OOM backtrace:\n%s\n%!" (Printexc.get_backtrace ());
       completed := false;
       (* the heap must still be consistent after an aborted request *)
       try verify_now ()
       with Verify.Violation msg -> violation := Some ("after OOM: " ^ msg))
-  | Verify.Violation msg ->
-      if Sys.getenv_opt "HOLES_TORTURE_DEBUG" <> None then
-        Printf.eprintf "violation backtrace:\n%s\n%!" (Printexc.get_backtrace ());
-      violation := Some msg
+  | Verify.Violation msg -> violation := Some msg
   | exn -> violation := Some ("unexpected exception: " ^ Printexc.to_string exn));
   Vm.sync_backend_stats vm;
   let m = Vm.metrics vm in

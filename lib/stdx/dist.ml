@@ -27,16 +27,6 @@ let geometric (rng : Xrng.t) ~(p : float) : int =
     let u = max 1e-300 (Xrng.float rng) in
     1 + int_of_float (log u /. log (1.0 -. p))
 
-(** Bounded Pareto on [lo, hi] with shape [alpha].  Heavy-tailed object
-    lifetimes (the weak generational hypothesis: most objects die young,
-    a few live very long) are modeled with this. *)
-let bounded_pareto (rng : Xrng.t) ~(alpha : float) ~(lo : float) ~(hi : float) : float =
-  if lo <= 0.0 || hi <= lo then invalid_arg "Dist.bounded_pareto: need 0 < lo < hi";
-  let u = Xrng.float rng in
-  let la = lo ** alpha and ha = hi ** alpha in
-  let x = -.((u *. ha) -. (u *. la) -. ha) /. (ha *. la) in
-  x ** (-1.0 /. alpha)
-
 (** Zipf over {1..n} with exponent [s], via inverse-CDF on a precomputed
     table.  Returns a sampler function to amortize the table. *)
 let zipf_sampler ~(n : int) ~(s : float) : Xrng.t -> int =

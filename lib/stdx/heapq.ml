@@ -14,8 +14,6 @@ type 'a t = {
 let create ~(dummy : 'a) : 'a t =
   { keys = Array.make 16 0; vals = Array.make 16 dummy; size = 0; dummy }
 
-let length (t : 'a t) : int = t.size
-
 let grow (t : 'a t) : unit =
   let cap = Array.length t.keys in
   let keys = Array.make (cap * 2) 0 in

@@ -23,10 +23,6 @@ let get (t : t) (i : int) : int =
   if i < 0 || i >= t.len then invalid_arg "Intvec.get: out of bounds";
   t.data.(i)
 
-let set (t : t) (i : int) (x : int) : unit =
-  if i < 0 || i >= t.len then invalid_arg "Intvec.set: out of bounds";
-  t.data.(i) <- x
-
 (** [pop_or t ~default] removes and returns the last element, or
     [default] when empty.  Allocates nothing, unlike an option-returning
     pop. *)
