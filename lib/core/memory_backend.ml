@@ -34,6 +34,7 @@ type node = {
   n_seed : int;  (** the creating config's seed (per-VM derived rngs) *)
   mutable n_hybrid : Pcm.Hybrid.policy;  (** live tiering policy (DESIGN.md §17) *)
   mutable n_tier : Osal.Tier.t option;  (** hot-page migration engine, when on *)
+  n_tier_counts : Osal.Tier.counts;  (** of every tier the node has run *)
 }
 
 type device_state = {
@@ -67,6 +68,16 @@ type device_state = {
 type t = Static | Device of device_state
 
 let lines_per_page = Pcm.Geometry.lines_per_page
+
+(* The node's hot-page migration engine at [epoch], traced like the
+   node's interrupt handler and counting into the node's tier counts. *)
+let new_tier (node : node) (epoch : int) : Osal.Tier.t =
+  Osal.Tier.create ~counts:node.n_tier_counts ~interrupts:node.n_interrupts ~epoch ()
+
+(* The content synthesizer of process [pid] on [node]: per-VM, so
+   tenants sharing a node draw independent contents. *)
+let content_rng (node : node) ~(pid : int) : Xrng.t =
+  Xrng.of_seed (node.n_seed lxor 0xCA4A77 lxor (pid * 0x9E3779))
 
 (** Bring up the shareable half of the pipeline for a module of (at
     least) [device_pages] pages: create the worn device (page count
@@ -121,18 +132,19 @@ let create_node ?(tracer = Trace.null) ~(cfg : Config.t) ~(params : Config.devic
     Osal.Pools.set_wear_rank pools
       (Some (fun phys -> Pcm.Device.page_wear device (phys - dram_pages)))
   end;
-  let interrupts = Osal.Interrupts.attach ~tracer ~vmm ~device () in
-  {
-    n_device = device;
-    n_vmm = vmm;
-    n_interrupts = interrupts;
-    n_seed = cfg.Config.seed;
-    n_hybrid = cfg.Config.hybrid;
-    n_tier =
-      Option.map
-        (fun epoch -> Osal.Tier.create ~tracer ~interrupts ~epoch ())
-        cfg.Config.hybrid.Pcm.Hybrid.migrate_epoch;
-  }
+  let node =
+    {
+      n_device = device;
+      n_vmm = vmm;
+      n_interrupts = Osal.Interrupts.attach ~tracer ~vmm ~device ();
+      n_seed = cfg.Config.seed;
+      n_hybrid = cfg.Config.hybrid;
+      n_tier = None;
+      n_tier_counts = Osal.Tier.counts ();
+    }
+  in
+  node.n_tier <- Option.map (new_tier node) cfg.Config.hybrid.Pcm.Hybrid.migrate_epoch;
+  node
 
 (** Spawn a failure-aware process on [node] and map an [npages]-page
     heap with [mmap_imperfect].  Returns the per-VM backend state and
@@ -161,10 +173,9 @@ let attach ~(node : node) ~(metrics : Metrics.t) ~(npages : int) () :
           metrics;
           payload = Bytes.make Pcm.Geometry.line_bytes '\xAB';
           content_rng =
-            (match node.n_hybrid.Pcm.Hybrid.caram_ways with
-            | None -> None
-            | Some _ ->
-                Some (Xrng.of_seed (node.n_seed lxor 0xCA4A77 lxor (proc.Osal.Vmm.pid * 0x9E3779))));
+            Option.map
+              (fun _ -> content_rng node ~pid:proc.Osal.Vmm.pid)
+              node.n_hybrid.Pcm.Hybrid.caram_ways;
           content_ctr = 0;
           charge_copy = (fun ~bytes:_ -> ());
           line_retired = (fun ~stock_page:_ ~line:_ ~data:_ -> ());
@@ -303,7 +314,8 @@ let device_write (st : device_state) ~(stock_page : int) ~(line : int) : unit =
     [m] (idempotent assignment).  A VM syncs its own metrics at run end
     and before printing summaries; a fleet shard syncs a record of its
     own for the pooled node.  The counters are node-wide: every tenant
-    attached to a node reads the same values. *)
+    attached to a node reads the same values, and they keep what tiers,
+    stores and levelers switched off mid-run counted. *)
 let sync_node (node : node) (m : Metrics.t) : unit =
   let s = Pcm.Device.stats node.n_device in
   m.Metrics.device_reads <- s.Pcm.Device.reads;
@@ -317,20 +329,15 @@ let sync_node (node : node) (m : Metrics.t) : unit =
   m.Metrics.reverse_translations <- Osal.Vmm.reverse_translations node.n_vmm;
   m.Metrics.swap_ins <- Osal.Vmm.swap_ins node.n_vmm;
   m.Metrics.wear_cov <- Pcm.Device.wear_cov node.n_device;
-  (match s.Pcm.Device.caram with
-  | None -> ()
-  | Some cs ->
-      m.Metrics.hyb_dedup_hits <- cs.Pcm.Caram.s_dedup_hits;
-      m.Metrics.hyb_compressed <- cs.Pcm.Caram.s_compressed;
-      m.Metrics.hyb_meta_writes <- cs.Pcm.Caram.s_meta_writes);
-  (match node.n_tier with
-  | None -> ()
-  | Some tier ->
-      let ts = Osal.Tier.stats tier in
-      m.Metrics.hyb_promotes <- ts.Osal.Tier.s_promotes;
-      m.Metrics.hyb_demotes <- ts.Osal.Tier.s_demotes;
-      m.Metrics.hyb_dram_writes <- ts.Osal.Tier.s_dram_writes;
-      m.Metrics.hyb_resident <- ts.Osal.Tier.s_resident);
+  m.Metrics.hyb_dedup_hits <- s.Pcm.Device.dedup_hits;
+  m.Metrics.hyb_compressed <- s.Pcm.Device.compressed;
+  (* every absorbed write costs the store one metadata write *)
+  m.Metrics.hyb_meta_writes <- s.Pcm.Device.dedup_hits + s.Pcm.Device.compressed;
+  let tc = node.n_tier_counts in
+  m.Metrics.hyb_promotes <- tc.Osal.Tier.promotes;
+  m.Metrics.hyb_demotes <- tc.Osal.Tier.demotes;
+  m.Metrics.hyb_dram_writes <- tc.Osal.Tier.dram_writes;
+  m.Metrics.hyb_resident <- (match node.n_tier with None -> 0 | Some tier -> Osal.Tier.resident tier);
   match s.Pcm.Device.wl with
   | None -> ()
   | Some wl ->
@@ -361,16 +368,11 @@ let set_hybrid (st : device_state) (p : Pcm.Hybrid.policy) : unit =
   | Some tier, None ->
       Osal.Tier.drop_all tier ~charge_copy:st.charge_copy;
       st.node.n_tier <- None
-  | None, Some epoch ->
-      st.node.n_tier <- Some (Osal.Tier.create ~interrupts:st.interrupts ~epoch ())
+  | None, Some epoch -> st.node.n_tier <- Some (new_tier st.node epoch)
   | Some _, Some _ | None, None -> ());
   Pcm.Device.set_caram st.device p.Pcm.Hybrid.caram_ways;
   (match (st.content_rng, p.Pcm.Hybrid.caram_ways) with
-  | None, Some _ ->
-      st.content_rng <-
-        Some
-          (Xrng.of_seed
-             (st.node.n_seed lxor 0xCA4A77 lxor (st.proc.Osal.Vmm.pid * 0x9E3779)))
+  | None, Some _ -> st.content_rng <- Some (content_rng st.node ~pid:st.proc.Osal.Vmm.pid)
   | _ -> ());
   st.node.n_hybrid <- p;
   service st

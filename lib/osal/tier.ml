@@ -32,6 +32,17 @@ let dirty_words = (Geometry.lines_per_page + 31) / 32
 (* [pid] of a frame the tier holds no page in *)
 let no_page = -1
 
+(** What tiers have done, in a record their owner keeps: a device node
+    keeps one across every tier it creates, so switching migration off
+    and on again loses no count. *)
+type counts = {
+  mutable promotes : int;
+  mutable demotes : int;
+  mutable dram_writes : int;  (** writes absorbed by promoted pages *)
+}
+
+let counts () : counts = { promotes = 0; demotes = 0; dram_writes = 0 }
+
 type t = {
   vmm : Vmm.t;
   device : Holes_pcm.Device.t;
@@ -62,22 +73,14 @@ type t = {
           up-call pushes its own snapshot above [snap_top] *)
   mutable snap_top : int;
   mutable tick : int;
-  mutable promotes : int;
-  mutable demotes : int;
-  mutable dram_writes : int;  (** total writes absorbed by promoted pages *)
+  counts : counts;
   tracer : Trace.view;
 }
 
-type stats = {
-  s_promotes : int;
-  s_demotes : int;
-  s_dram_writes : int;
-  s_resident : int;
-}
-
-(** A tier over the VMM and device [interrupts] serves; its residents
-    occupy the VMM's DRAM frames. *)
-let create ?(tracer = Trace.null) ~(interrupts : Interrupts.t) ~(epoch : int) () : t =
+(** A tier over the VMM and device [interrupts] serves, tracing to the
+    handler's view and counting into [counts]; its residents occupy the
+    VMM's DRAM frames. *)
+let create ~(counts : counts) ~(interrupts : Interrupts.t) ~(epoch : int) () : t =
   if epoch <= 0 then invalid_arg "Tier.create: epoch must be positive";
   let vmm = interrupts.Interrupts.vmm in
   let frames = Pools.dram_pages (Vmm.pools vmm) in
@@ -103,21 +106,12 @@ let create ?(tracer = Trace.null) ~(interrupts : Interrupts.t) ~(epoch : int) ()
     snap_stamp = Array.make frames 0;
     snap_top = 0;
     tick = 0;
-    promotes = 0;
-    demotes = 0;
-    dram_writes = 0;
-    tracer;
+    counts;
+    tracer = interrupts.Interrupts.tracer;
   }
 
-let stats (t : t) : stats =
-  let resident = ref 0 in
-  Array.iter (fun p -> if p <> no_page then incr resident) t.pid;
-  {
-    s_promotes = t.promotes;
-    s_demotes = t.demotes;
-    s_dram_writes = t.dram_writes;
-    s_resident = !resident;
-  }
+(** The pages promoted into DRAM frames now. *)
+let resident (t : t) : int = Array.fold_left (fun n p -> if p = no_page then n else n + 1) 0 t.pid
 
 (** Residents as [(pid, virt, dram_phys, pcm_phys)], ascending by frame
     — non-counted accessors only, safe for the paranoid verifier. *)
@@ -159,11 +153,13 @@ let holds (t : t) (frame : int) (stamp : int) : bool =
 
 (* Write the dirty lines back while the page still maps to its frame,
    then flip the mapping and free the frame with nothing in between.  A
-   write-back that stalls services the interrupts, re-dirties its line
-   and takes the lowest dirty line again, until none is left.  The
-   service may run a collection that verifies the tier and writes this
-   page: until the flip, those writes land in the frame and dirty it
-   too.  The loop stops if a nested tick demoted the resident. *)
+   line stays dirty until its write is stored or the line is unusable:
+   a write-back that stalls services the interrupts and takes the
+   lowest dirty line again, until none is left.  The service may run a
+   collection that verifies the tier and writes this page: until the
+   flip, those writes land in the frame and dirty it too.  The service
+   may also tick the epoch and demote this resident, writing back every
+   dirty line, the stalled one included; the loop then stops. *)
 let demote (t : t) (frame : int) ~(stamp : int) ~(charge_copy : bytes:int -> unit) : unit =
   if holds t frame stamp then begin
     let pid = t.pid.(frame) and virt = t.virt.(frame) and home = t.home.(frame) in
@@ -174,14 +170,13 @@ let demote (t : t) (frame : int) ~(stamp : int) ~(charge_copy : bytes:int -> uni
       let line = ref (lowest_dirty t frame) in
       while !line >= 0 && holds t frame stamp do
         let l = !line in
-        clear_dirty t frame l;
         Bytes.blit t.buffers.(frame) (l * Geometry.line_bytes) t.line 0 Geometry.line_bytes;
         (match Holes_pcm.Device.write t.device (base + l) t.line with
-        | Holes_pcm.Device.Stored | Holes_pcm.Device.Write_failed -> incr written
-        | Holes_pcm.Device.Unusable -> ()
-        | Holes_pcm.Device.Stalled ->
-            Interrupts.service t.interrupts;
-            if holds t frame stamp then set_dirty t frame l);
+        | Holes_pcm.Device.Stored | Holes_pcm.Device.Write_failed ->
+            clear_dirty t frame l;
+            incr written
+        | Holes_pcm.Device.Unusable -> clear_dirty t frame l
+        | Holes_pcm.Device.Stalled -> Interrupts.service t.interrupts);
         line := lowest_dirty t frame
       done
     end;
@@ -194,7 +189,7 @@ let demote (t : t) (frame : int) ~(stamp : int) ~(charge_copy : bytes:int -> uni
       | None -> ());
       Pools.free (Vmm.pools t.vmm) frame;
       t.pid.(frame) <- no_page;
-      t.demotes <- t.demotes + 1;
+      t.counts.demotes <- t.counts.demotes + 1;
       if proc <> None && Trace.armed t.tracer then
         Trace.instant t.tracer ~tid:Trace.tid_osal "page_demote"
           ~args:
@@ -282,7 +277,7 @@ let promote (t : t) (proc : Vmm.process) ~(virt : int) ~(pcm_phys : int)
     t.stamp.(frame) <- t.stamp.(frame) + 1;
     Array.fill t.dirty (frame * dirty_words) dirty_words 0;
     t.heat.(proc.Vmm.pid).(virt) <- 0;
-    t.promotes <- t.promotes + 1;
+    t.counts.promotes <- t.counts.promotes + 1;
     charge_copy ~bytes:Geometry.page_bytes;
     if Trace.armed t.tracer then
       Trace.instant t.tracer ~tid:Trace.tid_osal "page_promote"
@@ -345,7 +340,7 @@ let note_dram_write (t : t) ~(phys : int) ~(line : int) ~(payload : Bytes.t)
     set_dirty t phys line;
     Bytes.blit payload 0 t.buffers.(phys) (line * Geometry.line_bytes) Geometry.line_bytes;
     t.writes.(phys) <- t.writes.(phys) + 1;
-    t.dram_writes <- t.dram_writes + 1;
+    t.counts.dram_writes <- t.counts.dram_writes + 1;
     epoch_tick t ~charge_copy
   end
 

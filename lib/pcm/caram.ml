@@ -7,9 +7,9 @@
     entry and the PCM cells never see the write.  A write whose 64
     bytes are a single repeated byte is {e compressed}: the pattern
     byte is recorded in the line's metadata and again no cell is
-    written.  Every absorbed write costs one metadata write (counted,
-    not charged to wear — metadata lives in DRAM/NVM controller
-    state).  Everything else falls through to the normal
+    written.  Every absorbed write costs one metadata write (counted by
+    the device, not charged to wear — metadata lives in DRAM/NVM
+    controller state).  Everything else falls through to the normal
     translate→wear→arena path, which remains the authoritative store
     for unbound lines.
 
@@ -46,15 +46,6 @@ type t = {
       (** every slot's content, [line_bytes] each: authoritative for its
           bound lines; meaningful only while the slot is valid *)
   bound : int array;  (** logical line -> current binding *)
-  mutable dedup_hits : int;
-  mutable compressed : int;
-  mutable meta_writes : int;
-}
-
-type stats = {
-  s_dedup_hits : int;
-  s_compressed : int;
-  s_meta_writes : int;
 }
 
 let create ~(ways : int) ~(nlines : int) () : t =
@@ -72,9 +63,6 @@ let create ~(ways : int) ~(nlines : int) () : t =
        has written them *)
     data = Bytes.create (slots * line_bytes);
     bound = Array.make nlines unbound;
-    dedup_hits = 0;
-    compressed = 0;
-    meta_writes = 0;
   }
 
 (* FNV-1a folded into a non-negative OCaml int (offset basis truncated
@@ -117,22 +105,21 @@ let release (t : t) (logical : int) : unit =
   t.bound.(logical) <- unbound
 
 type write_outcome =
-  | Absorbed  (** dedup or compression: the PCM cells must not be written *)
+  | Deduplicated  (** bound to a stored copy: the PCM cells must not be written *)
+  | Compressed  (** recorded as a pattern byte: the PCM cells must not be written *)
   | Store  (** no content match: proceed down the normal write path *)
 
 (** [write t logical payload] consults the content store before the
-    cell write of the one-line [payload].  On [Absorbed] the caller must
-    skip the wear/arena path entirely; on [Store] it proceeds normally
-    (the payload may have been installed as a fresh fingerprint entry
-    for future dedup). *)
+    cell write of the one-line [payload].  On [Deduplicated] or
+    [Compressed] the caller must skip the wear/arena path entirely; on
+    [Store] it proceeds normally (the payload may have been installed
+    as a fresh fingerprint entry for future dedup). *)
 let write (t : t) (logical : int) (payload : Bytes.t) : write_outcome =
   let code = pattern_code payload in
   if code >= 0 then begin
     release t logical;
     t.bound.(logical) <- pattern_binding code;
-    t.compressed <- t.compressed + 1;
-    t.meta_writes <- t.meta_writes + 1;
-    Absorbed
+    Compressed
   end
   else begin
     let fp = fingerprint payload in
@@ -152,9 +139,7 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_outcome =
         t.refs.(i) <- t.refs.(i) + 1;
         t.bound.(logical) <- i
       end;
-      t.dedup_hits <- t.dedup_hits + 1;
-      t.meta_writes <- t.meta_writes + 1;
-      Absorbed
+      Deduplicated
     end
     else begin
       release t logical;
@@ -196,13 +181,6 @@ let flush (t : t) : (int * Bytes.t) list =
   Array.fill t.fp 0 (Array.length t.fp) (-1);
   Array.fill t.refs 0 (Array.length t.refs) 0;
   !all
-
-let stats (t : t) : stats =
-  {
-    s_dedup_hits = t.dedup_hits;
-    s_compressed = t.compressed;
-    s_meta_writes = t.meta_writes;
-  }
 
 (** The number of slots ([sets * ways]). *)
 let slots (t : t) : int = Array.length t.fp

@@ -74,6 +74,10 @@ type t = {
   mutable reads : int;
   mutable writes : int;
   mutable failures : int;
+  mutable dedup_hits : int;
+  mutable compressed : int;
+      (** writes a content store absorbed, kept across every store the
+          device installs *)
   mutable caram : Caram.t option;
       (** content-aware store consulted before the cell write, above
           the translation: dedup is many-to-one, while the leveler and
@@ -249,6 +253,8 @@ let create ?(config = default_config) ?(tracer = Trace.null) ~(seed : int) () : 
       reads = 0;
       writes = 0;
       failures = 0;
+      dedup_hits = 0;
+      compressed = 0;
       caram =
         (match config.caram with
         | None -> None
@@ -338,11 +344,18 @@ let write (t : t) (logical : int) (payload : Bytes.t) : write_result =
   else if Failure_buffer.is_stalled t.buffer then Stalled
   else begin
     t.writes <- t.writes + 1;
-    match t.caram with
-    | Some c when Caram.write c logical payload = Caram.Absorbed ->
-        (* content dedup/compression: the cells never see this write *)
+    let content =
+      match t.caram with None -> Caram.Store | Some c -> Caram.write c logical payload
+    in
+    match content with
+    (* content dedup/compression: the cells never see this write *)
+    | Caram.Deduplicated ->
+        t.dedup_hits <- t.dedup_hits + 1;
         Stored
-    | _ ->
+    | Caram.Compressed ->
+        t.compressed <- t.compressed + 1;
+        Stored
+    | Caram.Store ->
     let physical = physical_for_write t logical in
     match Wear.Table.write t.rng t.config.wear t.wear physical with
     | Wear.Ok | Wear.Corrected ->
@@ -518,7 +531,8 @@ type stats = {
   failures : int;
   buffer : Failure_buffer.stats;
   wl : wl_stats option;  (** present once a leveler is installed *)
-  caram : Caram.stats option;  (** present while the content store is live *)
+  dedup_hits : int;  (** writes a content store deduplicated *)
+  compressed : int;  (** writes a content store compressed *)
 }
 
 let stats (t : t) : stats =
@@ -527,7 +541,8 @@ let stats (t : t) : stats =
     writes = t.writes;
     failures = t.failures;
     buffer = Failure_buffer.stats t.buffer;
-    caram = (match t.caram with None -> None | Some c -> Some (Caram.stats c));
+    dedup_hits = t.dedup_hits;
+    compressed = t.compressed;
     wl =
       (match t.leveler with
       | None -> None

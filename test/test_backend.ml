@@ -221,11 +221,8 @@ let store_vm ~(hybrid : Pcm.Hybrid.policy) ~(pages : int) : Holes.Memory_backend
   st
 
 let tier_moves (st : Holes.Memory_backend.device_state) : int * int =
-  match st.Holes.Memory_backend.node.Holes.Memory_backend.n_tier with
-  | None -> (0, 0)
-  | Some t ->
-      let s = Osal.Tier.stats t in
-      (s.Osal.Tier.s_promotes, s.Osal.Tier.s_demotes)
+  let c = st.Holes.Memory_backend.node.Holes.Memory_backend.n_tier_counts in
+  (c.Osal.Tier.promotes, c.Osal.Tier.demotes)
 
 (* 200k stores through [Memory_backend.device_write] under each tiering
    policy, after a warm-up pass of the same stores.  The stores visit 64

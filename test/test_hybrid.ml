@@ -118,12 +118,10 @@ let test_caram_roundtrip () =
       expect
   in
   check_contents "store live";
-  (match Pcm.Device.caram dev with
-  | None -> fail "content store should be live"
-  | Some c ->
-      let s = Pcm.Caram.stats c in
-      check bool "dedup hits recorded" true (s.Pcm.Caram.s_dedup_hits >= 7);
-      check bool "compressions recorded" true (s.Pcm.Caram.s_compressed >= 3));
+  check bool "content store live" true (Pcm.Device.caram dev <> None);
+  let s = Pcm.Device.stats dev in
+  check bool "dedup hits recorded" true (s.Pcm.Device.dedup_hits >= 7);
+  check bool "compressions recorded" true (s.Pcm.Device.compressed >= 3);
   check (list string) "store internally consistent" [] (Pcm.Device.caram_check dev);
   (* overwrite a deduplicated line with fresh content: the old binding's
      refcount must drop, and the new content must win *)
@@ -437,6 +435,75 @@ let test_demotion_consistent_under_upcall () =
   check bool "the device stalled" true (m.Holes.Metrics.fbuf_stall_events > 0);
   check bool "the verifier ran" true (m.Holes.Metrics.verify_passes > 0)
 
+(* ---- counts survive a mid-run switch ---------------------------------- *)
+
+(* Turning migration off, giving the content store other ways, or
+   pausing the wear leveler mid-run keeps what the old tier, store and
+   leveler counted: every hyb_* and wl_* counter but hyb_resident reads
+   at least its value just before the switch, both right after it and
+   after 40,000 more allocations.  The VM's own metrics are not synced
+   before the switch, so its sync alone must carry the counts across. *)
+let test_counts_survive_switch () =
+  let d = Cfg.default_device in
+  let cfg =
+    {
+      Cfg.default with
+      Cfg.backend = Cfg.Device { d with Cfg.wear = Pcm.Wear.default_params };
+      hybrid = { Hy.migrate_epoch = Some 512; caram_ways = Some 8 };
+      wear_level = Some (Pcm.Wear_level.Start_gap { psi = 64 });
+    }
+  in
+  let counts (m : Holes.Metrics.t) =
+    List.filter
+      (fun (k, _) ->
+        k <> "hyb_resident"
+        && (String.starts_with ~prefix:"hyb_" k || String.starts_with ~prefix:"wl_" k))
+      (Holes.Metrics.to_fields m)
+  in
+  let sync_node vm =
+    let m = Holes.Metrics.create () in
+    Holes.Memory_backend.sync_node (Option.get (Vm.device_state vm)).Holes.Memory_backend.node m;
+    m
+  in
+  List.iter
+    (fun (tag, switch) ->
+      let vm = Vm.create ~cfg ~min_heap_bytes:(1 lsl 20) () in
+      let rng = Holes_stdx.Xrng.of_seed 11 in
+      let live = Array.make 512 (-1) in
+      let alloc n =
+        for i = 1 to n do
+          let slot = i land 511 in
+          if live.(slot) >= 0 then Vm.kill vm live.(slot);
+          live.(slot) <- Vm.alloc vm ~size:(16 + Holes_stdx.Xrng.int rng 240) ()
+        done
+      in
+      alloc 40_000;
+      let before = sync_node vm in
+      List.iter
+        (fun (k, v) -> if v <= 0 then failf "%s: %s did not move before the switch" tag k)
+        [
+          ("hyb_promotes", before.Holes.Metrics.hyb_promotes);
+          ("hyb_dedup_hits", before.Holes.Metrics.hyb_dedup_hits);
+          ("hyb_compressed", before.Holes.Metrics.hyb_compressed);
+          ("wl_gap_moves", before.Holes.Metrics.wl_gap_moves);
+        ];
+      let at_least when_ after =
+        List.iter2
+          (fun (k, b) (_, a) -> if a < b then failf "%s, %s: %s fell from %g to %g" tag when_ k b a)
+          (counts before) (counts after)
+      in
+      switch vm;
+      at_least "right after" (sync_node vm);
+      alloc 40_000;
+      Vm.sync_backend_stats vm;
+      at_least "40,000 allocations on" (Vm.metrics vm))
+    [
+      ("migration and store off", fun vm -> Vm.set_hybrid vm Hy.none);
+      ( "store ways 8 -> 4",
+        fun vm -> Vm.set_hybrid vm { Hy.migrate_epoch = Some 512; caram_ways = Some 4 } );
+      ("leveler paused", fun vm -> Vm.set_wear_level vm None);
+    ]
+
 (* ---- hybrid=none leaves the config name untouched ------------------- *)
 
 (* The none policy adds no -hyb tag to the config name, so untiered
@@ -477,4 +544,5 @@ let suite =
     ("hybrid=none leaves record shape and names untouched", `Quick, test_none_invisible);
     ("demotion stays consistent when its write-back up-calls", `Quick,
       test_demotion_consistent_under_upcall);
+    ("counts survive a mid-run tiering or leveler switch", `Quick, test_counts_survive_switch);
   ]

@@ -297,6 +297,42 @@ let test_trace_layers () =
   check Alcotest.bool "osal lane" true (has Trace.tid_osal);
   check Alcotest.bool "pcm lane" true (has Trace.tid_pcm)
 
+(* The tier a mid-run switch brings up traces through the node's view,
+   as the boot-time tier does: a traced device VM that turns migration
+   off and on again records promotions after the switch. *)
+let test_trace_promotes_after_switch () =
+  let tr = Trace.create () in
+  let d = Cfg.default_device in
+  let migrate = { Pcm.Hybrid.migrate_epoch = Some 512; caram_ways = None } in
+  let cfg =
+    {
+      Cfg.default with
+      Cfg.backend = Cfg.Device { d with Cfg.wear = Pcm.Wear.default_params };
+      hybrid = migrate;
+    }
+  in
+  let vm = Holes.Vm.create ~cfg ~tracer:(Trace.view tr ~pid:1) ~min_heap_bytes:(1 lsl 20) () in
+  let rng = Holes_stdx.Xrng.of_seed 4 in
+  let live = Array.make 512 (-1) in
+  let alloc n =
+    for i = 1 to n do
+      let slot = i land 511 in
+      if live.(slot) >= 0 then Holes.Vm.kill vm live.(slot);
+      live.(slot) <- Holes.Vm.alloc vm ~size:(16 + Holes_stdx.Xrng.int rng 240) ()
+    done
+  in
+  let promotes () =
+    List.length (List.filter (fun (e : Trace.event) -> e.Trace.name = "page_promote") (Trace.events tr))
+  in
+  alloc 20_000;
+  let booted = promotes () in
+  check Alcotest.bool "the boot-time tier traces its promotions" true (booted > 0);
+  Holes.Vm.set_hybrid vm Pcm.Hybrid.none;
+  Holes.Vm.set_hybrid vm migrate;
+  alloc 20_000;
+  check Alcotest.int "nothing dropped" 0 (Trace.dropped tr);
+  check Alcotest.bool "the switched-on tier traces its promotions" true (promotes () > booted)
+
 (* Per (pid, tid) lane: B/E properly nested with matching names, and
    timestamps non-decreasing in emission order. *)
 let test_trace_well_formed () =
@@ -400,5 +436,7 @@ let suite =
     Alcotest.test_case "trace lanes well-formed" `Quick test_trace_well_formed;
     Alcotest.test_case "trace renders valid JSON" `Quick test_trace_render_json;
     Alcotest.test_case "trace ring drops oldest" `Quick test_trace_ring_drops_oldest;
+    Alcotest.test_case "trace keeps promotions after a tiering switch" `Quick
+      test_trace_promotes_after_switch;
     Alcotest.test_case "tracing off is bit-identical" `Quick test_disabled_tracing_bit_identical;
   ]

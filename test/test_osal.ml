@@ -490,7 +490,7 @@ let test_interrupt_promoted_home_upcall () =
   let vmm = Vmm.create ~dram_pages:2 ~pcm_pages:4 () in
   let device = make_failing_device () in
   let h = Interrupts.attach ~vmm ~device () in
-  let tier = Tier.create ~interrupts:h ~epoch:512 () in
+  let tier = Tier.create ~counts:(Tier.counts ()) ~interrupts:h ~epoch:512 () in
   let p = Vmm.spawn vmm in
   let virt = List.nth (Result.get_ok (Vmm.mmap_imperfect vmm p ~pages:4)) 1 in
   let home = Vmm.translate p ~virt in
@@ -518,7 +518,9 @@ let test_tier_frame_reuse_writes_back_own_lines () =
         { Pcm.Device.default_config with Pcm.Device.pages = 4; wear = Pcm.Wear.default_params; clustering = None }
       ~seed:5 ()
   in
-  let tier = Tier.create ~interrupts:(Interrupts.attach ~vmm ~device ()) ~epoch:512 () in
+  let tier =
+    Tier.create ~counts:(Tier.counts ()) ~interrupts:(Interrupts.attach ~vmm ~device ()) ~epoch:512 ()
+  in
   let p = Vmm.spawn vmm in
   let virts = Result.get_ok (Vmm.mmap_imperfect vmm p ~pages:4) in
   let a = List.nth virts 0 and b = List.nth virts 1 in
@@ -556,6 +558,59 @@ let test_tier_frame_reuse_writes_back_own_lines () =
   check Alcotest.string "B's line 1 never reached its home" (line '\000') (home_line home_b 1);
   check Alcotest.string "B's line 2 never reached its home" (line '\000') (home_line home_b 2)
 
+(* A demotion's write-back that stalls services the interrupts, and the
+   up-call the service makes can run the runtime, whose writes tick the
+   epoch and demote the same resident.  The line whose write stalled
+   must still reach its PCM home. *)
+let test_tier_stalled_writeback_reaches_home () =
+  let lpp = Pcm.Geometry.lines_per_page in
+  let vmm = Vmm.create ~dram_pages:2 ~pcm_pages:4 () in
+  (* one buffered failure crosses the watermark of a 5-slot buffer *)
+  let device =
+    Pcm.Device.create
+      ~config:
+        {
+          Pcm.Device.default_config with
+          Pcm.Device.pages = 4;
+          wear = wear_quick;
+          clustering = None;
+          buffer_capacity = 5;
+        }
+      ~seed:5 ()
+  in
+  let h = Interrupts.attach ~vmm ~device () in
+  let tier = Tier.create ~counts:(Tier.counts ()) ~interrupts:h ~epoch:8 () in
+  let p = Vmm.spawn vmm in
+  let virts = Result.get_ok (Vmm.mmap_imperfect vmm p ~pages:4) in
+  let a = List.nth virts 0 and b = List.nth virts 1 in
+  let home_a = Vmm.translate p ~virt:a and home_b = Vmm.translate p ~virt:b in
+  let charge_copy ~bytes:_ = () in
+  (* the runtime's writes to page B tick the epoch until page A, cold
+     this epoch, is demoted *)
+  Vmm.register_failure_handler p (fun ~virt_page:_ ~line:_ ~data:_ ->
+      let n = ref 0 in
+      while Tier.resident tier > 0 && !n < 64 do
+        incr n;
+        Tier.note_pcm_write tier p ~virt:b ~pcm_phys:home_b ~charge_copy
+      done);
+  for _ = 1 to 4 do
+    Tier.note_pcm_write tier p ~virt:a ~pcm_phys:home_a ~charge_copy
+  done;
+  let frame = Vmm.translate p ~virt:a in
+  Alcotest.(check bool) "page A promoted to a DRAM frame" true (frame >= 0 && frame < 2);
+  let line = 7 and x = Bytes.make Pcm.Geometry.line_bytes 'X' in
+  Tier.note_dram_write tier ~phys:frame ~line ~payload:x ~charge_copy;
+  (* a worn-out line of page B leaves its failure buffered: the device
+     stalls the write-back *)
+  hammer_until_failure device (((home_b - 2) * lpp) + 3);
+  check Alcotest.int "device stalled" 1
+    (Pcm.Device.stats device).Pcm.Device.buffer.Pcm.Failure_buffer.stall_events;
+  Tier.drop_all tier ~charge_copy;
+  check Alcotest.int "the service up-called the runtime" 1 (Interrupts.upcalls h);
+  check Alcotest.int "page A back home" home_a (Vmm.translate p ~virt:a);
+  check Alcotest.string "the stalled line reached its home" (Bytes.to_string x)
+    (Bytes.to_string (Pcm.Device.read device (((home_a - 2) * lpp) + line)))
+
 (* The tier against a per-page model, in lockstep on one device: heat
    per (pid, virtual page) with eager halving, a list of resident pages
    with a dirty flag and a copy of every line, and the cold residents
@@ -592,7 +647,8 @@ let test_tier_matches_model () =
           }
         ~seed ()
     in
-    let tier = Tier.create ~interrupts:(Interrupts.attach ~vmm ~device ()) ~epoch () in
+    let counts = Tier.counts () in
+    let tier = Tier.create ~counts ~interrupts:(Interrupts.attach ~vmm ~device ()) ~epoch () in
     let procs = Array.init 2 (fun _ -> Vmm.spawn vmm) in
     let virts =
       Array.map
@@ -654,14 +710,13 @@ let test_tier_matches_model () =
       in
       if Tier.residents tier <> want then
         fail step "residents [%s], model [%s]" (show (Tier.residents tier)) (show want);
-      let s = Tier.stats tier in
       if
-        (s.Tier.s_promotes, s.Tier.s_demotes, s.Tier.s_dram_writes, s.Tier.s_resident)
+        (counts.Tier.promotes, counts.Tier.demotes, counts.Tier.dram_writes, Tier.resident tier)
         <> (!promotes, !demotes, !dram_writes, List.length !residents)
       then
-        fail step "stats %d/%d/%d/%d, model %d/%d/%d/%d" s.Tier.s_promotes s.Tier.s_demotes
-          s.Tier.s_dram_writes s.Tier.s_resident !promotes !demotes !dram_writes
-          (List.length !residents);
+        fail step "counts %d/%d/%d/%d, model %d/%d/%d/%d" counts.Tier.promotes
+          counts.Tier.demotes counts.Tier.dram_writes (Tier.resident tier) !promotes !demotes
+          !dram_writes (List.length !residents);
       if !charged <> !m_charged then fail step "charged %d bytes, model %d" !charged !m_charged;
       Array.iteri
         (fun i p ->
@@ -799,6 +854,7 @@ let suite =
     ("a reused DRAM frame writes back only its resident's lines", `Quick,
       test_tier_frame_reuse_writes_back_own_lines);
     ("the tier matches a per-page model", `Quick, test_tier_matches_model);
+    ("a stalled write-back reaches its home", `Quick, test_tier_stalled_writeback_reaches_home);
     ("swap policies", `Quick, test_swap_policies);
     ("swap clustered count", `Quick, test_swap_clustered_count);
   ]
