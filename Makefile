@@ -58,10 +58,10 @@ bench-check:
 # Reduced figure grid on 2 worker domains, streaming one JSONL record
 # per trial plus a Chrome trace: the CI perf-trajectory artifacts.  The
 # trace covers the fig4 and headline trials only, with virtual
-# timestamps; it overflows its 2^18-event ring, so which events it keeps
-# depends on scheduling.  The wear-leveling ablation, the fleet and
-# hybrid figures and the wear-lifetime sweep stream to their own
-# derived sinks (results-wearlevel.jsonl / -fleet / -hybrid /
+# timestamps; its 359,364 events fit bench/main.exe's 2^19-event ring,
+# so it is byte-identical at any -j.  The wear-leveling ablation, the
+# fleet and hybrid figures and the wear-lifetime sweep stream to their
+# own derived sinks (results-wearlevel.jsonl / -fleet / -hybrid /
 # -wearlife).  --verify runs the paranoid heap verifier in every trial
 # except the fleet figure's, whose verified serving would take ten
 # minutes, not one.

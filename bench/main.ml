@@ -15,9 +15,9 @@
                               sensitivity and ablation (not of the
                               wearlevel, wearlife, hybrid or fleet
                               tables; Perfetto-loadable; virtual
-                              timestamps).  Identical at any -j until
-                              its 2^18-event ring overflows; then the
-                              events it keeps depend on scheduling
+                              timestamps).  Identical at any -j while
+                              it fits its 2^19-event ring, as
+                              figures-quick's 359,364 events do
      main.exe --verify        run the paranoid heap verifier after every
                               GC phase of every trial except the fleet
                               figure's (slower; changes no serialized

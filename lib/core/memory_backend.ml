@@ -337,7 +337,8 @@ let sync_node (node : node) (m : Metrics.t) : unit =
   m.Metrics.hyb_promotes <- tc.Osal.Tier.promotes;
   m.Metrics.hyb_demotes <- tc.Osal.Tier.demotes;
   m.Metrics.hyb_dram_writes <- tc.Osal.Tier.dram_writes;
-  m.Metrics.hyb_resident <- (match node.n_tier with None -> 0 | Some tier -> Osal.Tier.resident tier);
+  m.Metrics.hyb_resident <-
+    (match node.n_tier with None -> 0 | Some tier -> Osal.Tier.resident tier);
   match s.Pcm.Device.wl with
   | None -> ()
   | Some wl ->
