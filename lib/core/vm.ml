@@ -59,17 +59,15 @@ let lines_per_page = Holes_pcm.Geometry.lines_per_page
     end. *)
 let generate_failure_map (cfg : Config.t) ~(rng : Xrng.t) ~(npages : int) : Bitset.t * int =
   let round_pages_to mult = (npages + mult - 1) / mult * mult in
-  let pages =
+  let pages, transform =
     match cfg.Config.failure_dist with
-    | Config.Granule g -> round_pages_to (max 1 (g / lines_per_page))
-    | Config.Hw_cluster region_pages -> round_pages_to region_pages
-    | Config.Uniform | Config.Model _ -> npages
+    | Config.Granule g -> (round_pages_to (max 1 (g / lines_per_page)), Fun.id)
+    | Config.Hw_cluster region_pages ->
+        ( round_pages_to region_pages,
+          fun map -> Holes_pcm.Failure_map.cluster_transform map ~region_pages )
+    | Config.Uniform | Config.Model _ -> (npages, Fun.id)
   in
-  let map = Config.failure_map cfg ~rng ~nlines:(pages * lines_per_page) in
-  match cfg.Config.failure_dist with
-  | Config.Hw_cluster region_pages ->
-      (Holes_pcm.Failure_map.cluster_transform map ~region_pages, pages)
-  | Config.Uniform | Config.Granule _ | Config.Model _ -> (map, pages)
+  (transform (Config.failure_map cfg ~rng ~nlines:(pages * lines_per_page)), pages)
 
 (** Trigger a collection explicitly. *)
 let collect (t : t) ~(full : bool) : unit =
